@@ -32,10 +32,14 @@ def _fmt(x: float) -> str:
 
 
 def _emit(text: str, output: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if output is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        Path(output).write_text(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
+        return
+    try:
+        Path(output).write_text(text)
+    except OSError as exc:
+        raise StateValidationError(f"cannot write --output {output!r}: {exc.strerror}") from exc
 
 
 def _parse_params(raw: str | None) -> list[float]:
@@ -100,11 +104,22 @@ def cmd_exact(args) -> int:
     return EXIT_OK
 
 
-def _scheme_estimate(args, state: TwoQubitState):
+def _check_sampling(args) -> None:
+    """Reject sampling flags the sampled route cannot run with."""
     if args.shots is None:
-        return estimate_gqd(state, "scheme-exact", which=args.side)
+        return
+    if args.shots < 1:
+        raise StateValidationError(f"--shots must be >= 1, got {args.shots}")
+    if args.repeats < 2:
+        raise StateValidationError(f"--repeats must be >= 2, got {args.repeats}")
     if args.seed is None:
         raise StateValidationError("--seed is required when --shots is given")
+
+
+def _scheme_estimate(args, state: TwoQubitState):
+    _check_sampling(args)
+    if args.shots is None:
+        return estimate_gqd(state, "scheme-exact", which=args.side)
     return estimate_gqd(
         state,
         "scheme-sampled",
@@ -139,8 +154,7 @@ def cmd_scheme(args) -> int:
 def cmd_sweep(args) -> int:
     if args.num < 1:
         raise StateValidationError(f"--num must be >= 1, got {args.num}")
-    if args.shots is not None and args.seed is None:
-        raise StateValidationError("--seed is required when --shots is given")
+    _check_sampling(args)
     base = _parse_params(args.params)
     grid = np.linspace(args.start, args.stop, args.num)
 
@@ -206,6 +220,7 @@ def cmd_layouts(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_sampling(args)
     state = _resolve_state(args)
     exact = gqd_exact(state, args.side).value
     scheme = estimate_gqd(

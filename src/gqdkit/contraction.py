@@ -32,6 +32,10 @@ PAIR_KIND_MATRICES = {
     "complement": I4 - P_MINUS,
 }
 
+# (identity weight, singlet weight) of each side's pair operator; the moment
+# expansion, its audit and the sampled moment read-off all derive from it.
+PAIR_WEIGHTS = {"a": (1, -4), "b": (2, -4)}
+
 
 def pauli_exchange_sum() -> np.ndarray:
     """sum_i sigma^i (x) sigma^i, built directly from the Pauli matrices."""
@@ -40,12 +44,14 @@ def pauli_exchange_sum() -> np.ndarray:
 
 def build_u() -> np.ndarray:
     """The a-side pair operator, -4 P^- + I."""
-    return -4.0 * P_MINUS + I4
+    identity, singlet = PAIR_WEIGHTS["a"]
+    return singlet * P_MINUS + identity * I4
 
 
 def build_v() -> np.ndarray:
     """The b-side pair operator, -4 P^- + 2 I."""
-    return -4.0 * P_MINUS + 2.0 * I4
+    identity, singlet = PAIR_WEIGHTS["b"]
+    return singlet * P_MINUS + identity * I4
 
 
 def _copy_tensor(rho: np.ndarray) -> np.ndarray:

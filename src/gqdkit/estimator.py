@@ -2,22 +2,25 @@
 
 The three measurement settings deliver the eleven outcome values c1..c11.
 Spectrum moments of the K matrix are fixed polynomials in the c's; each
-monomial corresponds to a subset of the setting's pairs, factorized over
-connected components of the induced copy graph. The operative coefficient
-table is derived from that expansion at import time; a baseline reference
-table is kept alongside and audited against a direct tr(K^k) oracle by
-verify_moment_formulas. The exact route evaluates the table; the sampled
-route reads moment k off setting k's counts as the mean of one product
-observable, the unfactorized form of the same expansion.
+monomial corresponds to a subset of the setting's pairs, weighted by
+contraction.PAIR_WEIGHTS and factorized over connected components of the
+induced copy graph. The operative coefficient table is derived from that
+expansion at import time. verify_moment_formulas audits a baseline
+reference table against a direct tr(K^k) oracle and, when it is off,
+validates the derived table on fresh states and reports the diff. The exact
+route evaluates the table; the sampled route reads moment k off setting k's
+counts as the mean of one product observable, the unfactorized form of the
+same expansion.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .contraction import OutcomeDistribution, expect_layout, joint_distribution
+from .contraction import PAIR_WEIGHTS, OutcomeDistribution, expect_layout, joint_distribution
 from .errors import NumericalContractError
 from .gqd_core import k_matrix
 from .pairing import settings, standard_layouts
@@ -96,46 +99,19 @@ def _components(edges: list[tuple[str, int, int]]) -> list[list[tuple[str, int, 
     return list(groups.values())
 
 
-def _shape_key(edges: list[tuple[str, int, int]]) -> str:
-    """Canonical side-sequence of a connected path or cycle of pair edges."""
-    adj: dict[int, list[tuple[int, str, int]]] = {}
-    for idx, (side, lo, hi) in enumerate(edges):
-        adj.setdefault(lo, []).append((idx, side, hi))
-        adj.setdefault(hi, []).append((idx, side, lo))
-    degrees = {c: len(v) for c, v in adj.items()}
-    if max(degrees.values()) > 2:
-        raise NumericalContractError("pair subgraph has a copy of degree > 2")
+def _shape_key(edges: list[tuple[str, int, int]]) -> tuple[bool, int, int]:
+    """(is_cycle, #a edges, #b edges) of a connected subgraph of pair edges.
 
-    def walk(start: int, first: tuple[int, str, int]) -> str:
-        seq = []
-        used = set()
-        cur, step = start, first
-        while step is not None:
-            idx, side, nxt = step
-            seq.append(side)
-            used.add(idx)
-            cur = nxt
-            step = None
-            for cand in adj[cur]:
-                if cand[0] not in used:
-                    step = cand
-                    break
-        return "".join(seq)
-
-    endpoints = sorted(c for c, d in degrees.items() if d == 1)
-    if endpoints:
-        walks = [walk(e, adj[e][0]) for e in endpoints]
-        return "path:" + min(walks)
-    # cycle: minimize over every starting edge and both directions
-    candidates = []
-    for start in adj:
-        for first in adj[start]:
-            candidates.append(walk(start, first))
-    return "cycle:" + min(candidates)
+    Each copy has one a slot and one b slot, so a component alternates sides
+    and is a path or a cycle; these three numbers fix its shape.
+    """
+    copies = {c for _, lo, hi in edges for c in (lo, hi)}
+    sides = [side for side, _, _ in edges]
+    return (len(edges) == len(copies), sides.count("a"), sides.count("b"))
 
 
-def _standard_shape_index() -> dict[str, int]:
-    table: dict[str, int] = {}
+def _standard_shape_index() -> dict[tuple[bool, int, int], int]:
+    table: dict[tuple[bool, int, int], int] = {}
     for i, layout in enumerate(standard_layouts()):
         singlet_edges = [
             (p.side, p.copies[0], p.copies[1])
@@ -157,10 +133,11 @@ def _standard_shape_index() -> dict[str, int]:
 def derive_moment_table(order: int) -> dict[tuple[int, ...], float]:
     """Expand a moment over its setting's matching into outcome monomials.
 
-    Every subset of the matching's pairs contributes (-4)^(#selected) times
-    2^(#unselected b pairs); the subset's expectation factorizes over the
-    connected components of the copy graph, each matching one of the eleven
-    standard outcomes by shape.
+    Every subset of the matching's pairs contributes the product of the
+    PAIR_WEIGHTS singlet weights of its pairs and the identity weights of
+    the others; the subset's expectation factorizes over the connected
+    components of the copy graph, each matching one of the eleven standard
+    outcomes by shape.
     """
     if order not in MOMENT_ORDERS:
         raise ValueError(f"moment order must be in {MOMENT_ORDERS}, got {order}")
@@ -169,14 +146,10 @@ def derive_moment_table(order: int) -> dict[tuple[int, ...], float]:
     n = len(pairs)
     table: dict[tuple[int, ...], float] = {}
     for mask in range(2**n):
-        selected = [pairs[i] for i in range(n) if (mask >> i) & 1]
-        unselected_b = sum(
-            1 for i in range(n) if not (mask >> i) & 1 and pairs[i].side == "b"
-        )
-        coeff = (-4.0) ** len(selected) * 2.0**unselected_b
-        edges = [(p.side, p.copies[0], p.copies[1]) for p in selected]
-        indices = sorted(shape_index[_shape_key(comp)] for comp in _components(edges))
-        mono = tuple(indices)
+        bits = [(mask >> i) & 1 for i in range(n)]
+        coeff = float(math.prod(PAIR_WEIGHTS[p.side][bit] for p, bit in zip(pairs, bits)))
+        edges = [(p.side, p.copies[0], p.copies[1]) for p, bit in zip(pairs, bits) if bit]
+        mono = tuple(sorted(shape_index[_shape_key(comp)] for comp in _components(edges)))
         table[mono] = table.get(mono, 0.0) + coeff
     return {k: v for k, v in table.items() if v != 0.0}
 
@@ -291,18 +264,18 @@ def outcomes_exact(state: TwoQubitState) -> OutcomeVector:
 
 
 # Per-pair outcome values (singlet, complement) of the moment observables on
-# side A: an a pair measures 1 - 4 P^-, a b pair 2 - 4 P^-.
-PAIR_VALUES = {"a": (-3.0, 1.0), "b": (-2.0, 2.0)}
+# side A: w_I I + w_S P^- is w_I + w_S on the singlet and w_I on its complement.
+PAIR_VALUES = {side: (float(i + s), float(i)) for side, (i, s) in PAIR_WEIGHTS.items()}
 
 
 def moment_observable(dist: OutcomeDistribution, which: str = "A") -> np.ndarray:
     """Value of the setting's moment observable on each outcome pattern.
 
-    v[pattern] is the product over the setting's pairs of the pair value
-    (a pair: singlet -3, complement 1; b pair: singlet -2, complement 2),
-    aligned with dist.patterns(). This is the per-pair expansion that
-    derive_moment_table sums, so for the setting of order k,
-    dist.vector() @ v = tr(K^k). Side B swaps the values between the sides.
+    v[pattern] is the product over the setting's pairs of the PAIR_VALUES
+    entry for the pair's outcome, aligned with dist.patterns(). This is the
+    per-pair expansion that derive_moment_table sums, so for the setting of
+    order k, dist.vector() @ v = tr(K^k). Side B swaps the values between
+    the sides.
     """
     if which not in ("A", "B"):
         raise ValueError(f"which must be 'A' or 'B', got {which!r}")
@@ -336,6 +309,11 @@ def _hit_matrix(dist: OutcomeDistribution) -> tuple[list[int], np.ndarray]:
         indices.append(idx)
         columns.append(patterns[:, positions].all(axis=1))
     return indices, np.array(columns, dtype=np.int64).T
+
+
+def stream_key(seed) -> tuple[int, ...]:
+    """A seed (an int or a sequence of ints) as the tuple keying RNG streams."""
+    return tuple(np.atleast_1d(np.asarray(seed, dtype=np.int64)).tolist())
 
 
 class _Sampler:
@@ -373,7 +351,7 @@ def outcomes_sampled(state: TwoQubitState, shots_per_setting: int, seed) -> Outc
     """
     if shots_per_setting < 1:
         raise ValueError("shots_per_setting must be >= 1")
-    entropy = tuple(np.atleast_1d(np.asarray(seed, dtype=np.int64)).tolist())
+    entropy = stream_key(seed)
     sampler = _Sampler([joint_distribution(s, state) for s in settings()], int(shots_per_setting))
     c = sampler.frequencies(sampler.counts(entropy))
     return OutcomeVector(c, "sampled", shots=int(shots_per_setting), seed=entropy)
@@ -475,11 +453,6 @@ def eigenvalues_from_moments(m: MomentTriple, noisy: bool = False) -> np.ndarray
     return np.sort(lam)[::-1]
 
 
-def _repeat_entropy(seed, repeat: int) -> tuple[int, ...]:
-    base = tuple(np.atleast_1d(np.asarray(seed, dtype=np.int64)).tolist())
-    return (*base, repeat)
-
-
 def estimate_gqd(
     state: TwoQubitState,
     mode: str = "scheme-exact",
@@ -524,6 +497,7 @@ def estimate_gqd(
     if seed is None:
         raise ValueError("scheme-sampled requires a seed")
 
+    base = stream_key(seed)
     dists = [joint_distribution(s, state) for s in settings()]
     sampler = _Sampler(dists, int(shots))
     observables = [moment_observable(d, which) for d in dists]
@@ -532,7 +506,7 @@ def estimate_gqd(
     ms = np.empty((repeats, 3))
     lams = np.empty((repeats, 3))
     for rep in range(repeats):
-        entropy = _repeat_entropy(seed, rep)
+        entropy = (*base, rep)
         counts = sampler.counts(entropy)
         out = OutcomeVector(sampler.frequencies(counts), "sampled", shots=int(shots), seed=entropy)
         if which == "B":
@@ -544,12 +518,7 @@ def estimate_gqd(
         ms[rep] = (m.m1, m.m2, m.m3)
         lams[rep] = lam
 
-    mean_c = OutcomeVector(
-        cs.mean(axis=0),
-        "sampled",
-        shots=int(shots),
-        seed=tuple(np.atleast_1d(np.asarray(seed, dtype=np.int64)).tolist()),
-    )
+    mean_c = OutcomeVector(cs.mean(axis=0), "sampled", shots=int(shots), seed=base)
     mean_m = MomentTriple(*ms.mean(axis=0))
     return GqdEstimate(
         float(values.mean()),
@@ -574,7 +543,6 @@ class MomentAuditReport:
     baseline_max_dev: dict[int, float]
     corrected_table: dict[int, dict[tuple[int, ...], float]] | None
     corrected_max_dev: dict[int, float] | None
-    fit_rank: dict[int, int] | None
     diff: list[dict]
 
     @property
@@ -604,13 +572,20 @@ class MomentAuditReport:
                 if self.corrected_max_dev is None
                 else {str(k): v for k, v in self.corrected_max_dev.items()}
             ),
-            "fit_rank": (
-                None
-                if self.fit_rank is None
-                else {str(k): v for k, v in self.fit_rank.items()}
-            ),
             "diff": self.diff,
         }
+
+
+def _max_dev(
+    tables: dict[int, dict[tuple[int, ...], float]], states: list[TwoQubitState]
+) -> dict[int, float]:
+    """Per order, the largest |table(c) - tr(K^k)| over the states."""
+    cvecs = [outcomes_exact(s).c for s in states]
+    oracle = np.array([_oracle_moments(s) for s in states])
+    return {
+        k: float(np.max(np.abs([_eval_table(tables[k], c) for c in cvecs] - oracle[:, k - 1])))
+        for k in MOMENT_ORDERS
+    }
 
 
 def _audit_states(seed: int, offset: int, count: int) -> list[TwoQubitState]:
@@ -627,55 +602,18 @@ def verify_moment_formulas(trials: int = 200, seed: int = 0) -> MomentAuditRepor
 
     Evaluates the baseline polynomials on exact outcome vectors of random
     states and compares with tr(K^k). If any order deviates beyond
-    AUDIT_TOL, the correct coefficients are fit over the expansion's
-    monomial basis by least squares, validated on fresh states, and the
-    full machine-readable diff is reported.
+    AUDIT_TOL, the table derived from the pair expansion (MOMENT_TABLE) is
+    validated against the oracle on as many fresh states, and its
+    coefficient diff against the baseline is reported.
     """
     if trials < 30:
         raise ValueError("trials must be >= 30")
-    states = _audit_states(seed, 0, trials)
-    cvecs = np.array([outcomes_exact(s).c for s in states])
-    oracle = np.array([_oracle_moments(s) for s in states])
-
-    baseline_dev = {}
-    for k in MOMENT_ORDERS:
-        evals = np.array([_eval_table(BASELINE_MOMENT_TABLE[k], c) for c in cvecs])
-        baseline_dev[k] = float(np.max(np.abs(evals - oracle[:, k - 1])))
-
+    baseline_dev = _max_dev(BASELINE_MOMENT_TABLE, _audit_states(seed, 0, trials))
     if all(v <= AUDIT_TOL for v in baseline_dev.values()):
-        return MomentAuditReport(trials, seed, baseline_dev, None, None, None, [])
+        return MomentAuditReport(trials, seed, baseline_dev, None, None, [])
 
-    corrected: dict[int, dict[tuple[int, ...], float]] = {}
-    ranks: dict[int, int] = {}
-    for k in MOMENT_ORDERS:
-        monomials = sorted(
-            set(MOMENT_TABLE[k]) | set(BASELINE_MOMENT_TABLE[k]), key=lambda m: (len(m), m)
-        )
-        design = np.empty((trials, len(monomials)))
-        for j, mono in enumerate(monomials):
-            col = np.ones(trials)
-            for idx in mono:
-                col = col * cvecs[:, idx - 1]
-            design[:, j] = col
-        coeffs, _, rank, _ = np.linalg.lstsq(design, oracle[:, k - 1], rcond=None)
-        ranks[k] = int(rank)
-        table = {}
-        for mono, w in zip(monomials, coeffs):
-            w = float(w)
-            if abs(w - round(w)) < AUDIT_TOL:
-                w = float(round(w))
-            if w != 0.0:
-                table[mono] = w
-        corrected[k] = table
-
-    fresh = _audit_states(seed, trials, trials)
-    fresh_c = np.array([outcomes_exact(s).c for s in fresh])
-    fresh_oracle = np.array([_oracle_moments(s) for s in fresh])
-    corrected_dev = {}
-    for k in MOMENT_ORDERS:
-        evals = np.array([_eval_table(corrected[k], c) for c in fresh_c])
-        corrected_dev[k] = float(np.max(np.abs(evals - fresh_oracle[:, k - 1])))
-
+    corrected = {k: dict(MOMENT_TABLE[k]) for k in MOMENT_ORDERS}
+    corrected_dev = _max_dev(corrected, _audit_states(seed, trials, trials))
     diff = []
     for k in MOMENT_ORDERS:
         monos = sorted(set(BASELINE_MOMENT_TABLE[k]) | set(corrected[k]), key=lambda m: (len(m), m))
@@ -691,4 +629,4 @@ def verify_moment_formulas(trials: int = 200, seed: int = 0) -> MomentAuditRepor
                         "corrected": float(new),
                     }
                 )
-    return MomentAuditReport(trials, seed, baseline_dev, corrected, corrected_dev, ranks, diff)
+    return MomentAuditReport(trials, seed, baseline_dev, corrected, corrected_dev, diff)

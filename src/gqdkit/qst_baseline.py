@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import GqdEstimate
+from .estimator import GqdEstimate, stream_key
 from .gqd_core import gqd_exact
 from .pairing import settings, standard_layouts
 from .statekit import SIGMA_A, SIGMA_AB, SIGMA_B, TwoQubitState, decompose
@@ -55,7 +55,7 @@ def qst_estimate(
             raise ValueError("shots_per_setting must be >= 1")
         if seed is None:
             raise ValueError("sampled tomography requires a seed")
-        base = tuple(np.atleast_1d(np.asarray(seed, dtype=np.int64)).tolist())
+        base = stream_key(seed)
         t_hat = np.zeros((3, 3))
         marg_a = np.zeros((3, 3))  # [i, j]: <s> in setting (i, j)
         marg_b = np.zeros((3, 3))

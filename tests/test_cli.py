@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gqdkit import gqd_exact, random_state, state_to_json
 from gqdkit.cli import SWEEP_CSV_HEADER, main
 
@@ -232,6 +234,41 @@ def test_output_file_writing(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert abs(json.loads(target.read_text())["value"] - 0.5) <= 1e-12
+
+
+WERNER = ("--family", "werner", "--params", "0.5")
+SWEEP = ("--family", "werner", "--start", "0", "--stop", "1", "--num", "2")
+MISSING = "{missing}"
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (("scheme", *WERNER, "--shots", "0", "--seed", "1"), "--shots must be >= 1"),
+        (("scheme", *WERNER, "--shots", "100", "--repeats", "1", "--seed", "1"), "--repeats"),
+        (("sweep", *SWEEP, "--shots", "0", "--seed", "1"), "--shots must be >= 1"),
+        (("sweep", *SWEEP, "--shots", "100", "--repeats", "1", "--seed", "1"), "--repeats"),
+        (("compare", *WERNER, "--shots", "0", "--seed", "1"), "--shots must be >= 1"),
+        (("compare", *WERNER, "--shots", "100", "--repeats", "1", "--seed", "1"), "--repeats"),
+        (("exact", *WERNER, "--output", MISSING), MISSING),
+        (("scheme", *WERNER, "--output", MISSING), MISSING),
+        (("sweep", *SWEEP, "--output", MISSING), MISSING),
+        (("compare", *WERNER, "--shots", "100", "--seed", "1", "--output", MISSING), MISSING),
+        (("layouts", "--output", MISSING), MISSING),
+    ],
+    ids=[
+        "scheme-shots", "scheme-repeats", "sweep-shots", "sweep-repeats",
+        "compare-shots", "compare-repeats", "exact-output", "scheme-output",
+        "sweep-output", "compare-output", "layouts-output",
+    ],
+)
+def test_bad_sampling_flags_and_output_paths_exit_two(tmp_path, capsys, argv, needle):
+    missing = str(tmp_path / "no_such_dir" / "out.txt")
+    argv = [missing if a == MISSING else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert needle.replace(MISSING, missing) in err
 
 
 def test_unknown_command_exits_two(capsys):

@@ -137,6 +137,18 @@ def test_verify_moment_formulas_flags_the_baseline():
     assert all(dev <= 1e-9 for dev in report.corrected_max_dev.values())
     for k, table in report.corrected_table.items():
         assert table == MOMENT_TABLE[k]
+        assert table is not MOMENT_TABLE[k]
+    # the schema archived at build/moment_formula_audit.json by criterion 4
+    assert set(report.to_dict()) == {
+        "trials",
+        "seed",
+        "tolerance",
+        "baseline_ok",
+        "baseline_max_dev",
+        "corrected_table",
+        "corrected_max_dev",
+        "diff",
+    }
 
 
 def test_verify_moment_formulas_is_deterministic():
