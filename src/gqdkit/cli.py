@@ -31,13 +31,18 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _emit(text: str, output: str | None) -> None:
-    text = text if text.endswith("\n") else text + "\n"
+def _emit(text: str, output: str | None, mode: str = "w") -> None:
+    """Write text, newline-terminated, to --output or stdout.
+
+    _emit("", output, "a") checks up front that --output can be written.
+    """
+    text = text if text.endswith("\n") or not text else text + "\n"
     if output is None:
         sys.stdout.write(text)
         return
     try:
-        Path(output).write_text(text)
+        with open(output, mode) as handle:
+            handle.write(text)
     except OSError as exc:
         raise StateValidationError(f"cannot write --output {output!r}: {exc.strerror}") from exc
 
@@ -55,10 +60,12 @@ def _resolve_state(args) -> TwoQubitState:
     if args.file is not None and args.family is not None:
         raise StateValidationError("give either --file or --family, not both")
     if args.file is not None:
-        path = Path(args.file)
-        if not path.exists():
-            raise StateValidationError(f"state file {args.file!r} does not exist")
-        return state_from_json(path.read_text())
+        try:
+            text = Path(args.file).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = exc.strerror if isinstance(exc, OSError) else f"not UTF-8 ({exc.reason})"
+            raise StateValidationError(f"cannot read state file {args.file!r}: {reason}") from exc
+        return state_from_json(text)
     if args.family is not None:
         return make_family(args.family, _parse_params(args.params))
     raise StateValidationError("a state source is required: --file or --family")
@@ -116,23 +123,20 @@ def _check_sampling(args) -> None:
         raise StateValidationError("--seed is required when --shots is given")
 
 
-def _scheme_estimate(args, state: TwoQubitState):
-    _check_sampling(args)
-    if args.shots is None:
-        return estimate_gqd(state, "scheme-exact", which=args.side)
+def _sampled_estimate(args, state: TwoQubitState, seed):
+    """scheme-sampled estimate with the command's --side, --shots and --repeats."""
     return estimate_gqd(
-        state,
-        "scheme-sampled",
-        which=args.side,
-        shots=args.shots,
-        repeats=args.repeats,
-        seed=args.seed,
+        state, "scheme-sampled", which=args.side, shots=args.shots, repeats=args.repeats, seed=seed
     )
 
 
 def cmd_scheme(args) -> int:
     state = _resolve_state(args)
-    est = _scheme_estimate(args, state)
+    _check_sampling(args)
+    if args.shots is None:
+        est = estimate_gqd(state, "scheme-exact", which=args.side)
+    else:
+        est = _sampled_estimate(args, state, args.seed)
     if args.format == "json":
         payload = est.to_dict()
         payload["side"] = args.side
@@ -155,52 +159,30 @@ def cmd_sweep(args) -> int:
     if args.num < 1:
         raise StateValidationError(f"--num must be >= 1, got {args.num}")
     _check_sampling(args)
-    base = _parse_params(args.params)
-    grid = np.linspace(args.start, args.stop, args.num)
+    params = _parse_params(args.params) or [0.0] * max(1, args.sweep_index + 1)
+    if not -len(params) <= args.sweep_index < len(params):
+        raise StateValidationError(f"--sweep-index {args.sweep_index} outside the parameter list")
+    _emit("", args.output, mode="a")
 
     rows = []
-    for i, value in enumerate(grid):
-        params = list(base) if base else [0.0] * max(1, args.sweep_index + 1)
-        if args.sweep_index >= len(params):
-            raise StateValidationError(
-                f"--sweep-index {args.sweep_index} outside the parameter list"
-            )
+    for i, value in enumerate(np.linspace(args.start, args.stop, args.num)):
         params[args.sweep_index] = float(value)
         state = make_family(args.family, params)
-        d_exact = gqd_exact(state, args.side).value
-        d_scheme = estimate_gqd(state, "scheme-exact", which=args.side).value
+        row = [float(value), gqd_exact(state, args.side).value]
+        row.append(estimate_gqd(state, "scheme-exact", which=args.side).value)
         if args.shots is None:
-            sampled_mean, sampled_err = None, None
+            row += [None, None]
         else:
-            est = estimate_gqd(
-                state,
-                "scheme-sampled",
-                which=args.side,
-                shots=args.shots,
-                repeats=args.repeats,
-                seed=(args.seed, i),
-            )
-            sampled_mean, sampled_err = est.value, est.std_err
-        rows.append((float(value), d_exact, d_scheme, sampled_mean, sampled_err))
+            est = _sampled_estimate(args, state, (args.seed, i))
+            row += [est.value, est.std_err]
+        rows.append(row)
 
     if args.format == "csv":
         lines = [SWEEP_CSV_HEADER]
-        for row in rows:
-            lines.append(
-                ",".join("" if v is None else _fmt(v) for v in row)
-            )
+        lines += [",".join("" if v is None else _fmt(v) for v in row) for row in rows]
         _emit("\n".join(lines), args.output)
     else:
-        payload = [
-            {
-                "param": r[0],
-                "D_exact": r[1],
-                "D_scheme_exact": r[2],
-                "D_sampled_mean": r[3],
-                "D_sampled_stderr": r[4],
-            }
-            for r in rows
-        ]
+        payload = [dict(zip(SWEEP_CSV_HEADER.split(","), row)) for row in rows]
         _emit(json.dumps(payload, indent=2), args.output)
     return EXIT_OK
 
@@ -223,14 +205,7 @@ def cmd_compare(args) -> int:
     _check_sampling(args)
     state = _resolve_state(args)
     exact = gqd_exact(state, args.side).value
-    scheme = estimate_gqd(
-        state,
-        "scheme-sampled",
-        which=args.side,
-        shots=args.shots,
-        repeats=args.repeats,
-        seed=args.seed,
-    )
+    scheme = _sampled_estimate(args, state, args.seed)
     _, qst = qst_estimate(state, shots_per_setting=args.shots, seed=(args.seed, 1), which=args.side)
     report = resource_report()
     payload = {

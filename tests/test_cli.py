@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from gqdkit import gqd_exact, random_state, state_to_json
+from gqdkit import cli, gqd_exact, random_state, state_to_json
 from gqdkit.cli import SWEEP_CSV_HEADER, main
 
 
@@ -266,6 +267,51 @@ def test_bad_sampling_flags_and_output_paths_exit_two(tmp_path, capsys, argv, ne
     missing = str(tmp_path / "no_such_dir" / "out.txt")
     argv = [missing if a == MISSING else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert needle.replace(MISSING, missing) in err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8", "no-permission"])
+def test_unreadable_state_file_exits_two(tmp_path, capsys, monkeypatch, kind):
+    path = tmp_path / "state.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe\x00")
+    else:
+        path.write_text(state_to_json(random_state(1)))
+        path.chmod(0)
+
+        def refuse(self, *args, **kwargs):  # a superuser reads past mode 000
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+    code, out, err = run_cli(capsys, "exact", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert str(path) in err
+
+
+@pytest.mark.parametrize(
+    "extra, needle",
+    [
+        (("--output", MISSING), MISSING),
+        (("--params", "0.5", "--sweep-index", "3"), "--sweep-index"),
+    ],
+    ids=["output", "sweep-index"],
+)
+def test_sweep_rejects_bad_flags_before_any_grid_point(
+    tmp_path, capsys, monkeypatch, extra, needle
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid point was computed before the flags were checked")
+
+    monkeypatch.setattr(cli, "estimate_gqd", refuse)
+    monkeypatch.setattr(cli, "gqd_exact", refuse)
+    missing = str(tmp_path / "no_such_dir" / "out.csv")
+    extra = [missing if a == MISSING else a for a in extra]
+    code, out, err = run_cli(capsys, "sweep", *SWEEP, "--shots", "100", "--seed", "1", *extra)
     assert code == 2
     assert out == ""
     assert needle.replace(MISSING, missing) in err

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,7 +16,8 @@ from gqdkit import (
     make_family,
     random_state,
 )
-from gqdkit.gqd_core import KMatrix, _classical_candidate, _sym3_eigvals_desc
+from gqdkit import gqd_core
+from gqdkit.gqd_core import KMatrix, _dephased, _sym3_eigvals_desc
 from gqdkit.statekit import MAXIMALLY_MIXED
 
 SWAP = np.array(
@@ -116,12 +122,16 @@ def test_gqd_value_structure():
     assert g.eigenvalues[0] >= g.eigenvalues[1] >= g.eigenvalues[2] >= 0.0
 
 
-def test_classical_candidate_is_valid_zero_discord_state():
+def test_dephased_state_is_valid_zero_discord_state():
     rng = np.random.default_rng(2)
-    for _ in range(25):
-        chi = _classical_candidate(rng.normal(size=11))
-        state = TwoQubitState(chi)
-        assert gqd_exact(state).value <= 1e-10
+    for trial in range(25):
+        axis = rng.normal(size=3)
+        rho = random_state(6000 + trial, rank=1 + trial % 4).matrix
+        chi = _dephased(rho, (axis / np.linalg.norm(axis))[None])[0]
+        assert np.max(np.abs(chi - chi.conj().T)) <= 1e-12
+        assert abs(np.trace(chi) - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(chi)[0] >= -1e-12
+        assert gqd_exact(TwoQubitState(chi), "A").value <= 1e-10
 
 
 def test_minimization_on_classical_states():
@@ -131,21 +141,73 @@ def test_minimization_on_classical_states():
     assert gqd_by_minimization(state, restarts=4, seed=0) <= 1e-6
 
 
-def test_minimization_matches_closed_form_on_werner():
-    state = make_family("werner", [0.8])
-    val = gqd_by_minimization(state, restarts=4, seed=1)
-    assert abs(val - 0.32) <= 1e-4
+def minimize_on_side(state, side, **kwargs):
+    """The oracle searches side A; side B is side A of SWAP rho SWAP."""
+    if side == "B":
+        state = TwoQubitState(SWAP @ state.matrix @ SWAP)
+    return gqd_by_minimization(state, **kwargs)
 
 
-def test_minimization_never_undershoots():
-    for trial in range(6):
-        state = random_state(5000 + trial, rank=1 + trial % 4)
-        exact = gqd_exact(state).value
-        found = gqd_by_minimization(state, restarts=4, seed=trial)
-        assert found >= exact - 1e-6
+def rotated_on_a(state, seed):
+    u = np.kron(haar_qubit_unitary(np.random.default_rng(seed)), np.eye(2))
+    return TwoQubitState(u @ state.matrix @ u.conj().T)
+
+
+# (state, side): a triply degenerate K (werner 0.5), a rank-1 state, the
+# singlet corner of the Bell tetrahedron, side B of a random state, and two
+# largest K eigenvalues 1e-4 apart with their axes turned off the grid's.
+ORACLE_CASES = {
+    "werner-0.8": (make_family("werner", [0.8]), "A"),
+    "werner-0.5": (make_family("werner", [0.5]), "A"),
+    "pure": (make_family("pure", [0.3, 0.1, 0.5, 0.0, 0.2, 0.7, 0.1, 0.3]), "A"),
+    "bell-corner": (make_family("bell_diagonal", [-1.0, -1.0, -1.0]), "A"),
+    "side-B": (random_state(5100, rank=3), "B"),
+    "near-degenerate": (rotated_on_a(make_family("bell_diagonal", [0.5, 0.4999, -0.2]), 5), "A"),
+}
+
+
+@pytest.mark.parametrize("state, side", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_minimization_matches_closed_form_on_werner(state, side):
+    val = minimize_on_side(state, side, restarts=4, seed=1)
+    assert abs(val - gqd_exact(state, side).value) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "states, side",
+    [([random_state(5000 + t, rank=1 + t % 4) for t in range(6)], "A")]
+    + [([state], side) for state, side in ORACLE_CASES.values()],
+    ids=["random", *ORACLE_CASES],
+)
+def test_minimization_never_undershoots(states, side):
+    for trial, state in enumerate(states):
+        exact = gqd_exact(state, side).value
+        found = minimize_on_side(state, side, restarts=4, seed=trial)
+        assert found >= exact - 1e-12
         assert found - exact <= 1e-4
+
+
+def test_minimization_is_independent_of_closed_form_and_rng(monkeypatch):
+    state = random_state(5200, rank=2)
+    expected = gqd_by_minimization(state)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle used the closed form or drew random numbers")
+
+    for name in ("decompose", "k_matrix", "_sym3_eigvals_desc"):
+        monkeypatch.setattr(gqd_core, name, refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert gqd_by_minimization(state, restarts=1, seed=0) == expected
+    assert gqd_by_minimization(state, restarts=200, seed=12345) == expected
 
 
 def test_minimization_rejects_bad_restarts():
     with pytest.raises(ValueError):
         gqd_by_minimization(random_state(0), restarts=0, seed=0)
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import gqdkit, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
