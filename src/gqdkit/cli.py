@@ -133,6 +133,7 @@ def _sampled_estimate(args, state: TwoQubitState, seed):
 def cmd_scheme(args) -> int:
     state = _resolve_state(args)
     _check_sampling(args)
+    _emit("", args.output, mode="a")
     if args.shots is None:
         est = estimate_gqd(state, "scheme-exact", which=args.side)
     else:
@@ -204,6 +205,7 @@ def cmd_layouts(args) -> int:
 def cmd_compare(args) -> int:
     _check_sampling(args)
     state = _resolve_state(args)
+    _emit("", args.output, mode="a")
     exact = gqd_exact(state, args.side).value
     scheme = _sampled_estimate(args, state, args.seed)
     _, qst = qst_estimate(state, shots_per_setting=args.shots, seed=(args.seed, 1), which=args.side)

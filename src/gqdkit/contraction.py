@@ -3,9 +3,11 @@
 Because every copy has exactly one a-side and one b-side pair attached,
 the copies and pairs form disjoint cycles that alternate sides. Each cycle
 is contracted as a product of 4x4 bond matrices (a bond is the row/column
-index pair of one qubit slot), so no intermediate ever exceeds 4^4 complex
-entries; the full 4^n operator is materialized only by the dense oracle,
-which is capped at 4 copies.
+index pair of one qubit slot). A pair may carry a stack of edge tensors, an
+open leg: a measured pair carries (complement, singlet), so one walk of a
+setting's cycle yields every outcome pattern at once. Intermediates hold at
+most 2^n * 16 complex entries for n measured pairs; the full 4^n operator is
+materialized only by the dense oracle, which is capped at 4 copies.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import NumericalContractError
-from .pairing import PairingLayout, PairOp, Setting
+from .pairing import PairingLayout, Setting
 from .statekit import PAULI, SINGLET, TwoQubitState
 
 IMAG_TOL = 1e-10
@@ -64,10 +66,17 @@ def _edge_tensor(op: np.ndarray) -> np.ndarray:
     return np.asarray(op, dtype=complex).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
 
 
-def _contract(edges: list[tuple[str, int, int, np.ndarray]], rho: np.ndarray) -> float:
-    """tr[(tensor of pair ops)(rho^(x) n)] for edges (side, lo, hi, op4x4).
+# Edge-tensor stacks, built once: each pair kind, and a measured pair's outcome leg.
+_KIND_EDGES = {kind: _edge_tensor(op)[None] for kind, op in PAIR_KIND_MATRICES.items()}
+_OUTCOME_EDGES = np.concatenate([_KIND_EDGES["complement"], _KIND_EDGES["singlet"]])
 
-    Walks each alternating cycle once, multiplying 4x4 bond matrices; the
+
+def _contract(edges: list[tuple[str, int, int, np.ndarray]], rho: np.ndarray) -> np.ndarray:
+    """tr[(tensor of pair ops)(rho^(x) n)] for edges (side, lo, hi, (L, 4, 4) stack).
+
+    One result axis per edge, in edge order, picks that edge's operator. Each
+    alternating cycle is walked once; its partial products of 4x4 bond matrices
+    are stacked as one (4K, 4) matrix, K growing by a factor L per edge. The
     result must be real to IMAG_TOL.
     """
     incident: dict[tuple[int, str], tuple[int, int]] = {}
@@ -83,60 +92,47 @@ def _contract(edges: list[tuple[str, int, int, np.ndarray]], rho: np.ndarray) ->
             raise ValueError(f"copy {copy} is not covered on both sides")
 
     C = _copy_tensor(np.asarray(rho, dtype=complex))
-    edge_mats = [_edge_tensor(op) for _, _, _, op in edges]
-
-    total = 1.0 + 0.0j
-    visited = [False] * len(edges)
+    parts, order = [], []
     for start_idx in range(len(edges)):
-        if visited[start_idx]:
+        if start_idx in order:
             continue
-        side0, lo0, hi0, _ = edges[start_idx]
+        side0, lo0, hi0, stack = edges[start_idx]
         start = (lo0, side0)
-        prod = edge_mats[start_idx]
-        visited[start_idx] = True
+        prod = stack.reshape(-1, 4)
+        cycle = [start_idx]
         cur = (hi0, side0)
         while cur != start:
             copy, side = cur
-            other_side = "b" if side == "a" else "a"
             prod = prod @ (C if side == "a" else C.T)
-            cur = (copy, other_side)
+            cur = (copy, "b" if side == "a" else "a")
             if cur == start:
                 break
             idx, end = incident[cur]
-            side_e, lo, hi, _ = edges[idx]
-            mat = edge_mats[idx]
-            if end == 1:
-                mat = mat.T
-            prod = prod @ mat
-            visited[idx] = True
+            side_e, lo, hi, stack = edges[idx]
+            # times [M_0 | M_1 | ...] (each transposed when walked hi -> lo),
+            # then for L > 1 each product's L results stacked below one another
+            wide = stack.transpose(1, 0, 2) if end == 0 else stack.transpose(2, 0, 1)
+            prod = prod @ wide.reshape(4, -1)
+            if len(stack) > 1:
+                prod = prod.reshape(-1, 4, len(stack), 4).transpose(0, 2, 1, 3).reshape(-1, 4)
+            cycle.append(idx)
             cur = ((hi if end == 0 else lo), side_e)
-        total *= np.trace(prod)
+        traces = np.einsum("kii->k", prod.reshape(-1, 4, 4))
+        parts.append(traces.reshape([len(edges[i][3]) for i in cycle]))
+        order += cycle
 
-    if abs(total.imag) > IMAG_TOL:
-        raise NumericalContractError(
-            f"layout expectation has imaginary residue {total.imag:.3e}"
-        )
-    return float(total.real)
-
-
-def _edges_from_pairs(
-    pairs: tuple[PairOp, ...], kinds: list[str] | None = None
-) -> list[tuple[str, int, int, np.ndarray]]:
-    kinds = kinds or [p.kind for p in pairs]
-    return [
-        (p.side, p.copies[0], p.copies[1], PAIR_KIND_MATRICES[kind])
-        for p, kind in zip(pairs, kinds)
-    ]
+    axes = sorted(range(len(order)), key=order.__getitem__)
+    total = reduce(np.multiply.outer, parts).transpose(axes)
+    residue = float(abs(total.imag).max())
+    if residue > IMAG_TOL:
+        raise NumericalContractError(f"layout expectation has imaginary residue {residue:.3e}")
+    return total.real
 
 
 def expect_layout(layout: PairingLayout, state: TwoQubitState) -> float:
     """tr[(pair operators of the layout)(state^(x) n_copies)]."""
-    return _contract(_edges_from_pairs(layout.pairs), state.matrix)
-
-
-def _expect_pattern(pairs: tuple[PairOp, ...], kinds: list[str], state: TwoQubitState) -> float:
-    # generic per-pair kinds, including "complement"; used for cross-checks
-    return _contract(_edges_from_pairs(pairs, kinds), state.matrix)
+    edges = [(p.side, *p.copies, _KIND_EDGES[p.kind]) for p in layout.pairs]
+    return _contract(edges, state.matrix).item()
 
 
 def _embed_pair(op: np.ndarray, q1: int, q2: int, n_qubits: int) -> np.ndarray:
@@ -172,12 +168,22 @@ def expect_layout_dense_oracle(layout: PairingLayout, state: TwoQubitState) -> f
     return float(val.real)
 
 
+def pattern_product(per_pair) -> np.ndarray:
+    """Per-pattern product of one (complement, singlet) value pair per pair.
+
+    Pattern order, here and in OutcomeDistribution keys: index sum_i bit_i 2^i,
+    bit i (1: singlet, 0: complement) belonging to the setting's pair i. The
+    Kronecker product therefore runs from the last pair to the first.
+    """
+    return reduce(np.kron, [np.asarray(v) for v in reversed(per_pair)], np.ones(1, dtype=int))
+
+
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """Joint outcome probabilities for one measurement setting.
 
-    Keys are bit tuples aligned with `setting.pairs`; bit 1 means the pair
-    projected onto the singlet, bit 0 onto its complement.
+    Keys are bit tuples aligned with `setting.pairs`, in pattern order; bit
+    1 means the pair projected onto the singlet, bit 0 onto its complement.
     """
 
     setting: Setting
@@ -208,36 +214,19 @@ class OutcomeDistribution:
 def joint_distribution(setting: Setting, state: TwoQubitState) -> OutcomeDistribution:
     """Exact joint distribution of all pair outcomes for a setting.
 
-    Complement outcomes are expanded by inclusion-exclusion over
-    singlet/identity layouts (I - P^- = identity - singlet per pair), using
-    one precomputed expectation per singlet subset; each pattern is summed
-    in a fixed subset order.
+    One walk of the matching with a (complement, singlet) leg on every pair
+    gives all patterns; one below -NEG_PROB_TOL is an error, a smaller negative is 0.
     """
-    pairs = setting.pairs
-    n = len(pairs)
-    expect_by_mask = np.empty(2**n)
-    for mask in range(2**n):
-        kinds = ["singlet" if (mask >> i) & 1 else "identity" for i in range(n)]
-        expect_by_mask[mask] = _expect_pattern(pairs, kinds, state)
-
-    probs: dict[tuple[int, ...], float] = {}
-    full = 2**n - 1
-    for pattern in range(2**n):
-        zeros = full & ~pattern
-        total = 0.0
-        sub = zeros
-        while True:
-            total += (-1.0) ** int(sub).bit_count() * expect_by_mask[pattern | sub]
-            if sub == 0:
-                break
-            sub = (sub - 1) & zeros
-        if total < -NEG_PROB_TOL:
-            raise NumericalContractError(
-                f"pattern probability {total:.3e} below -{NEG_PROB_TOL}"
-            )
-        bits = tuple((pattern >> i) & 1 for i in range(n))
-        probs[bits] = max(total, 0.0)
-
+    edges = [(p.side, *p.copies, _OUTCOME_EDGES) for p in setting.pairs]
+    # pattern order (see pattern_product): reversed axes put pair 0's bit lowest
+    flat = _contract(edges, state.matrix).T.reshape(-1)
+    if flat.min() < -NEG_PROB_TOL:
+        raise NumericalContractError(
+            f"pattern probability {flat.min():.3e} below -{NEG_PROB_TOL}"
+        )
+    n = len(edges)
+    keys = [tuple((j >> i) & 1 for i in range(n)) for j in range(2**n)]
+    probs = dict(zip(keys, np.maximum(flat, 0.0).tolist()))
     norm = sum(probs.values())
     if abs(norm - 1.0) > PROB_SUM_TOL:
         raise NumericalContractError(

@@ -10,7 +10,9 @@ reference table against a direct tr(K^k) oracle and, when it is off,
 validates the derived table on fresh states and reports the diff. The exact
 route evaluates the table; the sampled route reads moment k off setting k's
 counts as the mean of one product observable, the unfactorized form of the
-same expansion.
+same expansion. That observable and the 0/1 hit matrices turning counts into
+c's are Kronecker products of per-pair (complement, singlet) values, built by
+contraction.pattern_product, the one place that fixes the pattern order.
 """
 
 from __future__ import annotations
@@ -20,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contraction import PAIR_WEIGHTS, OutcomeDistribution, expect_layout, joint_distribution
+from .contraction import (
+    PAIR_WEIGHTS,
+    OutcomeDistribution,
+    expect_layout,
+    joint_distribution,
+    pattern_product,
+)
 from .errors import NumericalContractError
 from .gqd_core import k_matrix
 from .pairing import settings, standard_layouts
@@ -280,13 +288,7 @@ def moment_observable(dist: OutcomeDistribution, which: str = "A") -> np.ndarray
     if which not in ("A", "B"):
         raise ValueError(f"which must be 'A' or 'B', got {which!r}")
     sides = {"a": "a", "b": "b"} if which == "A" else {"a": "b", "b": "a"}
-    values = [PAIR_VALUES[sides[p.side]] for p in dist.setting.pairs]
-    return np.array(
-        [
-            np.prod([vals[0] if bit else vals[1] for vals, bit in zip(values, pattern)])
-            for pattern in dist.patterns()
-        ]
-    )
+    return pattern_product([PAIR_VALUES[sides[p.side]][::-1] for p in dist.setting.pairs])
 
 
 def _hit_matrix(dist: OutcomeDistribution) -> tuple[list[int], np.ndarray]:
@@ -296,18 +298,13 @@ def _hit_matrix(dist: OutcomeDistribution) -> tuple[list[int], np.ndarray]:
     covered layout shows the singlet outcome in that pattern.
     """
     by_label = {lay.label: (i, lay) for i, lay in enumerate(standard_layouts())}
-    patterns = np.array(dist.patterns())
     indices, columns = [], []
     for label in dist.setting.covered:
         idx, layout = by_label[label]
         kinds = {(p.side, p.copies): p.kind for p in layout.pairs}
-        positions = [
-            i
-            for i, sp in enumerate(dist.setting.pairs)
-            if kinds[(sp.side, sp.copies)] == "singlet"
-        ]
         indices.append(idx)
-        columns.append(patterns[:, positions].all(axis=1))
+        singlet = [kinds[(sp.side, sp.copies)] == "singlet" for sp in dist.setting.pairs]
+        columns.append(pattern_product([(0, 1) if s else (1, 1) for s in singlet]))
     return indices, np.array(columns, dtype=np.int64).T
 
 

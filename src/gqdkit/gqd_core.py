@@ -21,7 +21,6 @@ SIDES = ("A", "B")
 
 K_SYMMETRY_TOL = 1e-12
 K_POSITIVITY_TOL = 1e-10
-EIG_DEGENERACY_DISC = 1e-14
 GQD_CLAMP = 1e-12
 
 # Minimization oracle: size of the global Fibonacci grid, the 5x5 local grid in
@@ -97,32 +96,10 @@ def k_matrix(bloch: BlochForm, which: str = "A") -> KMatrix:
     return KMatrix((k + k.T) / 2.0, which)
 
 
-def _sym3_eigvals_desc(K: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real symmetric 3x3 matrix, descending.
-
-    Closed-form trigonometric solution; falls back to the LAPACK iterative
-    solver when the characteristic discriminant is nearly degenerate
-    (eigenvalue crossings).
-    """
-    K = np.asarray(K, dtype=float)
-    q = float(np.trace(K)) / 3.0
-    B = K - q * np.eye(3)
-    p2 = float(np.sum(B * B)) / 6.0
-    detb = float(np.linalg.det(B))
-    disc = 108.0 * p2**3 - 27.0 * detb**2
-    if abs(disc) < EIG_DEGENERACY_DISC:
-        return np.linalg.eigvalsh(K)[::-1].copy()
-    p = np.sqrt(p2)
-    r = np.clip(detb / (2.0 * p2 * p), -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-    lam = q + 2.0 * p * np.cos(phi - 2.0 * np.pi * np.arange(3) / 3.0)
-    return np.sort(lam)[::-1]
-
-
 def gqd_exact(state: TwoQubitState, which: str = "A") -> GqdValue:
     """Closed-form geometric discord of a state for the chosen side."""
     k = k_matrix(decompose(state), which)
-    lam = _sym3_eigvals_desc(k.entries)
+    lam = np.linalg.eigvalsh(k.entries)[::-1]
     lam = np.where((lam < 0.0) & (lam > -K_POSITIVITY_TOL), 0.0, lam)
     value = (lam[1] + lam[2]) / 4.0
     if -GQD_CLAMP < value < 0.0:

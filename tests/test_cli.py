@@ -317,5 +317,29 @@ def test_sweep_rejects_bad_flags_before_any_grid_point(
     assert needle.replace(MISSING, missing) in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("scheme",),
+        ("scheme", "--shots", "100", "--seed", "1"),
+        ("compare", "--shots", "100", "--seed", "1"),
+    ],
+    ids=["scheme-exact", "scheme-sampled", "compare"],
+)
+def test_unwritable_output_is_rejected_before_any_estimate(tmp_path, capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an estimate was computed before --output was checked")
+
+    for name in ("estimate_gqd", "gqd_exact", "qst_estimate"):
+        monkeypatch.setattr(cli, name, refuse)
+    missing = str(tmp_path / "no_such_dir" / "out.json")
+    code, out, err = run_cli(
+        capsys, *command, "--family", "werner", "--params", "0.5", "--output", missing
+    )
+    assert code == 2
+    assert out == ""
+    assert missing in err
+
+
 def test_unknown_command_exits_two(capsys):
     assert main(["frobnicate"]) == 2

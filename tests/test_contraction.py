@@ -11,13 +11,7 @@ from gqdkit import (
     make_family,
     random_state,
 )
-from gqdkit.contraction import (
-    P_MINUS,
-    _expect_pattern,
-    build_u,
-    build_v,
-    pauli_exchange_sum,
-)
+from gqdkit.contraction import P_MINUS, build_u, build_v, pauli_exchange_sum
 from gqdkit.pairing import PairingLayout, PairOp, settings, standard_layouts
 from gqdkit.statekit import MAXIMALLY_MIXED
 
@@ -131,24 +125,59 @@ def test_joint_distribution_sums_to_one():
             assert abs(sum(joint_distribution(setting, state).probs.values()) - 1.0) <= 1e-9
 
 
+def _relabel(setting, kinds):
+    pairs = tuple(PairOp(p.side, p.copies, kind) for p, kind in zip(setting.pairs, kinds))
+    return PairingLayout(setting.n_copies, pairs)
+
+
 def test_marginals_match_single_singlet_layouts():
     state = random_state(1200, rank=4)
     for setting in settings():
         dist = joint_distribution(setting, state)
-        for k, pair in enumerate(setting.pairs):
-            kinds = ["identity"] * len(setting.pairs)
-            kinds[k] = "singlet"
-            single = _expect_pattern(setting.pairs, kinds, state)
+        n = len(setting.pairs)
+        for k in range(n):
+            kinds = ["singlet" if i == k else "identity" for i in range(n)]
+            single = expect_layout(_relabel(setting, kinds), state)
             assert abs(dist.marginal_singlet(k) - single) <= 1e-10
 
 
-def test_joint_distribution_matches_direct_complement_contraction():
-    state = random_state(1300, rank=2)
-    setting = settings()[1]
-    dist = joint_distribution(setting, state)
-    for pattern, prob in dist.probs.items():
-        kinds = ["singlet" if b else "complement" for b in pattern]
-        assert abs(prob - _expect_pattern(setting.pairs, kinds, state)) <= 1e-10
+def _inclusion_exclusion(setting, state, expect):
+    # complement = identity - singlet per pair: a pattern's probability is the
+    # signed sum over the singlet/identity layouts that agree on its singlets
+    n = len(setting.pairs)
+    kinds = [["singlet" if (m >> i) & 1 else "identity" for i in range(n)] for m in range(2**n)]
+    by_mask = [expect(_relabel(setting, k), state) for k in kinds]
+    probs = []
+    for pattern in range(2**n):
+        zeros = (2**n - 1) & ~pattern
+        probs.append(
+            sum(
+                (-1.0) ** bin(sub).count("1") * by_mask[pattern | sub]
+                for sub in range(2**n)
+                if sub & zeros == sub
+            )
+        )
+    return np.array(probs)
+
+
+REFERENCE_STATES = [random_state(1300 + t, rank=1 + t % 4) for t in range(12)] + [
+    make_family("werner", [0.5]),
+    make_family("bell_diagonal", [-1.0, -1.0, -1.0]),
+]
+
+
+@pytest.mark.parametrize("index", range(3), ids=["2-copy", "4-copy", "6-copy"])
+def test_joint_distribution_matches_inclusion_exclusion(index):
+    setting = settings()[index]
+    n = len(setting.pairs)
+    expected_keys = [tuple((j >> i) & 1 for i in range(n)) for j in range(2**n)]
+    oracles = [expect_layout] + ([expect_layout_dense_oracle] if setting.n_copies <= 4 else [])
+    for state in REFERENCE_STATES:
+        dist = joint_distribution(setting, state)
+        assert list(dist.probs) == expected_keys
+        for expect in oracles:
+            reference = _inclusion_exclusion(setting, state, expect)
+            assert np.max(np.abs(dist.vector() - reference)) <= 1e-12
 
 
 def test_all_singlet_probability_vanishes_for_pure_product():

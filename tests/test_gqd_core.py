@@ -17,7 +17,7 @@ from gqdkit import (
     random_state,
 )
 from gqdkit import gqd_core
-from gqdkit.gqd_core import KMatrix, _dephased, _sym3_eigvals_desc
+from gqdkit.gqd_core import KMatrix, _dephased
 from gqdkit.statekit import MAXIMALLY_MIXED
 
 SWAP = np.array(
@@ -58,20 +58,40 @@ def test_k_matrix_rejects_bad_input():
         KMatrix(-np.eye(3), "A")
 
 
-def test_sym3_solver_matches_lapack():
-    rng = np.random.default_rng(0)
-    for _ in range(500):
-        m = rng.normal(size=(3, 3))
-        m = (m + m.T) / 2
-        mine = _sym3_eigvals_desc(m)
-        ref = np.linalg.eigvalsh(m)[::-1]
-        assert np.max(np.abs(mine - ref)) <= 1e-12
+def test_exact_spectrum_matches_k_invariants():
+    # trace, trace of the square and determinant of K fix its spectrum
+    for trial in range(250):
+        state = random_state(5400 + trial, rank=1 + trial % 4)
+        for side in ("A", "B"):
+            k = k_matrix(decompose(state), side).entries
+            lam = np.array(gqd_exact(state, side).eigenvalues)
+            assert lam[0] >= lam[1] >= lam[2]
+            assert abs(lam.sum() - np.trace(k)) <= 1e-12
+            assert abs(lam @ lam - np.trace(k @ k)) <= 1e-12
+            assert abs(lam.prod() - np.linalg.det(k)) <= 1e-12
 
 
-def test_sym3_solver_degenerate_spectra():
-    assert np.allclose(_sym3_eigvals_desc(0.3 * np.eye(3)), [0.3, 0.3, 0.3])
-    assert np.allclose(_sym3_eigvals_desc(np.diag([2.0, 2.0, -1.0])), [2.0, 2.0, -1.0])
-    assert np.allclose(_sym3_eigvals_desc(np.zeros((3, 3))), 0.0)
+RANK1_DEGENERATE = [(477, "A"), (1110, "B"), (1236, "A"), (1970, "B")]
+
+
+@pytest.mark.parametrize(
+    "state, side, expected",
+    [
+        (make_family("werner", [0.5]), "A", [0.25, 0.25, 0.25]),
+        (make_family("bell_diagonal", [-1.0, -1.0, -1.0]), "A", [1.0, 1.0, 1.0]),
+        (make_family("product", [0.1, 0.2, 0.3, -0.4, 0.1, 0.5]), "B", [0.4788, 0.0, 0.0]),
+    ]
+    + [(random_state([11, i], rank=1), side, None) for i, side in RANK1_DEGENERATE],
+    ids=["werner-0.5", "bell-corner", "product"] + [f"rank1-{i}" for i, _ in RANK1_DEGENERATE],
+)
+def test_exact_spectrum_degenerate_cases(state, side, expected):
+    # every case has lambda_2 = lambda_3 (a pure state's K spectrum is
+    # (l1, l2, l2)); the rank-1 states have a near-zero characteristic
+    # discriminant, where a trigonometric 3x3 solver splits the pair by ~3e-8
+    lam = gqd_exact(state, side).eigenvalues
+    assert lam[1] - lam[2] <= 1e-12
+    if expected is not None:
+        assert np.allclose(lam, expected, rtol=0, atol=1e-12)
 
 
 def test_werner_closed_form():
@@ -193,8 +213,9 @@ def test_minimization_is_independent_of_closed_form_and_rng(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle used the closed form or drew random numbers")
 
-    for name in ("decompose", "k_matrix", "_sym3_eigvals_desc"):
+    for name in ("decompose", "k_matrix"):
         monkeypatch.setattr(gqd_core, name, refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(np.random, "default_rng", refuse)
     assert gqd_by_minimization(state, restarts=1, seed=0) == expected
     assert gqd_by_minimization(state, restarts=200, seed=12345) == expected
