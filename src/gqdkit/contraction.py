@@ -5,28 +5,29 @@ the copies and pairs form disjoint cycles that alternate sides. Each cycle
 is contracted as a product of 4x4 bond matrices (a bond is the row/column
 index pair of one qubit slot). A pair may carry a stack of edge tensors, an
 open leg: a measured pair carries (complement, singlet), so one walk of a
-setting's cycle yields every outcome pattern at once. Intermediates hold at
-most 2^n * 16 complex entries for n measured pairs; the full 4^n operator is
-materialized only by the dense oracle, which is capped at 4 copies.
+setting's cycle yields every outcome pattern at once. The walk plan, all that
+depends only on the edges, is cached; per call only the matrix products run.
+Intermediates hold at most 2^n * 16 complex entries for n measured pairs; the
+full 4^n operator is built (once per layout) only by the dense oracle, which
+is capped at 4 copies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .errors import NumericalContractError
-from .pairing import PairingLayout, Setting
-from .statekit import PAULI, SINGLET, TwoQubitState
+from .pairing import PairingLayout, PairOp, Setting
+from .statekit import I4, PAULI, SINGLET, TwoQubitState
 
 IMAG_TOL = 1e-10
 NEG_PROB_TOL = 1e-12
 PROB_SUM_TOL = 1e-9
 
 P_MINUS = SINGLET.copy()
-I4 = np.eye(4, dtype=complex)
 
 PAIR_KIND_MATRICES = {
     "singlet": P_MINUS,
@@ -67,17 +68,18 @@ def _edge_tensor(op: np.ndarray) -> np.ndarray:
 
 
 # Edge-tensor stacks, built once: each pair kind, and a measured pair's outcome leg.
-_KIND_EDGES = {kind: _edge_tensor(op)[None] for kind, op in PAIR_KIND_MATRICES.items()}
-_OUTCOME_EDGES = np.concatenate([_KIND_EDGES["complement"], _KIND_EDGES["singlet"]])
+_EDGE_STACKS = {kind: _edge_tensor(op)[None] for kind, op in PAIR_KIND_MATRICES.items()}
+_EDGE_STACKS["outcome"] = np.concatenate([_EDGE_STACKS["complement"], _EDGE_STACKS["singlet"]])
 
 
-def _contract(edges: list[tuple[str, int, int, np.ndarray]], rho: np.ndarray) -> np.ndarray:
-    """tr[(tensor of pair ops)(rho^(x) n)] for edges (side, lo, hi, (L, 4, 4) stack).
+@lru_cache(maxsize=256)
+def _walk_plan(edges: tuple[tuple[str, int, int, str], ...]):
+    """Validated slots, cycle order and pre-shaped edge matrices of a walk; not state-dependent.
 
-    One result axis per edge, in edge order, picks that edge's operator. Each
-    alternating cycle is walked once; its partial products of 4x4 bond matrices
-    are stacked as one (4K, 4) matrix, K growing by a factor L per edge. The
-    result must be real to IMAG_TOL.
+    Per cycle: the first edge's (4L, 4) stack; the steps, each a flag for a
+    transposed copy tensor and a (4, 4L) edge matrix; the closing copy tensor's
+    flag; the result shape. Then the axis order restoring edge order. A failed
+    validation raises and is not cached.
     """
     incident: dict[tuple[int, str], tuple[int, int]] = {}
     for idx, (side, lo, hi, _) in enumerate(edges):
@@ -91,37 +93,53 @@ def _contract(edges: list[tuple[str, int, int, np.ndarray]], rho: np.ndarray) ->
         if (copy, "a") not in incident or (copy, "b") not in incident:
             raise ValueError(f"copy {copy} is not covered on both sides")
 
-    C = _copy_tensor(np.asarray(rho, dtype=complex))
-    parts, order = [], []
+    stacks = [_EDGE_STACKS[kind] for *_, kind in edges]
+    cycles, order = [], []
     for start_idx in range(len(edges)):
         if start_idx in order:
             continue
-        side0, lo0, hi0, stack = edges[start_idx]
-        start = (lo0, side0)
-        prod = stack.reshape(-1, 4)
-        cycle = [start_idx]
-        cur = (hi0, side0)
-        while cur != start:
-            copy, side = cur
-            prod = prod @ (C if side == "a" else C.T)
-            cur = (copy, "b" if side == "a" else "a")
-            if cur == start:
+        side, lo, copy, _ = edges[start_idx]
+        start = (lo, side)
+        steps, cycle = [], [start_idx]
+        while True:
+            # across the copy tensor (transposed from the b slot), to the other slot
+            transposed, side = side == "b", "b" if side == "a" else "a"
+            if (copy, side) == start:
                 break
-            idx, end = incident[cur]
-            side_e, lo, hi, stack = edges[idx]
-            # times [M_0 | M_1 | ...] (each transposed when walked hi -> lo),
-            # then for L > 1 each product's L results stacked below one another
-            wide = stack.transpose(1, 0, 2) if end == 0 else stack.transpose(2, 0, 1)
-            prod = prod @ wide.reshape(4, -1)
-            if len(stack) > 1:
-                prod = prod.reshape(-1, 4, len(stack), 4).transpose(0, 2, 1, 3).reshape(-1, 4)
+            idx, end = incident[(copy, side)]
+            _, lo, hi, _ = edges[idx]
+            # [M_0 | M_1 | ...], each transposed when walked hi -> lo
+            wide = stacks[idx].transpose((1, 0, 2) if end == 0 else (2, 0, 1))
+            steps.append((transposed, wide.reshape(4, -1)))
             cycle.append(idx)
-            cur = ((hi if end == 0 else lo), side_e)
-        traces = np.einsum("kii->k", prod.reshape(-1, 4, 4))
-        parts.append(traces.reshape([len(edges[i][3]) for i in cycle]))
+            copy = hi if end == 0 else lo
+        shape = tuple(len(stacks[i]) for i in cycle)
+        cycles.append((stacks[start_idx].reshape(-1, 4), tuple(steps), transposed, shape))
         order += cycle
+    return tuple(cycles), tuple(sorted(range(len(order)), key=order.__getitem__))
 
-    axes = sorted(range(len(order)), key=order.__getitem__)
+
+def _contract(edges: tuple[tuple[str, int, int, str], ...], rho: np.ndarray) -> np.ndarray:
+    """tr[(tensor of pair ops)(rho^(x) n)] for edges (side, lo, hi, kind | "outcome").
+
+    An "outcome" edge carries the stack (complement, singlet); one result axis
+    per edge, in edge order, picks its operator. Per call, on the cached plan,
+    each cycle's partial products of 4x4 bond matrices are stacked as one
+    (4K, 4) matrix, K growing by a factor L per edge. Real to IMAG_TOL.
+    """
+    cycles, axes = _walk_plan(edges)
+    C = _copy_tensor(np.asarray(rho, dtype=complex))
+    bonds = (C, C.T)
+    parts = []
+    for prod, steps, last, shape in cycles:
+        for transposed, wide in steps:
+            prod = prod @ bonds[transposed] @ wide
+            if wide.shape[1] > 4:
+                # each product's L results stacked below one another
+                prod = prod.reshape(-1, 4, wide.shape[1] // 4, 4).transpose(0, 2, 1, 3).reshape(-1, 4)
+        prod = prod @ bonds[last]
+        parts.append(np.einsum("kii->k", prod.reshape(-1, 4, 4)).reshape(shape))
+
     total = reduce(np.multiply.outer, parts).transpose(axes)
     residue = float(abs(total.imag).max())
     if residue > IMAG_TOL:
@@ -131,34 +149,31 @@ def _contract(edges: list[tuple[str, int, int, np.ndarray]], rho: np.ndarray) ->
 
 def expect_layout(layout: PairingLayout, state: TwoQubitState) -> float:
     """tr[(pair operators of the layout)(state^(x) n_copies)]."""
-    edges = [(p.side, *p.copies, _KIND_EDGES[p.kind]) for p in layout.pairs]
-    return _contract(edges, state.matrix).item()
+    return _contract(tuple((p.side, *p.copies, p.kind) for p in layout.pairs), state.matrix).item()
 
 
-def _embed_pair(op: np.ndarray, q1: int, q2: int, n_qubits: int) -> np.ndarray:
-    """Embed a two-qubit operator on qubits (q1, q2) of an n-qubit register."""
-    perm = [q1, q2] + [q for q in range(n_qubits) if q not in (q1, q2)]
-    full = np.kron(np.asarray(op, dtype=complex), np.eye(2 ** (n_qubits - 2)))
-    t = full.reshape([2] * (2 * n_qubits))
-    inv = np.argsort(perm)
-    t = t.transpose(list(inv) + [n_qubits + i for i in inv])
-    return t.reshape(2**n_qubits, 2**n_qubits)
+@lru_cache(maxsize=16)
+def _dense_operator(n_copies: int, pairs: tuple[PairOp, ...]) -> np.ndarray:
+    """The layout's full 4^n operator, read-only: the Kronecker product of the pairs'
+    operators (real in this basis), each qubit axis moved to the qubit it acts on."""
+    qubits = [2 * (copy - 1) + (p.side == "b") for p in pairs for copy in p.copies]
+    inv = list(np.argsort(qubits))
+    op = reduce(np.kron, [PAIR_KIND_MATRICES[p.kind].real for p in pairs])
+    op = op.reshape([2] * (4 * n_copies)).transpose(inv + [2 * n_copies + i for i in inv])
+    op = op.reshape(4**n_copies, 4**n_copies)
+    op.flags.writeable = False
+    return op
 
 
 def expect_layout_dense_oracle(layout: PairingLayout, state: TwoQubitState) -> float:
     """Same expectation via the full 4^n operator; verification oracle.
 
     Refuses 6 copies (the 4096-dimensional operator exceeds the memory
-    budget this oracle is allowed).
+    budget this oracle is allowed). The operator is built once per layout.
     """
     if layout.n_copies > 4:
         raise ValueError("dense oracle is limited to n_copies <= 4")
-    n_qubits = 2 * layout.n_copies
-    op_full = np.eye(2**n_qubits, dtype=complex)
-    for p in layout.pairs:
-        q1 = 2 * (p.copies[0] - 1) + (0 if p.side == "a" else 1)
-        q2 = 2 * (p.copies[1] - 1) + (0 if p.side == "a" else 1)
-        op_full = op_full @ _embed_pair(PAIR_KIND_MATRICES[p.kind], q1, q2, n_qubits)
+    op_full = _dense_operator(layout.n_copies, layout.pairs)
     rho_full = reduce(np.kron, [state.matrix] * layout.n_copies)
     val = complex(np.trace(op_full @ rho_full))
     if abs(val.imag) > IMAG_TOL:
@@ -217,7 +232,7 @@ def joint_distribution(setting: Setting, state: TwoQubitState) -> OutcomeDistrib
     One walk of the matching with a (complement, singlet) leg on every pair
     gives all patterns; one below -NEG_PROB_TOL is an error, a smaller negative is 0.
     """
-    edges = [(p.side, *p.copies, _OUTCOME_EDGES) for p in setting.pairs]
+    edges = tuple((p.side, *p.copies, "outcome") for p in setting.pairs)
     # pattern order (see pattern_product): reversed axes put pair 0's bit lowest
     flat = _contract(edges, state.matrix).T.reshape(-1)
     if flat.min() < -NEG_PROB_TOL:

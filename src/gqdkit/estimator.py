@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .contraction import (
 )
 from .errors import NumericalContractError
 from .gqd_core import k_matrix
-from .pairing import settings, standard_layouts
+from .pairing import Setting, settings, standard_layouts
 from .statekit import TwoQubitState, decompose, random_state
 
 MOMENT_ORDERS = (1, 2, 3)
@@ -283,29 +284,40 @@ def moment_observable(dist: OutcomeDistribution, which: str = "A") -> np.ndarray
     entry for the pair's outcome, aligned with dist.patterns(). This is the
     per-pair expansion that derive_moment_table sums, so for the setting of
     order k, dist.vector() @ v = tr(K^k). Side B swaps the values between
-    the sides.
+    the sides. Built once per (setting, side) and read-only.
     """
     if which not in ("A", "B"):
         raise ValueError(f"which must be 'A' or 'B', got {which!r}")
+    return _observable(dist.setting, which)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=32)
+def _observable(setting: Setting, which: str) -> np.ndarray:
     sides = {"a": "a", "b": "b"} if which == "A" else {"a": "b", "b": "a"}
-    return pattern_product([PAIR_VALUES[sides[p.side]][::-1] for p in dist.setting.pairs])
+    return _read_only(pattern_product([PAIR_VALUES[sides[p.side]][::-1] for p in setting.pairs]))
 
 
-def _hit_matrix(dist: OutcomeDistribution) -> tuple[list[int], np.ndarray]:
+@lru_cache(maxsize=32)
+def _hit_matrix(setting: Setting) -> tuple[np.ndarray, np.ndarray]:
     """Outcome indices a setting covers and a 0/1 pattern-by-outcome matrix.
 
     Entry (pattern, j) is 1 when every singlet-designated pair of the j-th
-    covered layout shows the singlet outcome in that pattern.
+    covered layout shows the singlet outcome in that pattern. Cached, read-only.
     """
     by_label = {lay.label: (i, lay) for i, lay in enumerate(standard_layouts())}
     indices, columns = [], []
-    for label in dist.setting.covered:
+    for label in setting.covered:
         idx, layout = by_label[label]
         kinds = {(p.side, p.copies): p.kind for p in layout.pairs}
         indices.append(idx)
-        singlet = [kinds[(sp.side, sp.copies)] == "singlet" for sp in dist.setting.pairs]
+        singlet = [kinds[(sp.side, sp.copies)] == "singlet" for sp in setting.pairs]
         columns.append(pattern_product([(0, 1) if s else (1, 1) for s in singlet]))
-    return indices, np.array(columns, dtype=np.int64).T
+    return _read_only(np.array(indices)), _read_only(np.array(columns, dtype=np.int64).T)
 
 
 def stream_key(seed) -> tuple[int, ...]:
@@ -316,14 +328,14 @@ def stream_key(seed) -> tuple[int, ...]:
 class _Sampler:
     """Multinomial counts of the three settings and their c frequencies.
 
-    Probability vectors and hit matrices are built once per state; setting
-    k of a draw keyed by `entropy` uses the stream (*entropy, k).
+    Probability vectors are built once per state, hit matrices once per setting;
+    setting k of a draw keyed by `entropy` uses the stream (*entropy, k).
     """
 
     def __init__(self, dists: list[OutcomeDistribution], shots: int) -> None:
         self.shots = shots
         self.pvecs = [d.vector() / d.vector().sum() for d in dists]
-        self.hits = [_hit_matrix(d) for d in dists]
+        self.hits = [_hit_matrix(d.setting) for d in dists]
 
     def counts(self, entropy: tuple[int, ...]) -> list[np.ndarray]:
         return [

@@ -10,7 +10,7 @@ A and searches the measurement axis, independently of the closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,10 +46,11 @@ def _check_side(which: str) -> str:
 
 @dataclass(frozen=True, eq=False)
 class KMatrix:
-    """Symmetric PSD 3x3 matrix whose spectrum carries the discord."""
+    """Symmetric PSD 3x3 matrix whose `spectrum` (descending) carries the discord."""
 
     entries: np.ndarray
     which: str
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_side(self.which)
@@ -59,14 +60,16 @@ class KMatrix:
         asym = float(np.max(np.abs(k - k.T)))
         if asym > K_SYMMETRY_TOL:
             raise StateValidationError(f"K not symmetric: asymmetry {asym:.3e}")
-        lowest = float(np.linalg.eigvalsh((k + k.T) / 2.0)[0])
-        if lowest < -K_POSITIVITY_TOL:
+        spectrum = np.linalg.eigvalsh((k + k.T) / 2.0)[::-1].copy()
+        if spectrum[-1] < -K_POSITIVITY_TOL:
             raise StateValidationError(
-                f"K not positive semidefinite: smallest eigenvalue {lowest:.3e}"
+                f"K not positive semidefinite: smallest eigenvalue {spectrum[-1]:.3e}"
             )
         k = np.array(k)
         k.flags.writeable = False
+        spectrum.flags.writeable = False
         object.__setattr__(self, "entries", k)
+        object.__setattr__(self, "spectrum", spectrum)
 
 
 @dataclass(frozen=True)
@@ -98,8 +101,7 @@ def k_matrix(bloch: BlochForm, which: str = "A") -> KMatrix:
 
 def gqd_exact(state: TwoQubitState, which: str = "A") -> GqdValue:
     """Closed-form geometric discord of a state for the chosen side."""
-    k = k_matrix(decompose(state), which)
-    lam = np.linalg.eigvalsh(k.entries)[::-1]
+    lam = k_matrix(decompose(state), which).spectrum
     lam = np.where((lam < 0.0) & (lam > -K_POSITIVITY_TOL), 0.0, lam)
     value = (lam[1] + lam[2]) / 4.0
     if -GQD_CLAMP < value < 0.0:

@@ -107,10 +107,9 @@ def _layout(label: str, n: int, entries: list[tuple[str, int, int, str]]) -> Pai
     )
 
 
-def standard_layouts() -> list[PairingLayout]:
-    """The 11 standard layouts P1..P11 over 2, 4, and 6 copies."""
+def _build_standard_layouts() -> tuple[PairingLayout, ...]:
     S, I = "singlet", "identity"
-    return [
+    return (
         _layout("P1", 2, [("a", 1, 2, S), ("b", 1, 2, S)]),
         _layout("P2", 2, [("a", 1, 2, S), ("b", 1, 2, I)]),
         _layout("P3", 2, [("a", 1, 2, I), ("b", 1, 2, S)]),
@@ -150,7 +149,16 @@ def standard_layouts() -> list[PairingLayout]:
                 ("b", 1, 2, S), ("b", 3, 4, S), ("b", 5, 6, I),
             ],
         ),
-    ]
+    )
+
+
+# The layouts and settings are fixed by the protocol: built and validated once.
+_STANDARD_LAYOUTS = _build_standard_layouts()
+
+
+def standard_layouts() -> list[PairingLayout]:
+    """The 11 standard layouts P1..P11 over 2, 4, and 6 copies (a fresh list)."""
+    return list(_STANDARD_LAYOUTS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,14 +181,16 @@ class Setting:
         return self.layout.pairs
 
 
+_BY_LABEL = {lay.label: lay for lay in _STANDARD_LAYOUTS}
+_SETTINGS = tuple(
+    Setting(_BY_LABEL[covered[0]], covered)
+    for covered in (("P1", "P2", "P3"), ("P4", "P5", "P6", "P7"), ("P8", "P9", "P10", "P11"))
+)
+
+
 def settings() -> list[Setting]:
-    """The three measurement settings covering all 11 standard layouts."""
-    by_label = {lay.label: lay for lay in standard_layouts()}
-    return [
-        Setting(by_label["P1"], ("P1", "P2", "P3")),
-        Setting(by_label["P4"], ("P4", "P5", "P6", "P7")),
-        Setting(by_label["P8"], ("P8", "P9", "P10", "P11")),
-    ]
+    """The three measurement settings covering all 11 standard layouts (a fresh list)."""
+    return list(_SETTINGS)
 
 
 def render_layout(layout: PairingLayout) -> str:

@@ -11,8 +11,16 @@ from gqdkit import (
     make_family,
     random_state,
 )
-from gqdkit.contraction import P_MINUS, build_u, build_v, pauli_exchange_sum
-from gqdkit.pairing import PairingLayout, PairOp, settings, standard_layouts
+from gqdkit.contraction import (
+    P_MINUS,
+    _contract,
+    _dense_operator,
+    _walk_plan,
+    build_u,
+    build_v,
+    pauli_exchange_sum,
+)
+from gqdkit.pairing import PairingLayout, PairOp, Setting, settings, standard_layouts
 from gqdkit.statekit import MAXIMALLY_MIXED
 
 
@@ -186,3 +194,66 @@ def test_all_singlet_probability_vanishes_for_pure_product():
     state = TwoQubitState(np.outer(ket, ket))
     dist = joint_distribution(settings()[2], state)
     assert dist.probs[(1,) * 6] <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        (
+            (("a", 1, 2, "singlet"), ("a", 2, 3, "singlet"), ("b", 1, 2, "singlet")),
+            r"slot \(2, 'a'\) appears in more than one pair",
+        ),
+        (
+            (("a", 1, 2, "singlet"), ("b", 1, 3, "outcome")),
+            "copy 2 is not covered on both sides",
+        ),
+    ],
+    ids=["slot-used-twice", "uncovered-copy"],
+)
+def test_bad_edges_raise_on_every_call(edges, message):
+    rho = random_state(1400).matrix
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            _contract(edges, rho)
+
+
+def random_matching(rng, n_copies, kinds=("singlet", "identity")):
+    pairs = []
+    for side in ("a", "b"):
+        copies = rng.permutation(np.arange(1, n_copies + 1))
+        for j in range(0, n_copies, 2):
+            kind = kinds[rng.integers(len(kinds))]
+            pairs.append(PairOp(side, (int(copies[j]), int(copies[j + 1])), kind))
+    order = rng.permutation(len(pairs))
+    return PairingLayout(n_copies, tuple(pairs[i] for i in order))
+
+
+def test_cached_walk_plans_give_bit_identical_results():
+    # each result on a cold plan cache (a miss) against the same call once the
+    # cache holds the plans of every other layout and setting (a hit)
+    rng = np.random.default_rng(14)
+    layouts = [random_matching(rng, n) for n in (2, 4, 6) for _ in range(12)]
+    matchings = [random_matching(rng, n, ("singlet",)) for n in (2, 4, 6) for _ in range(4)]
+    setups = [Setting(lay, ()) for lay in matchings] + settings()
+    state = random_state(1500, rank=3)
+    misses = []
+    for lay in layouts:
+        _walk_plan.cache_clear()
+        misses.append(expect_layout(lay, state))
+    dist_misses = []
+    for setting in setups:
+        _walk_plan.cache_clear()
+        dist_misses.append(joint_distribution(setting, state).probs)
+    for _ in range(2):  # the first pass fills the cache, the second only hits
+        hits = _walk_plan.cache_info().hits
+        assert [expect_layout(lay, state) for lay in layouts] == misses
+        assert [joint_distribution(s, state).probs for s in setups] == dist_misses
+    assert _walk_plan.cache_info().hits - hits == len(layouts) + len(setups)
+
+
+def test_dense_operator_is_built_once_and_read_only():
+    layout = standard_layouts()[3]
+    op = _dense_operator(layout.n_copies, layout.pairs)
+    assert op is _dense_operator(layout.n_copies, tuple(layout.pairs))
+    assert op.dtype == np.float64 and op.shape == (256, 256)
+    assert not op.flags.writeable

@@ -25,6 +25,7 @@ from gqdkit.estimator import (
     MOMENT_TABLE,
     MomentTriple,
     OutcomeVector,
+    _hit_matrix,
     derive_moment_table,
     moment_observable,
 )
@@ -381,3 +382,16 @@ def test_outcome_vector_validation():
         OutcomeVector(np.full(11, -0.2), "sampled")
     clamped = OutcomeVector(np.full(11, -1e-13), "exact")
     assert np.all(clamped.c == 0.0)
+
+
+def test_cached_hit_and_observable_arrays_are_read_only():
+    state = random_state(2400, rank=4)
+    for setting in settings():
+        dist = joint_distribution(setting, state)
+        indices, hit = _hit_matrix(setting)
+        observables = [moment_observable(dist, which) for which in ("A", "B")]
+        assert _hit_matrix(setting)[1] is hit
+        assert all(moment_observable(dist, w) is v for w, v in zip(("A", "B"), observables))
+        for array in (indices, hit, *observables):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7

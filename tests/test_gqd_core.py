@@ -232,3 +232,23 @@ def test_import_does_not_load_scipy():
     env = dict(os.environ, PYTHONPATH=path)
     code = "import gqdkit, sys; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_gqd_exact_reads_the_spectrum_of_the_psd_check(monkeypatch):
+    state = random_state(5300, rank=3)
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(a)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for side in ("A", "B"):
+        calls.clear()
+        value = gqd_exact(state, side)
+        assert len(calls) == 1
+        assert value.eigenvalues == tuple(k_matrix(decompose(state), side).spectrum)
+    k = k_matrix(decompose(state))
+    assert np.array_equal(k.spectrum, eigvalsh(k.entries)[::-1])
+    assert not k.spectrum.flags.writeable

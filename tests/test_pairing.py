@@ -162,3 +162,16 @@ def test_layout_json_rejects_unknown_fields():
     bad_pair["pairs"][0]["note"] = "x"
     with pytest.raises(ValueError, match="exactly"):
         layout_from_dict(bad_pair)
+
+
+def test_mutating_a_returned_list_does_not_change_the_next_call():
+    layouts, all_settings = standard_layouts(), settings()
+    expected_labels = [lay.label for lay in layouts]
+    expected_covered = [s.covered for s in all_settings]
+    layouts.reverse()
+    layouts.pop()
+    all_settings[0] = all_settings.pop()
+    assert [lay.label for lay in standard_layouts()] == expected_labels
+    assert [s.covered for s in settings()] == expected_covered
+    assert standard_layouts() is not standard_layouts()
+    assert settings() is not settings()
