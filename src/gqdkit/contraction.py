@@ -7,9 +7,10 @@ index pair of one qubit slot). A pair may carry a stack of edge tensors, an
 open leg: a measured pair carries (complement, singlet), so one walk of a
 setting's cycle yields every outcome pattern at once. The walk plan, all that
 depends only on the edges, is cached; per call only the matrix products run.
-Intermediates hold at most 2^n * 16 complex entries for n measured pairs; the
-full 4^n operator is built (once per layout) only by the dense oracle, which
-is capped at 4 copies.
+Intermediates hold at most 2^n * 16 complex entries for n measured pairs.
+Only the dense oracle, capped at 4 copies, builds the full 4^n operator: real,
+once per layout, and traced elementwise against rho^(x) n with no 4^n x 4^n
+product, independently of the cycle walk.
 """
 
 from __future__ import annotations
@@ -169,18 +170,20 @@ def expect_layout_dense_oracle(layout: PairingLayout, state: TwoQubitState) -> f
     """Same expectation via the full 4^n operator; verification oracle.
 
     Refuses 6 copies (the 4096-dimensional operator exceeds the memory
-    budget this oracle is allowed). The operator is built once per layout.
+    budget this oracle is allowed). The real operator is built once per
+    layout; the trace is taken elementwise, tr(O R) = sum_ij O_ij R^t_ij with
+    R^t = (rho^t)^(x) n, so no 4^n x 4^n product is formed. Its real and
+    imaginary parts are summed separately and the imaginary part is checked.
     """
     if layout.n_copies > 4:
         raise ValueError("dense oracle is limited to n_copies <= 4")
     op_full = _dense_operator(layout.n_copies, layout.pairs)
-    rho_full = reduce(np.kron, [state.matrix] * layout.n_copies)
-    val = complex(np.trace(op_full @ rho_full))
-    if abs(val.imag) > IMAG_TOL:
-        raise NumericalContractError(
-            f"dense expectation has imaginary residue {val.imag:.3e}"
-        )
-    return float(val.real)
+    rho_t = state.matrix.T
+    rho_full_t = reduce(np.kron, [np.kron(rho_t, rho_t)] * (layout.n_copies // 2))
+    re, im = op_full.reshape(-1) @ rho_full_t.view(np.float64).reshape(-1, 2)
+    if abs(im) > IMAG_TOL:
+        raise NumericalContractError(f"dense expectation has imaginary residue {im:.3e}")
+    return float(re)
 
 
 def pattern_product(per_pair) -> np.ndarray:

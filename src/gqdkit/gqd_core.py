@@ -5,7 +5,8 @@ lambdas are the descending eigenvalues of K = x x^t + T T^t (side A) or
 K' = y y^t + T^t T (side B). The minimization oracle checks that value
 against its definition, the squared distance to the nearest zero-discord
 state: it projects onto the states classical in a measurement basis on side
-A and searches the measurement axis, independently of the closed form.
+A and searches the measurement axis, independently of the closed form. The
+global grid's axes and projectors are built once at import, read-only.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StateValidationError
-from .statekit import I2, PAULI, BlochForm, TwoQubitState, decompose
+from .statekit import I2, PAULI, BlochForm, TwoQubitState, _frozen, decompose
 
 SIDES = ("A", "B")
 
@@ -118,22 +119,42 @@ def _fibonacci_axes(count: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
 
 
+def _projectors(axes: np.ndarray):
+    """The normalized axes and, per axis, Pi_k = (I +- n.sigma)/2, shape (N, 2, 2, 2)."""
+    axes = axes / np.linalg.norm(axes, axis=-1, keepdims=True)
+    n_sigma = np.einsum("ni,iab->nab", axes, PAULI)
+    return axes, (I2 + np.stack([n_sigma, -n_sigma], axis=1)) / 2.0
+
+
+def _pinched(rho: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """sum_k (Pi_k (x) I) rho (Pi_k (x) I) per projector pair, as two contractions."""
+    half = np.einsum("nkac,cbde->nkabde", proj, rho.reshape(2, 2, 2, 2))
+    return np.einsum("nkabde,nkdf->nabfe", half, proj).reshape(-1, 4, 4)
+
+
 def _dephased(rho: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """chi_n = sum_k Pi_k (x) tr_A[(Pi_k (x) I) rho] for each unit axis n.
+    """chi_n = sum_k Pi_k (x) tr_A[(Pi_k (x) I) rho] for each axis n.
 
     Pi_k = (I +- n.sigma)/2; chi_n is the zero-discord state nearest to rho
     among those classical in that basis on side A. Shape (len(axes), 4, 4).
     """
-    n_sigma = np.einsum("ni,iab->nab", axes, PAULI)
-    proj = (I2 + np.stack([n_sigma, -n_sigma], axis=1)) / 2.0
-    chi = np.einsum("nkac,cbde,nkdf->nabfe", proj, rho.reshape(2, 2, 2, 2), proj)
-    return chi.reshape(-1, 4, 4)
+    return _pinched(rho, _projectors(axes)[1])
 
 
-def _distance_sq(rho: np.ndarray, axes: np.ndarray):
-    """The normalized axes and ||rho - chi_n||_F^2 for each of them."""
-    axes = axes / np.linalg.norm(axes, axis=-1, keepdims=True)
-    return axes, np.sum(np.abs(rho - _dephased(rho, axes)) ** 2, axis=(1, 2))
+def _distance_sq(rho: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """||rho - chi_n||_F^2 for each axis n, given its projector pair from _projectors."""
+    diff = (rho - _pinched(rho, proj)).view(np.float64).reshape(len(proj), -1)
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+# The global grid's unit axes and projectors, built once.
+_GRID_AXES, _GRID_PROJ = map(_frozen, _projectors(_fibonacci_axes(_GRID_POINTS)))
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.array(
+        [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+    )
 
 
 def gqd_by_minimization(
@@ -147,7 +168,8 @@ def gqd_by_minimization(
     step halves from 0.1 to 1e-10 rad. A Newton step on each local grid's
     interpolating polynomial (Hessian eigenvalues in absolute value) is one
     more candidate; it follows nearly flat valleys that a grid alone crosses
-    too slowly. The value is the objective at the best axis found, so up to
+    too slowly; its pseudo-inverse Hessian comes from the same eigh, with
+    pinv's cutoff. The value is the objective at the best axis found, so up to
     rounding it is never below the true minimum. Deterministic, no random draws:
     `restarts` (>= 1) and `seed` are accepted but do not change the result.
     Side B is side A of SWAP rho SWAP.
@@ -155,18 +177,22 @@ def gqd_by_minimization(
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     rho = state.matrix
-    axes, dist = _distance_sq(rho, _fibonacci_axes(_GRID_POINTS))
-    axis, value = axes[np.argmin(dist)], dist.min()
+    dist = _distance_sq(rho, _GRID_PROJ)
+    axis, value = _GRID_AXES[np.argmin(dist)], dist.min()
     step = _START_STEP
     while step > _STEP_TOL:
-        e1 = np.cross(axis, np.eye(3)[np.argmin(np.abs(axis))])
-        frame = np.stack([e1, np.cross(axis, e1)]) / np.linalg.norm(e1)
-        grid, dist = _distance_sq(rho, axis + step * _LOCAL_OFFSETS @ frame)
+        e1 = _cross(axis, np.eye(3)[np.argmin(np.abs(axis))])
+        frame = np.stack([e1, _cross(axis, e1)]) / np.linalg.norm(e1)
+        grid, proj = _projectors(axis + step * _LOCAL_OFFSETS @ frame)
+        dist = _distance_sq(rho, proj)
         c = (_LOCAL_INTERP @ dist).reshape(5, 5)
         mu, vec = np.linalg.eigh([[2.0 * c[2, 0], c[1, 1]], [c[1, 1], 2.0 * c[0, 2]]])
-        shift = np.linalg.pinv((vec * np.abs(mu)) @ vec.T) @ [c[1, 0], c[0, 1]]
-        newton, newton_dist = _distance_sq(rho, (axis - step * shift @ frame)[None])
-        cands, dist = np.vstack([grid, newton]), np.append(dist, newton_dist)
+        # pinv of vec |mu| vec^T, with pinv's cutoff (1e-15 of the largest)
+        size = np.abs(mu)
+        inv = np.divide(1.0, size, out=np.zeros(2), where=size > 1e-15 * size.max())
+        shift = vec @ (inv * (vec.T @ [c[1, 0], c[0, 1]]))
+        newton, proj = _projectors((axis - step * shift @ frame)[None])
+        cands, dist = np.vstack([grid, newton]), np.append(dist, _distance_sq(rho, proj))
         if dist.min() < value:
             axis, value = cands[np.argmin(dist)], dist.min()
         step /= 2.0

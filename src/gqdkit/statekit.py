@@ -70,6 +70,8 @@ class TwoQubitState:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise StateValidationError(f"expected a 4x4 matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise StateValidationError("entries must be finite: the matrix holds NaN or infinity")
         herm = float(np.max(np.abs(m - m.conj().T)))
         if herm > HERMITICITY_TOL:
             raise StateValidationError(
@@ -194,6 +196,8 @@ def make_family(name: str, params: Sequence[float]) -> TwoQubitState:
         raise StateValidationError(
             f"family {name!r} takes {FAMILY_ARITY[name]} parameters, got {len(params)}"
         )
+    if not np.isfinite(params).all():
+        raise StateValidationError(f"family {name!r}: parameters must be finite, got {params}")
 
     if name == "werner":
         p = params[0]
@@ -289,7 +293,14 @@ def state_from_dict(data: dict) -> TwoQubitState:
             ) from exc
         return TwoQubitState(m)
     if keys == {"family", "params"}:
-        return make_family(data["family"], data["params"])
+        family, params = data["family"], data["params"]
+        if not isinstance(family, str):
+            raise StateValidationError(f"family must be a string, got {family!r}")
+        if not isinstance(params, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in params
+        ):
+            raise StateValidationError(f"params must be a list of numbers, got {params!r}")
+        return make_family(family, params)
     raise StateValidationError(
         f"unrecognized state file fields {sorted(keys)}; expected "
         '{"matrix": ...} or {"family": ..., "params": ...}'

@@ -35,6 +35,51 @@ def test_exact_rejects_bad_file(tmp_path, capsys):
     assert "Hermitian" in err or "trace" in err or "positive" in err
 
 
+def matrix_with(entry):
+    # the maximally mixed state with one off-diagonal pair set to `entry`
+    m = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    m[0][1] = m[1][0] = [entry, 0.0]
+    return {"matrix": m}
+
+
+@pytest.mark.parametrize(
+    "source, needle",
+    [
+        (("--family", "pure", "--params=nan,0,0,0,0,0,0,0"), "parameters must be finite"),
+        (("--family", "product", "--params=nan,0,0,0,0,0"), "parameters must be finite"),
+        (("--family", "classical_AB", "--params=0.5,0,0,nan,0,0,0,0,0"), "parameters must be finite"),
+        (("--family", "bell_diagonal", "--params=nan,0,0"), "parameters must be finite"),
+        ((matrix_with(float("nan")),), "entries must be finite"),
+        ((matrix_with(float("inf")),), "entries must be finite"),
+    ],
+    ids=["pure", "product", "classical_AB", "bell_diagonal", "matrix-nan", "matrix-inf"],
+)
+def test_non_finite_state_exits_two(tmp_path, capsys, source, needle):
+    if isinstance(source[0], dict):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(source[0]))  # NaN and Infinity, as Python's json writes them
+        source = ("--file", str(path))
+    code, out, err = run_cli(capsys, "exact", *source)
+    assert code == 2
+    assert out == ""
+    assert needle in err
+
+
+@pytest.mark.parametrize(
+    "data, needle",
+    [({"family": "werner", "params": p}, "params must be a list of numbers") for p in ("0.5", 0.5, ["x"], [None])]
+    + [({"family": ["werner"], "params": [0.5]}, "family must be a string")],
+    ids=["string", "number", "text", "null", "family-list"],
+)
+def test_malformed_family_file_exits_two(tmp_path, capsys, data, needle):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "exact", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert needle in err
+
+
 def test_exact_requires_exactly_one_source(capsys):
     code, _, err = run_cli(capsys, "exact")
     assert code == 2

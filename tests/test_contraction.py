@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,10 @@ from gqdkit import (
     make_family,
     random_state,
 )
+from gqdkit import contraction
 from gqdkit.contraction import (
     P_MINUS,
+    PAIR_KIND_MATRICES,
     _contract,
     _dense_operator,
     _walk_plan,
@@ -20,6 +24,7 @@ from gqdkit.contraction import (
     build_v,
     pauli_exchange_sum,
 )
+from gqdkit.errors import NumericalContractError
 from gqdkit.pairing import PairingLayout, PairOp, Setting, settings, standard_layouts
 from gqdkit.statekit import MAXIMALLY_MIXED
 
@@ -257,3 +262,49 @@ def test_dense_operator_is_built_once_and_read_only():
     assert op is _dense_operator(layout.n_copies, tuple(layout.pairs))
     assert op.dtype == np.float64 and op.shape == (256, 256)
     assert not op.flags.writeable
+
+
+def textbook_dense(layout, states):
+    # tr(O rho^(x)n) per state, O built entry by entry from the bits of its row and
+    # column indices: qubit 2(c-1) is copy c's a side, 2(c-1)+1 its b side, qubit 0 first
+    n_qubits = 2 * layout.n_copies
+    bits = (np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits)[::-1]) & 1
+    op = np.ones((2**n_qubits, 2**n_qubits))
+    for p in layout.pairs:
+        q1, q2 = (2 * (copy - 1) + (p.side == "b") for copy in p.copies)
+        sub = 2 * bits[:, q1] + bits[:, q2]
+        op = op * PAIR_KIND_MATRICES[p.kind].real[sub[:, None], sub[None, :]]
+    return np.array([np.trace(op @ reduce(np.kron, [s.matrix] * layout.n_copies)) for s in states])
+
+
+def test_dense_oracle_matches_the_textbook_trace():
+    rng = np.random.default_rng(16)
+    layouts = [lay for lay in standard_layouts() if lay.n_copies <= 4]
+    layouts += [random_matching(rng, n) for n in (2, 4) for _ in range(6)]
+    states = [random_state(1600 + trial, rank=1 + trial % 4) for trial in range(4)]
+    for lay in layouts:
+        reference = textbook_dense(lay, states)
+        assert np.max(np.abs(reference.imag)) <= 1e-14
+        dense = [expect_layout_dense_oracle(lay, state) for state in states]
+        assert np.max(np.abs(dense - reference.real)) <= 1e-14
+
+
+def test_dense_oracle_never_walks_the_cycles(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense oracle used the cycle walk")
+
+    monkeypatch.setattr(contraction, "_contract", refuse)
+    monkeypatch.setattr(contraction, "_walk_plan", refuse)
+    state = random_state(1700, rank=2)
+    for lay in standard_layouts()[:7]:
+        assert abs(expect_layout_dense_oracle(lay, state) - textbook_dense(lay, [state])[0].real) <= 1e-14
+
+
+def test_dense_oracle_checks_the_imaginary_residue(monkeypatch):
+    # a real non-symmetric operator against a complex Hermitian rho^(x)n
+    monkeypatch.setattr(
+        contraction, "_dense_operator", lambda n, pairs: np.triu(np.ones((4**n, 4**n)))
+    )
+    for lay in (standard_layouts()[0], standard_layouts()[3]):
+        with pytest.raises(NumericalContractError, match="imaginary residue"):
+            expect_layout_dense_oracle(lay, random_state(1800, rank=3))

@@ -17,8 +17,17 @@ from gqdkit import (
     random_state,
 )
 from gqdkit import gqd_core
-from gqdkit.gqd_core import KMatrix, _dephased
-from gqdkit.statekit import MAXIMALLY_MIXED
+from gqdkit.gqd_core import (
+    _GRID_AXES,
+    _GRID_POINTS,
+    _GRID_PROJ,
+    KMatrix,
+    _dephased,
+    _distance_sq,
+    _fibonacci_axes,
+    _projectors,
+)
+from gqdkit.statekit import MAXIMALLY_MIXED, PAULI
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -152,6 +161,38 @@ def test_dephased_state_is_valid_zero_discord_state():
         assert abs(np.trace(chi) - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(chi)[0] >= -1e-12
         assert gqd_exact(TwoQubitState(chi), "A").value <= 1e-10
+
+
+def dephased_by_definition(rho, axis):
+    # chi_n = sum_k Pi_k (x) tr_A[(Pi_k (x) I) rho], Pi_k = (I +- n.sigma)/2
+    n_sigma = np.einsum("i,iab->ab", axis / np.linalg.norm(axis), PAULI)
+    chi = np.zeros((4, 4), dtype=complex)
+    for sign in (1.0, -1.0):
+        proj = (np.eye(2) + sign * n_sigma) / 2.0
+        block = (np.kron(proj, np.eye(2)) @ rho).reshape(2, 2, 2, 2)
+        chi += np.kron(proj, np.einsum("abad->bd", block))
+    return chi
+
+
+def test_dephased_and_distance_match_the_definition():
+    rng = np.random.default_rng(3)
+    axes = np.vstack([rng.normal(size=(40, 3)), _GRID_AXES])
+    for trial in range(4):
+        rho = random_state(6100 + trial, rank=1 + trial % 4).matrix
+        chis = np.array([dephased_by_definition(rho, axis) for axis in axes])
+        unit, proj = _projectors(axes)
+        dist = _distance_sq(rho, proj)
+        assert np.max(np.abs(unit - axes / np.linalg.norm(axes, axis=1, keepdims=True))) <= 1e-15
+        assert np.max(np.abs(_dephased(rho, axes) - chis)) <= 1e-14
+        assert np.max(np.abs(dist - np.sum(np.abs(rho - chis) ** 2, axis=(1, 2)))) <= 1e-14
+
+
+def test_grid_operands_are_built_once_and_read_only():
+    axes, proj = _projectors(_fibonacci_axes(_GRID_POINTS))
+    assert np.array_equal(_GRID_AXES, axes) and np.array_equal(_GRID_PROJ, proj)
+    assert _GRID_PROJ.shape == (_GRID_POINTS, 2, 2, 2)
+    for cached in (_GRID_AXES, _GRID_PROJ):
+        assert not cached.flags.writeable
 
 
 def test_minimization_on_classical_states():
