@@ -121,6 +121,8 @@ def _check_sampling(args) -> None:
         raise StateValidationError(f"--repeats must be >= 2, got {args.repeats}")
     if args.seed is None:
         raise StateValidationError("--seed is required when --shots is given")
+    if not 0 <= args.seed < 2**63:
+        raise StateValidationError(f"--seed must be in [0, 2**63), got {args.seed}")
 
 
 def _sampled_estimate(args, state: TwoQubitState, seed):

@@ -229,6 +229,12 @@ class OutcomeDistribution:
         return sum(p for pat, p in self.probs.items() if pat[pair_index] == 1)
 
 
+@lru_cache(maxsize=8)
+def _pattern_keys(n_pairs: int) -> tuple[tuple[int, ...], ...]:
+    """Bit tuples of the 2^n patterns of n pairs, in pattern order (see pattern_product)."""
+    return tuple(tuple((j >> i) & 1 for i in range(n_pairs)) for j in range(2**n_pairs))
+
+
 def joint_distribution(setting: Setting, state: TwoQubitState) -> OutcomeDistribution:
     """Exact joint distribution of all pair outcomes for a setting.
 
@@ -242,9 +248,7 @@ def joint_distribution(setting: Setting, state: TwoQubitState) -> OutcomeDistrib
         raise NumericalContractError(
             f"pattern probability {flat.min():.3e} below -{NEG_PROB_TOL}"
         )
-    n = len(edges)
-    keys = [tuple((j >> i) & 1 for i in range(n)) for j in range(2**n)]
-    probs = dict(zip(keys, np.maximum(flat, 0.0).tolist()))
+    probs = dict(zip(_pattern_keys(len(edges)), np.maximum(flat, 0.0).tolist()))
     norm = sum(probs.values())
     if abs(norm - 1.0) > PROB_SUM_TOL:
         raise NumericalContractError(

@@ -321,32 +321,49 @@ def _hit_matrix(setting: Setting) -> tuple[np.ndarray, np.ndarray]:
 
 
 def stream_key(seed) -> tuple[int, ...]:
-    """A seed (an int or a sequence of ints) as the tuple keying RNG streams."""
-    return tuple(np.atleast_1d(np.asarray(seed, dtype=np.int64)).tolist())
+    """A seed (an int or ints, each in [0, 2**63)) as the tuple keying RNG streams."""
+    key = tuple(int(s) for s in np.ravel(np.asarray(seed, dtype=object)))
+    for s in key:
+        if not 0 <= s < 2**63:
+            raise ValueError(f"seed entry {s} is outside [0, 2**63)")
+    return key
+
+
+def _stream(key: tuple[int, ...]) -> np.random.Generator:
+    """np.random.default_rng(list(key)), built from the uint32 words numpy's seed coercion
+    makes of the entries (one per 32 bits, low word first, [0] for 0) without coercing a list."""
+    words = [w for k in key for w in ((k & 0xFFFFFFFF, k >> 32) if k >> 32 else (k,))]
+    seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 class _Sampler:
     """Multinomial counts of the three settings and their c frequencies.
 
-    Probability vectors are built once per state, hit matrices once per setting;
-    setting k of a draw keyed by `entropy` uses the stream (*entropy, k).
+    Probability vectors are built once per state, hit matrices once per setting.
+    counts(entropies) draws setting k from _stream((*entropy, k)) for each key
+    prefix in turn and stacks each setting's counts as one (draws, patterns)
+    array; frequencies reads the c's of every draw off it in one product per setting.
     """
 
     def __init__(self, dists: list[OutcomeDistribution], shots: int) -> None:
         self.shots = shots
-        self.pvecs = [d.vector() / d.vector().sum() for d in dists]
+        self.pvecs = [v / v.sum() for v in (d.vector() for d in dists)]
         self.hits = [_hit_matrix(d.setting) for d in dists]
 
-    def counts(self, entropy: tuple[int, ...]) -> list[np.ndarray]:
-        return [
-            np.random.default_rng([*entropy, si]).multinomial(self.shots, pvec)
-            for si, pvec in enumerate(self.pvecs)
+    def counts(self, entropies: list[tuple[int, ...]]) -> list[np.ndarray]:
+        draws = [
+            [_stream((*e, k)).multinomial(self.shots, p) for k, p in enumerate(self.pvecs)]
+            for e in entropies
         ]
+        return [np.array(setting) for setting in zip(*draws)]
 
     def frequencies(self, counts: list[np.ndarray]) -> np.ndarray:
-        c = np.zeros(N_OUTCOMES)
+        c = np.zeros((len(counts[0]), N_OUTCOMES))
         for n, (indices, hit) in zip(counts, self.hits):
-            c[indices] = (n @ hit) / self.shots
+            c[:, indices] = (n @ hit) / self.shots
+        if c.min() < 0.0 or c.max() > 1.0:
+            raise ValueError("sampled outcomes must lie in [0, 1]")
         return c
 
 
@@ -362,16 +379,17 @@ def outcomes_sampled(state: TwoQubitState, shots_per_setting: int, seed) -> Outc
         raise ValueError("shots_per_setting must be >= 1")
     entropy = stream_key(seed)
     sampler = _Sampler([joint_distribution(s, state) for s in settings()], int(shots_per_setting))
-    c = sampler.frequencies(sampler.counts(entropy))
+    c = sampler.frequencies(sampler.counts([entropy]))[0]
     return OutcomeVector(c, "sampled", shots=int(shots_per_setting), seed=entropy)
+
+
+# Side-B outcome relabeling: (c2, c5, c9) swap with (c3, c6, c10).
+_SIDE_B_ORDER = np.array([0, 2, 1, 3, 5, 4, 6, 7, 9, 8, 10])
 
 
 def permute_outcomes(c: OutcomeVector) -> OutcomeVector:
     """Swap (c2, c5, c9) with (c3, c6, c10): the side-B outcome relabeling."""
-    v = np.array(c.c)
-    for i, j in ((1, 2), (4, 5), (8, 9)):
-        v[i], v[j] = v[j], v[i]
-    return OutcomeVector(v, c.provenance, shots=c.shots, seed=c.seed)
+    return OutcomeVector(c.c[_SIDE_B_ORDER], c.provenance, shots=c.shots, seed=c.seed)
 
 
 def moments_from_outcomes(c: OutcomeVector) -> MomentTriple:
@@ -475,12 +493,14 @@ def estimate_gqd(
     scheme-exact uses exact outcome probabilities; side B is obtained by
     permuting the outcome vector before moment evaluation. scheme-sampled
     repeats the sampled pipeline `repeats` times (repeat r, setting k draws
-    from the stream keyed by (seed, r, k)) and reports the mean value with
-    the sample standard deviation across repeats as std_err. Each sampled
-    moment M_k is read off setting k's own counts as
-    counts_k @ moment_observable / shots; side B swaps the per-side pair
-    values. The reported `outcomes` are the mean c frequencies across
-    repeats (permuted for side B), the same frequencies as those drawn by
+    from _stream((seed, r, k)), unchanged per key) and reports the mean value with
+    the sample standard deviation across repeats as std_err. Setting k's counts
+    of all repeats are one (repeats, patterns) array: the c's are
+    counts_k @ hit_k / shots and moment M_k is counts_k @ moment_observable /
+    shots (side B swaps the per-side pair values), exact integer sums, so the
+    results equal a per-repeat loop's; only the cubic is solved per repeat.
+    The reported `outcomes` are the mean c frequencies across repeats
+    (permuted for side B), the same frequencies as those drawn by
     outcomes_sampled; the sampled moments do not pass through them.
     """
     if which not in ("A", "B"):
@@ -509,23 +529,15 @@ def estimate_gqd(
     base = stream_key(seed)
     dists = [joint_distribution(s, state) for s in settings()]
     sampler = _Sampler(dists, int(shots))
-    observables = [moment_observable(d, which) for d in dists]
-    values = np.empty(repeats)
-    cs = np.empty((repeats, N_OUTCOMES))
-    ms = np.empty((repeats, 3))
-    lams = np.empty((repeats, 3))
-    for rep in range(repeats):
-        entropy = (*base, rep)
-        counts = sampler.counts(entropy)
-        out = OutcomeVector(sampler.frequencies(counts), "sampled", shots=int(shots), seed=entropy)
-        if which == "B":
-            out = permute_outcomes(out)
-        m = MomentTriple(*(float(n @ v) / sampler.shots for n, v in zip(counts, observables)))
-        lam = eigenvalues_from_moments(m, noisy=True)
-        values[rep] = (lam[1] + lam[2]) / 4.0
-        cs[rep] = out.c
-        ms[rep] = (m.m1, m.m2, m.m3)
-        lams[rep] = lam
+    counts = sampler.counts([(*base, rep) for rep in range(repeats)])
+    cs = sampler.frequencies(counts)
+    if which == "B":
+        # take keeps C order, so the mean below adds the rows as a per-repeat array's does
+        cs = cs.take(_SIDE_B_ORDER, axis=1)
+    ms = np.column_stack([n @ moment_observable(d, which) for n, d in zip(counts, dists)])
+    ms = ms / sampler.shots
+    lams = np.array([eigenvalues_from_moments(MomentTriple(*m), noisy=True) for m in ms.tolist()])
+    values = (lams[:, 1] + lams[:, 2]) / 4.0
 
     mean_c = OutcomeVector(cs.mean(axis=0), "sampled", shots=int(shots), seed=base)
     mean_m = MomentTriple(*ms.mean(axis=0))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import GqdEstimate, stream_key
+from .estimator import GqdEstimate, _stream, stream_key
 from .gqd_core import gqd_exact
 from .pairing import settings, standard_layouts
 from .statekit import SIGMA_A, SIGMA_AB, SIGMA_B, TwoQubitState, decompose
@@ -44,8 +44,11 @@ def qst_estimate(
     With shots_per_setting=None the analytic outcome probabilities are used
     (infinite-shot limit) and the reconstruction is exact. Otherwise each of
     the nine settings draws a multinomial sample from the stream keyed by
-    (seed, setting index); x_i and y_j are averaged over the three settings
-    containing them, t_ij comes from setting (i, j).
+    (seed, setting index 3i + j), built by the estimator's stream builder; x_i
+    and y_j are averaged over the three settings containing them, t_ij comes
+    from setting (i, j). All nine outcome distributions are one broadcast, and
+    the outcome sums run elementwise in the order of a per-setting loop, so the
+    results equal that loop's bit for bit.
     """
     bloch = decompose(state)
     if shots_per_setting is None:
@@ -56,23 +59,18 @@ def qst_estimate(
         if seed is None:
             raise ValueError("sampled tomography requires a seed")
         base = stream_key(seed)
-        t_hat = np.zeros((3, 3))
-        marg_a = np.zeros((3, 3))  # [i, j]: <s> in setting (i, j)
-        marg_b = np.zeros((3, 3))
-        for i in range(3):
-            for j in range(3):
-                probs = np.array(
-                    [
-                        (1.0 + s * bloch.x[i] + t * bloch.y[j] + s * t * bloch.T[i, j]) / 4.0
-                        for s, t in _OUTCOME_SIGNS
-                    ]
-                )
-                rng = np.random.default_rng([*base, 3 * i + j])
-                freq = rng.multinomial(int(shots_per_setting), probs / probs.sum())
-                freq = freq / shots_per_setting
-                t_hat[i, j] = sum(s * t * f for (s, t), f in zip(_OUTCOME_SIGNS, freq))
-                marg_a[i, j] = sum(s * f for (s, t), f in zip(_OUTCOME_SIGNS, freq))
-                marg_b[i, j] = sum(t * f for (s, t), f in zip(_OUTCOME_SIGNS, freq))
+        s, t = np.array(_OUTCOME_SIGNS).T
+        # probs[i, j, o]: outcome o of setting (i, j); every sign flip is exact
+        x, y, T = bloch.x[:, None, None], bloch.y[None, :, None], bloch.T[:, :, None]
+        probs = (1.0 + s * x + t * y + s * t * T) / 4.0
+        probs = probs / probs.sum(axis=2, keepdims=True)
+        counts = [
+            _stream((*base, k)).multinomial(int(shots_per_setting), p)
+            for k, p in enumerate(probs.reshape(9, 4))
+        ]
+        freq = np.reshape(counts, (3, 3, 4)) / shots_per_setting
+        # [i, j]: <st>, <s>, <t> in setting (i, j), outcomes added in order as Python's sum does
+        t_hat, marg_a, marg_b = (sum(w[o] * freq[..., o] for o in range(4)) for w in (s * t, s, t))
         x_hat = marg_a.mean(axis=1)
         y_hat = marg_b.mean(axis=0)
 

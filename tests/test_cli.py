@@ -317,6 +317,18 @@ def test_bad_sampling_flags_and_output_paths_exit_two(tmp_path, capsys, argv, ne
     assert needle.replace(MISSING, missing) in err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**63)], ids=["negative", "2^63"])
+@pytest.mark.parametrize(
+    "argv", [("scheme", *WERNER), ("sweep", *SWEEP), ("compare", *WERNER)],
+    ids=["scheme", "sweep", "compare"],
+)
+def test_seed_outside_the_stream_key_range_exits_two(capsys, argv, seed):
+    code, out, err = run_cli(capsys, *argv, "--shots", "100", "--repeats", "2", "--seed", seed)
+    assert code == 2
+    assert out == ""
+    assert f"--seed must be in [0, 2**63), got {seed}" in err
+
+
 @pytest.mark.parametrize("kind", ["directory", "not-utf8", "no-permission"])
 def test_unreadable_state_file_exits_two(tmp_path, capsys, monkeypatch, kind):
     path = tmp_path / "state.json"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gqdkit import estimator, qst_baseline
 from gqdkit import (
     NumericalContractError,
     TwoQubitState,
@@ -15,6 +16,7 @@ from gqdkit import (
     outcomes_exact,
     outcomes_sampled,
     permute_outcomes,
+    qst_estimate,
     random_state,
     settings,
     standard_layouts,
@@ -26,8 +28,10 @@ from gqdkit.estimator import (
     MomentTriple,
     OutcomeVector,
     _hit_matrix,
+    _stream,
     derive_moment_table,
     moment_observable,
+    stream_key,
 )
 from gqdkit.statekit import MAXIMALLY_MIXED
 
@@ -265,10 +269,12 @@ def test_scheme_sampled_follows_streams_and_pattern_loop_reference():
     layouts = {lay.label: lay for lay in standard_layouts()}
     values = {"A": {"a": (-3.0, 1.0), "b": (-2.0, 2.0)}}
     values["B"] = {"a": values["A"]["b"], "b": values["A"]["a"]}
-    shots, seed = 5000, 41
+    # nine repeats: the mean over repeats adds eight or more rows pairwise
+    # when they are not contiguous, so a column-strided c array would show
+    shots, seed, repeats = 5000, 41, 9
     for which in ("A", "B"):
         cs, ms = [], []
-        for rep in range(2):
+        for rep in range(repeats):
             c, m = np.zeros(11), []
             for k, setting in enumerate(settings()):
                 dist = joint_distribution(setting, state)
@@ -302,11 +308,50 @@ def test_scheme_sampled_follows_streams_and_pattern_loop_reference():
             cs.append(c)
             ms.append(m)
         est = estimate_gqd(
-            state, "scheme-sampled", which=which, shots=shots, repeats=2, seed=seed
+            state, "scheme-sampled", which=which, shots=shots, repeats=repeats, seed=seed
         )
         assert np.array_equal(est.outcomes.c, np.mean(cs, axis=0))
         got = [est.moments.m1, est.moments.m2, est.moments.m3]
-        assert np.allclose(got, np.mean(ms, axis=0), rtol=0.0, atol=1e-12)
+        assert np.array_equal(got, np.mean(ms, axis=0))
+
+
+@pytest.mark.parametrize(
+    "key",
+    [(0,), (1, 2, 3, 0), (2**32 - 1,), (2**32,), (2**63 - 1, 5), (7, 2**40 + 3, 0, 2**32 - 1, 12)],
+    ids=["zero", "small", "one-word-max", "two-words", "int64-max", "mixed"],
+)
+def test_stream_draws_equal_default_rng(key):
+    ours, numpy_rng = _stream(key), np.random.default_rng(list(key))
+    assert np.array_equal(ours.integers(0, 2**62, 16), numpy_rng.integers(0, 2**62, 16))
+    pvals = [0.1, 0.2, 0.3, 0.4]
+    assert np.array_equal(ours.multinomial(10**5, pvals), numpy_rng.multinomial(10**5, pvals))
+
+
+def test_sampled_routes_draw_the_documented_stream_keys(monkeypatch):
+    drawn = []
+
+    def recording(key):
+        drawn.append(key)
+        return np.random.default_rng(list(key))
+
+    monkeypatch.setattr(estimator, "_stream", recording)
+    monkeypatch.setattr(qst_baseline, "_stream", recording)
+    state = random_state(2700, rank=2)
+    estimate_gqd(state, "scheme-sampled", shots=100, repeats=4, seed=(9, 3))
+    assert drawn == [(9, 3, r, k) for r in range(4) for k in range(3)]
+    drawn.clear()
+    qst_estimate(state, shots_per_setting=100, seed=6)
+    assert drawn == [(6, 3 * i + j) for i in range(3) for j in range(3)]
+    drawn.clear()
+    outcomes_sampled(state, 100, seed=11)
+    assert drawn == [(11, k) for k in range(3)]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63, 2**64, (3, -2)], ids=["neg", "2^63", "2^64", "pair"])
+def test_stream_key_rejects_entries_outside_the_int64_range(seed):
+    entry = seed[1] if isinstance(seed, tuple) else seed
+    with pytest.raises(ValueError, match=f"seed entry {entry} "):
+        stream_key(seed)
 
 def test_scheme_exact_matches_closed_form():
     for trial in range(50):

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from gqdkit import gqd_exact, make_family, qst_estimate, random_state, resource_report
+from gqdkit import (
+    decompose,
+    gqd_exact,
+    make_family,
+    qst_estimate,
+    random_state,
+    resource_report,
+)
+from gqdkit.qst_baseline import _project_to_state
+from gqdkit.statekit import SIGMA_A, SIGMA_AB, SIGMA_B
 
 
 def test_exact_limit_reconstruction_is_lossless():
@@ -49,6 +58,42 @@ def test_qst_determinism():
     b = qst_estimate(state, shots_per_setting=3000, seed=5)
     assert np.array_equal(a[0].matrix, b[0].matrix)
     assert a[1].value == b[1].value
+
+
+def test_sampled_tomography_follows_the_setting_loop_reference():
+    # setting (i, j) draws from stream (seed, 3i + j); t_ij, <s> and <t> are
+    # Python sums over the four outcomes; x_i, y_j average three settings
+    signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    for trial, shots in enumerate((1, 100, 100_000)):
+        state = random_state(1000 + trial, rank=1 + trial)
+        bloch = decompose(state)
+        seed = (trial, 1)
+        t_hat, marg_a, marg_b = np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3))
+        for i in range(3):
+            for j in range(3):
+                probs = np.array(
+                    [
+                        (1.0 + s * bloch.x[i] + t * bloch.y[j] + s * t * bloch.T[i, j]) / 4.0
+                        for s, t in signs
+                    ]
+                )
+                rng = np.random.default_rng([*seed, 3 * i + j])
+                freq = rng.multinomial(shots, probs / probs.sum()) / shots
+                t_hat[i, j] = sum(s * t * f for (s, t), f in zip(signs, freq))
+                marg_a[i, j] = sum(s * f for (s, t), f in zip(signs, freq))
+                marg_b[i, j] = sum(t * f for (s, t), f in zip(signs, freq))
+        x_hat, y_hat = marg_a.mean(axis=1), marg_b.mean(axis=0)
+        raw = (
+            np.eye(4, dtype=complex)
+            + np.einsum("i,iab->ab", x_hat, SIGMA_A)
+            + np.einsum("i,iab->ab", y_hat, SIGMA_B)
+            + np.einsum("ij,ijab->ab", t_hat, SIGMA_AB)
+        ) / 4.0
+        for which in ("A", "B"):
+            recon, est = qst_estimate(state, shots_per_setting=shots, seed=seed, which=which)
+            reference = _project_to_state(raw)
+            assert np.array_equal(recon.matrix, reference.matrix)
+            assert est.value == gqd_exact(reference, which).value
 
 
 def test_qst_requires_seed_for_sampling():
