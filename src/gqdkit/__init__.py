@@ -17,7 +17,6 @@ from .contraction import (
 )
 from .errors import NumericalContractError, StateValidationError
 from .estimator import (
-    GqdEstimate,
     MomentAuditReport,
     MomentTriple,
     OutcomeVector,
@@ -29,7 +28,7 @@ from .estimator import (
     permute_outcomes,
     verify_moment_formulas,
 )
-from .gqd_core import GqdValue, KMatrix, gqd_by_minimization, gqd_exact, k_matrix
+from .gqd_core import GqdEstimate, KMatrix, gqd_by_minimization, gqd_exact, k_matrix
 from .pairing import (
     PairingLayout,
     PairOp,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BlochForm",
     "GqdEstimate",
-    "GqdValue",
     "KMatrix",
     "MomentAuditReport",
     "MomentTriple",

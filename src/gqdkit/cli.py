@@ -88,21 +88,14 @@ def cmd_exact(args) -> int:
     k = k_matrix(bloch, args.side)
     g = gqd_exact(state, args.side)
     if args.format == "json":
-        payload = {
-            "route": "bloch-exact",
-            "side": args.side,
-            "value": g.value,
-            "std_err": 0.0,
-            "eigenvalues": list(g.eigenvalues),
-            "outcomes": None,
-            "moments": None,
-            "bloch": {
-                "x": [float(v) for v in bloch.x],
-                "y": [float(v) for v in bloch.y],
-                "T": [[float(v) for v in row] for row in bloch.T],
-            },
-            "k_matrix": [[float(v) for v in row] for row in k.entries],
+        # "side" goes right after "route"; the later "route" keeps its place
+        payload = {"route": g.route, "side": args.side, **g.to_dict()}
+        payload["bloch"] = {
+            "x": [float(v) for v in bloch.x],
+            "y": [float(v) for v in bloch.y],
+            "T": [[float(v) for v in row] for row in bloch.T],
         }
+        payload["k_matrix"] = [[float(v) for v in row] for row in k.entries]
         _emit(json.dumps(payload, indent=2), args.output)
     else:
         header = "side,value,lambda1,lambda2,lambda3"

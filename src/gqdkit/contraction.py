@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NumericalContractError
 from .pairing import PairingLayout, PairOp, Setting
-from .statekit import I4, PAULI, SINGLET, TwoQubitState
+from .statekit import I4, PAULI, SINGLET, TwoQubitState, _frozen
 
 IMAG_TOL = 1e-10
 NEG_PROB_TOL = 1e-12
@@ -161,9 +161,7 @@ def _dense_operator(n_copies: int, pairs: tuple[PairOp, ...]) -> np.ndarray:
     inv = list(np.argsort(qubits))
     op = reduce(np.kron, [PAIR_KIND_MATRICES[p.kind].real for p in pairs])
     op = op.reshape([2] * (4 * n_copies)).transpose(inv + [2 * n_copies + i for i in inv])
-    op = op.reshape(4**n_copies, 4**n_copies)
-    op.flags.writeable = False
-    return op
+    return _frozen(op.reshape(4**n_copies, 4**n_copies))
 
 
 def expect_layout_dense_oracle(layout: PairingLayout, state: TwoQubitState) -> float:

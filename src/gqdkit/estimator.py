@@ -31,9 +31,9 @@ from .contraction import (
     pattern_product,
 )
 from .errors import NumericalContractError
-from .gqd_core import k_matrix
+from .gqd_core import GqdEstimate, k_matrix
 from .pairing import Setting, settings, standard_layouts
-from .statekit import TwoQubitState, decompose, random_state
+from .statekit import TwoQubitState, _frozen, decompose, random_state
 
 MOMENT_ORDERS = (1, 2, 3)
 N_OUTCOMES = 11
@@ -212,9 +212,7 @@ class OutcomeVector:
                 raise ValueError("sampled outcomes must lie in [0, 1]")
         else:
             raise ValueError(f"provenance must be 'exact' or 'sampled', got {self.provenance!r}")
-        c = np.array(c)
-        c.flags.writeable = False
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", _frozen(c))
 
     def as_dict(self) -> dict[str, float]:
         return {f"c{i + 1}": float(self.c[i]) for i in range(N_OUTCOMES)}
@@ -230,40 +228,6 @@ class MomentTriple:
 
     def as_dict(self) -> dict[str, float]:
         return {"M1": self.m1, "M2": self.m2, "M3": self.m3}
-
-
-@dataclass(frozen=True, eq=False)
-class GqdEstimate:
-    """A discord value with its provenance and statistical spread."""
-
-    value: float
-    std_err: float
-    eigenvalues: tuple[float, float, float]
-    route: str
-    outcomes: OutcomeVector | None = None
-    moments: MomentTriple | None = None
-
-    def __post_init__(self) -> None:
-        if self.route not in ("bloch-exact", "scheme-exact", "scheme-sampled"):
-            raise ValueError(f"unknown route {self.route!r}")
-        if self.value < -1e-9:
-            raise NumericalContractError(f"estimate {self.value:.3e} below -1e-9")
-        if self.value < 0.0:
-            object.__setattr__(self, "value", 0.0)
-        if self.std_err < 0.0:
-            raise ValueError("std_err must be >= 0")
-        if self.route != "scheme-sampled" and self.std_err != 0.0:
-            raise ValueError("exact routes must report std_err = 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "route": self.route,
-            "value": float(self.value),
-            "std_err": float(self.std_err),
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "outcomes": self.outcomes.as_dict() if self.outcomes is not None else None,
-            "moments": self.moments.as_dict() if self.moments is not None else None,
-        }
 
 
 def outcomes_exact(state: TwoQubitState) -> OutcomeVector:
@@ -291,15 +255,10 @@ def moment_observable(dist: OutcomeDistribution, which: str = "A") -> np.ndarray
     return _observable(dist.setting, which)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @lru_cache(maxsize=32)
 def _observable(setting: Setting, which: str) -> np.ndarray:
     sides = {"a": "a", "b": "b"} if which == "A" else {"a": "b", "b": "a"}
-    return _read_only(pattern_product([PAIR_VALUES[sides[p.side]][::-1] for p in setting.pairs]))
+    return _frozen(pattern_product([PAIR_VALUES[sides[p.side]][::-1] for p in setting.pairs]))
 
 
 @lru_cache(maxsize=32)
@@ -317,16 +276,28 @@ def _hit_matrix(setting: Setting) -> tuple[np.ndarray, np.ndarray]:
         indices.append(idx)
         singlet = [kinds[(sp.side, sp.copies)] == "singlet" for sp in setting.pairs]
         columns.append(pattern_product([(0, 1) if s else (1, 1) for s in singlet]))
-    return _read_only(np.array(indices)), _read_only(np.array(columns, dtype=np.int64).T)
+    return _frozen(indices), _frozen(np.array(columns, dtype=np.int64).T)
 
 
 def stream_key(seed) -> tuple[int, ...]:
-    """A seed (an int or ints, each in [0, 2**63)) as the tuple keying RNG streams."""
-    key = tuple(int(s) for s in np.ravel(np.asarray(seed, dtype=object)))
+    """A seed (an int or ints, each in [0, 2**63)) as the tuple keying RNG streams.
+
+    A float entry is rejected even when integral, as np.random.default_rng does.
+    """
+    key = tuple(np.ravel(np.asarray(seed, dtype=object)))
     for s in key:
+        if not isinstance(s, (int, np.integer)):
+            raise ValueError(f"seed entry {s} is not an integer")
         if not 0 <= s < 2**63:
             raise ValueError(f"seed entry {s} is outside [0, 2**63)")
-    return key
+    return tuple(int(s) for s in key)
+
+
+def _shot_count(shots, name: str) -> int:
+    """A shot count as an int; one that is not an integer, or is below 1, is rejected."""
+    if not isinstance(shots, (int, np.integer)) or shots < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {shots!r}")
+    return int(shots)
 
 
 def _stream(key: tuple[int, ...]) -> np.random.Generator:
@@ -375,12 +346,11 @@ def outcomes_sampled(state: TwoQubitState, shots_per_setting: int, seed) -> Outc
     c_i is the frequency of all singlet-designated pairs of P_i showing the
     singlet outcome, identity-designated pairs unconstrained.
     """
-    if shots_per_setting < 1:
-        raise ValueError("shots_per_setting must be >= 1")
+    shots = _shot_count(shots_per_setting, "shots_per_setting")
     entropy = stream_key(seed)
-    sampler = _Sampler([joint_distribution(s, state) for s in settings()], int(shots_per_setting))
+    sampler = _Sampler([joint_distribution(s, state) for s in settings()], shots)
     c = sampler.frequencies(sampler.counts([entropy]))[0]
-    return OutcomeVector(c, "sampled", shots=int(shots_per_setting), seed=entropy)
+    return OutcomeVector(c, "sampled", shots=shots, seed=entropy)
 
 
 # Side-B outcome relabeling: (c2, c5, c9) swap with (c3, c6, c10).
@@ -519,8 +489,7 @@ def estimate_gqd(
 
     if mode != "scheme-sampled":
         raise ValueError(f"mode must be 'scheme-exact' or 'scheme-sampled', got {mode!r}")
-    if shots is None or shots < 1:
-        raise ValueError("scheme-sampled requires shots >= 1")
+    shots = _shot_count(shots, "scheme-sampled shots")
     if repeats < 2:
         raise ValueError("scheme-sampled requires repeats >= 2")
     if seed is None:
@@ -528,7 +497,7 @@ def estimate_gqd(
 
     base = stream_key(seed)
     dists = [joint_distribution(s, state) for s in settings()]
-    sampler = _Sampler(dists, int(shots))
+    sampler = _Sampler(dists, shots)
     counts = sampler.counts([(*base, rep) for rep in range(repeats)])
     cs = sampler.frequencies(counts)
     if which == "B":
@@ -539,7 +508,7 @@ def estimate_gqd(
     lams = np.array([eigenvalues_from_moments(MomentTriple(*m), noisy=True) for m in ms.tolist()])
     values = (lams[:, 1] + lams[:, 2]) / 4.0
 
-    mean_c = OutcomeVector(cs.mean(axis=0), "sampled", shots=int(shots), seed=base)
+    mean_c = OutcomeVector(cs.mean(axis=0), "sampled", shots=shots, seed=base)
     mean_m = MomentTriple(*ms.mean(axis=0))
     return GqdEstimate(
         float(values.mean()),

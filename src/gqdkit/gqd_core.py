@@ -7,16 +7,22 @@ against its definition, the squared distance to the nearest zero-discord
 state: it projects onto the states classical in a measurement basis on side
 A and searches the measurement axis, independently of the closed form. The
 global grid's axes and projectors are built once at import, read-only.
+GqdEstimate is the one result type of every route: this closed form, the
+scheme (exact or sampled) and the tomography baseline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import StateValidationError
+from .errors import NumericalContractError, StateValidationError
 from .statekit import I2, PAULI, BlochForm, TwoQubitState, _frozen, decompose
+
+if TYPE_CHECKING:
+    from .estimator import MomentTriple, OutcomeVector
 
 SIDES = ("A", "B")
 
@@ -61,33 +67,50 @@ class KMatrix:
         asym = float(np.max(np.abs(k - k.T)))
         if asym > K_SYMMETRY_TOL:
             raise StateValidationError(f"K not symmetric: asymmetry {asym:.3e}")
-        spectrum = np.linalg.eigvalsh((k + k.T) / 2.0)[::-1].copy()
+        spectrum = np.linalg.eigvalsh((k + k.T) / 2.0)[::-1]
         if spectrum[-1] < -K_POSITIVITY_TOL:
             raise StateValidationError(
                 f"K not positive semidefinite: smallest eigenvalue {spectrum[-1]:.3e}"
             )
-        k = np.array(k)
-        k.flags.writeable = False
-        spectrum.flags.writeable = False
-        object.__setattr__(self, "entries", k)
-        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "entries", _frozen(k))
+        object.__setattr__(self, "spectrum", _frozen(spectrum))
 
 
-@dataclass(frozen=True)
-class GqdValue:
-    """Discord value with the K-spectrum it came from (descending)."""
+@dataclass(frozen=True, eq=False)
+class GqdEstimate:
+    """A discord value with its provenance and statistical spread; every route's result."""
 
     value: float
+    std_err: float
     eigenvalues: tuple[float, float, float]
+    route: str
+    outcomes: OutcomeVector | None = None
+    moments: MomentTriple | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.value <= 0.5 + 1e-12:
-            raise StateValidationError(
-                f"discord value {self.value:.12g} outside [0, 1/2]"
-            )
+        if self.route not in ("bloch-exact", "scheme-exact", "scheme-sampled"):
+            raise ValueError(f"unknown route {self.route!r}")
+        if self.value < -1e-9:
+            raise NumericalContractError(f"estimate {self.value:.3e} below -1e-9")
+        if self.value < 0.0:
+            object.__setattr__(self, "value", 0.0)
+        if self.std_err < 0.0:
+            raise ValueError("std_err must be >= 0")
+        if self.route != "scheme-sampled" and self.std_err != 0.0:
+            raise ValueError("exact routes must report std_err = 0")
         lam = self.eigenvalues
         if not (lam[0] >= lam[1] >= lam[2]):
-            raise StateValidationError("eigenvalues must be sorted descending")
+            raise NumericalContractError("eigenvalues must be sorted descending")
+
+    def to_dict(self) -> dict:
+        return {
+            "route": self.route,
+            "value": float(self.value),
+            "std_err": float(self.std_err),
+            "eigenvalues": [float(v) for v in self.eigenvalues],
+            "outcomes": self.outcomes.as_dict() if self.outcomes is not None else None,
+            "moments": self.moments.as_dict() if self.moments is not None else None,
+        }
 
 
 def k_matrix(bloch: BlochForm, which: str = "A") -> KMatrix:
@@ -100,14 +123,16 @@ def k_matrix(bloch: BlochForm, which: str = "A") -> KMatrix:
     return KMatrix((k + k.T) / 2.0, which)
 
 
-def gqd_exact(state: TwoQubitState, which: str = "A") -> GqdValue:
-    """Closed-form geometric discord of a state for the chosen side."""
+def gqd_exact(state: TwoQubitState, which: str = "A") -> GqdEstimate:
+    """Closed-form geometric discord of a state for the chosen side (route "bloch-exact")."""
     lam = k_matrix(decompose(state), which).spectrum
     lam = np.where((lam < 0.0) & (lam > -K_POSITIVITY_TOL), 0.0, lam)
     value = (lam[1] + lam[2]) / 4.0
     if -GQD_CLAMP < value < 0.0:
         value = 0.0
-    return GqdValue(float(value), (float(lam[0]), float(lam[1]), float(lam[2])))
+    if not 0.0 <= value <= 0.5 + 1e-12:
+        raise StateValidationError(f"discord value {value:.12g} outside [0, 1/2]")
+    return GqdEstimate(float(value), 0.0, (float(lam[0]), float(lam[1]), float(lam[2])), "bloch-exact")
 
 
 def _fibonacci_axes(count: int) -> np.ndarray:
@@ -130,15 +155,6 @@ def _pinched(rho: np.ndarray, proj: np.ndarray) -> np.ndarray:
     """sum_k (Pi_k (x) I) rho (Pi_k (x) I) per projector pair, as two contractions."""
     half = np.einsum("nkac,cbde->nkabde", proj, rho.reshape(2, 2, 2, 2))
     return np.einsum("nkabde,nkdf->nabfe", half, proj).reshape(-1, 4, 4)
-
-
-def _dephased(rho: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """chi_n = sum_k Pi_k (x) tr_A[(Pi_k (x) I) rho] for each axis n.
-
-    Pi_k = (I +- n.sigma)/2; chi_n is the zero-discord state nearest to rho
-    among those classical in that basis on side A. Shape (len(axes), 4, 4).
-    """
-    return _pinched(rho, _projectors(axes)[1])
 
 
 def _distance_sq(rho: np.ndarray, proj: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 A layout places two-qubit pair operators (singlet projector or identity)
 on disjoint slot pairs, one perfect matching per side, over n copies.
 The 11 standard layouts P1..P11 and the three measurement settings that
-realize them are fixed here; rendering produces a row-per-copy diagram.
+realize them are built here from one table; rendering produces a
+row-per-copy diagram.
 """
 
 from __future__ import annotations
@@ -101,66 +102,6 @@ class PairingLayout:
         return hash((self.n_copies, frozenset(self.pairs)))
 
 
-def _layout(label: str, n: int, entries: list[tuple[str, int, int, str]]) -> PairingLayout:
-    return PairingLayout(
-        n, tuple(PairOp(side, (lo, hi), kind) for side, lo, hi, kind in entries), label
-    )
-
-
-def _build_standard_layouts() -> tuple[PairingLayout, ...]:
-    S, I = "singlet", "identity"
-    return (
-        _layout("P1", 2, [("a", 1, 2, S), ("b", 1, 2, S)]),
-        _layout("P2", 2, [("a", 1, 2, S), ("b", 1, 2, I)]),
-        _layout("P3", 2, [("a", 1, 2, I), ("b", 1, 2, S)]),
-        _layout("P4", 4, [("a", 1, 4, S), ("a", 2, 3, S), ("b", 1, 2, S), ("b", 3, 4, S)]),
-        _layout("P5", 4, [("a", 1, 4, S), ("a", 2, 3, I), ("b", 1, 2, S), ("b", 3, 4, S)]),
-        _layout("P6", 4, [("a", 1, 4, S), ("a", 2, 3, S), ("b", 1, 2, S), ("b", 3, 4, I)]),
-        _layout("P7", 4, [("a", 1, 4, I), ("a", 2, 3, S), ("b", 1, 2, S), ("b", 3, 4, I)]),
-        _layout(
-            "P8",
-            6,
-            [
-                ("a", 1, 6, S), ("a", 2, 3, S), ("a", 4, 5, S),
-                ("b", 1, 2, S), ("b", 3, 4, S), ("b", 5, 6, S),
-            ],
-        ),
-        _layout(
-            "P9",
-            6,
-            [
-                ("a", 1, 6, S), ("a", 2, 3, S), ("a", 4, 5, I),
-                ("b", 1, 2, S), ("b", 3, 4, S), ("b", 5, 6, S),
-            ],
-        ),
-        _layout(
-            "P10",
-            6,
-            [
-                ("a", 1, 6, S), ("a", 2, 3, S), ("a", 4, 5, S),
-                ("b", 1, 2, S), ("b", 3, 4, S), ("b", 5, 6, I),
-            ],
-        ),
-        _layout(
-            "P11",
-            6,
-            [
-                ("a", 1, 6, I), ("a", 2, 3, S), ("a", 4, 5, S),
-                ("b", 1, 2, S), ("b", 3, 4, S), ("b", 5, 6, I),
-            ],
-        ),
-    )
-
-
-# The layouts and settings are fixed by the protocol: built and validated once.
-_STANDARD_LAYOUTS = _build_standard_layouts()
-
-
-def standard_layouts() -> list[PairingLayout]:
-    """The 11 standard layouts P1..P11 over 2, 4, and 6 copies (a fresh list)."""
-    return list(_STANDARD_LAYOUTS)
-
-
 @dataclass(frozen=True, eq=False)
 class Setting:
     """A fixed pair matching measured in the {singlet, complement} basis.
@@ -181,11 +122,44 @@ class Setting:
         return self.layout.pairs
 
 
-_BY_LABEL = {lay.label: lay for lay in _STANDARD_LAYOUTS}
-_SETTINGS = tuple(
-    Setting(_BY_LABEL[covered[0]], covered)
-    for covered in (("P1", "P2", "P3"), ("P4", "P5", "P6", "P7"), ("P8", "P9", "P10", "P11"))
+# The protocol, stated once: per setting, its copy count, its matching in stored
+# pair order, and for each standard layout it covers (P1..P11 in turn) the
+# indices of the pairs that carry the identity. The first layout is all singlet.
+_PROTOCOL = (
+    (2, (("a", 1, 2), ("b", 1, 2)), ((), (1,), (0,))),
+    (4, (("a", 1, 4), ("a", 2, 3), ("b", 1, 2), ("b", 3, 4)), ((), (1,), (3,), (0, 3))),
+    (
+        6,
+        (("a", 1, 6), ("a", 2, 3), ("a", 4, 5), ("b", 1, 2), ("b", 3, 4), ("b", 5, 6)),
+        ((), (2,), (5,), (0, 5)),
+    ),
 )
+
+
+def _build_protocol() -> tuple[tuple[PairingLayout, ...], tuple[Setting, ...]]:
+    """P1..P11, labelled in order, and the three settings, each holding its first layout."""
+    layouts: list[PairingLayout] = []
+    all_settings = []
+    for n_copies, matching, identity_pairs in _PROTOCOL:
+        members = []
+        for identities in identity_pairs:
+            pairs = tuple(
+                PairOp(side, (lo, hi), "identity" if i in identities else "singlet")
+                for i, (side, lo, hi) in enumerate(matching)
+            )
+            members.append(PairingLayout(n_copies, pairs, f"P{len(layouts) + len(members) + 1}"))
+        all_settings.append(Setting(members[0], tuple(lay.label for lay in members)))
+        layouts += members
+    return tuple(layouts), tuple(all_settings)
+
+
+# The layouts and settings are fixed by the protocol: built and validated once.
+_STANDARD_LAYOUTS, _SETTINGS = _build_protocol()
+
+
+def standard_layouts() -> list[PairingLayout]:
+    """The 11 standard layouts P1..P11 over 2, 4, and 6 copies (a fresh list)."""
+    return list(_STANDARD_LAYOUTS)
 
 
 def settings() -> list[Setting]:

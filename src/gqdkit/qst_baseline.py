@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import GqdEstimate, _stream, stream_key
-from .gqd_core import gqd_exact
+from .estimator import _shot_count, _stream, stream_key
+from .gqd_core import GqdEstimate, gqd_exact
 from .pairing import settings, standard_layouts
-from .statekit import SIGMA_A, SIGMA_AB, SIGMA_B, TwoQubitState, decompose
+from .statekit import TwoQubitState, _bloch_matrix, decompose
 
 # outcome sign pairs (s, t) for the four results of one Pauli x Pauli setting
 _OUTCOME_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -39,7 +39,7 @@ def qst_estimate(
     seed=None,
     which: str = "A",
 ) -> tuple[TwoQubitState, GqdEstimate]:
-    """Tomographic reconstruction and its closed-form discord.
+    """Tomographic reconstruction and its closed-form discord, as gqd_exact reports it.
 
     With shots_per_setting=None the analytic outcome probabilities are used
     (infinite-shot limit) and the reconstruction is exact. Otherwise each of
@@ -52,10 +52,9 @@ def qst_estimate(
     """
     bloch = decompose(state)
     if shots_per_setting is None:
-        x_hat, y_hat, t_hat = np.array(bloch.x), np.array(bloch.y), np.array(bloch.T)
+        x_hat, y_hat, t_hat = bloch.x, bloch.y, bloch.T
     else:
-        if shots_per_setting < 1:
-            raise ValueError("shots_per_setting must be >= 1")
+        shots = _shot_count(shots_per_setting, "shots_per_setting")
         if seed is None:
             raise ValueError("sampled tomography requires a seed")
         base = stream_key(seed)
@@ -65,24 +64,17 @@ def qst_estimate(
         probs = (1.0 + s * x + t * y + s * t * T) / 4.0
         probs = probs / probs.sum(axis=2, keepdims=True)
         counts = [
-            _stream((*base, k)).multinomial(int(shots_per_setting), p)
+            _stream((*base, k)).multinomial(shots, p)
             for k, p in enumerate(probs.reshape(9, 4))
         ]
-        freq = np.reshape(counts, (3, 3, 4)) / shots_per_setting
+        freq = np.reshape(counts, (3, 3, 4)) / shots
         # [i, j]: <st>, <s>, <t> in setting (i, j), outcomes added in order as Python's sum does
         t_hat, marg_a, marg_b = (sum(w[o] * freq[..., o] for o in range(4)) for w in (s * t, s, t))
         x_hat = marg_a.mean(axis=1)
         y_hat = marg_b.mean(axis=0)
 
-    raw = (
-        np.eye(4, dtype=complex)
-        + np.einsum("i,iab->ab", x_hat, SIGMA_A)
-        + np.einsum("i,iab->ab", y_hat, SIGMA_B)
-        + np.einsum("ij,ijab->ab", t_hat, SIGMA_AB)
-    ) / 4.0
-    recon = _project_to_state(raw)
-    g = gqd_exact(recon, which)
-    return recon, GqdEstimate(g.value, 0.0, g.eigenvalues, "bloch-exact")
+    recon = _project_to_state(_bloch_matrix(x_hat, y_hat, t_hat))
+    return recon, gqd_exact(recon, which)
 
 
 @dataclass(frozen=True)

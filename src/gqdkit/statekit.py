@@ -55,6 +55,7 @@ FAMILY_ARITY = {
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of a: the one way the package marks an array read-only."""
     a = np.array(a)
     a.flags.writeable = False
     return a
@@ -139,14 +140,19 @@ def decompose(state: TwoQubitState) -> BlochForm:
     return BlochForm(x.real, y.real, T.real)
 
 
+def _bloch_matrix(x: np.ndarray, y: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """(I + x.sigma (x) I + I (x) y.sigma + sum_ij t_ij sigma^i (x) sigma^j) / 4, unchecked."""
+    return (
+        I4
+        + np.einsum("i,iab->ab", x, SIGMA_A)
+        + np.einsum("i,iab->ab", y, SIGMA_B)
+        + np.einsum("ij,ijab->ab", T, SIGMA_AB)
+    ) / 4.0
+
+
 def reconstruct(bloch: BlochForm) -> TwoQubitState:
     """State with the given Bloch data; rejects non-physical input."""
-    rho = (
-        I4
-        + np.einsum("i,iab->ab", bloch.x, SIGMA_A)
-        + np.einsum("i,iab->ab", bloch.y, SIGMA_B)
-        + np.einsum("ij,ijab->ab", bloch.T, SIGMA_AB)
-    ) / 4.0
+    rho = _bloch_matrix(bloch.x, bloch.y, bloch.T)
     lowest = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
     if lowest < -POSITIVITY_TOL:
         raise StateValidationError(

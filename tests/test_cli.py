@@ -21,6 +21,18 @@ def test_exact_werner_one(capsys):
     assert payload["route"] == "bloch-exact"
 
 
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_exact_json_keys_in_fixed_order(capsys, side):
+    code, out, _ = run_cli(capsys, "exact", "--family", "werner", "--params", "0.5", "--side", side)
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == [
+        "route", "side", "value", "std_err", "eigenvalues", "outcomes", "moments", "bloch", "k_matrix"
+    ]
+    assert payload["side"] == side
+    assert (payload["std_err"], payload["outcomes"], payload["moments"]) == (0.0, None, None)
+
+
 def test_exact_werner_zero(capsys):
     code, out, _ = run_cli(capsys, "exact", "--family", "werner", "--params", "0")
     assert code == 0

@@ -353,6 +353,52 @@ def test_stream_key_rejects_entries_outside_the_int64_range(seed):
     with pytest.raises(ValueError, match=f"seed entry {entry} "):
         stream_key(seed)
 
+
+@pytest.mark.parametrize(
+    "seed, entry", [(1.0, 1.0), (1.7, 1.7), ((3, 2.0), 2.0), (np.float64(4.0), 4.0)],
+    ids=["integral", "fraction", "pair", "numpy"],
+)
+def test_stream_key_rejects_float_entries(seed, entry):
+    with pytest.raises(ValueError, match=f"seed entry {entry} is not an integer"):
+        stream_key(seed)
+    with pytest.raises(TypeError):
+        np.random.default_rng(seed)  # numpy refuses the same seeds
+
+
+def test_stream_key_accepts_numpy_integers():
+    assert stream_key(np.int64(5)) == (5,)
+    assert stream_key(np.array([1, 2], dtype=np.uint32)) == (1, 2)
+    assert all(type(s) is int for s in stream_key((np.int32(3), 4)))
+
+
+SAMPLED_ENTRY_POINTS = {
+    "estimate_gqd": lambda s, shots: estimate_gqd(s, "scheme-sampled", shots=shots, repeats=2, seed=1),
+    "outcomes_sampled": lambda s, shots: outcomes_sampled(s, shots, seed=1),
+    "qst_estimate": lambda s, shots: qst_estimate(s, shots_per_setting=shots, seed=1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SAMPLED_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "shots", [100.5, 100.0, np.float64(100.0), "100", 0], ids=["fraction", "float", "numpy-float", "text", "zero"]
+)
+def test_sampled_entry_points_reject_a_non_integer_shot_count(entry, shots):
+    with pytest.raises(ValueError, match="shots"):
+        SAMPLED_ENTRY_POINTS[entry](make_family("werner", [0.5]), shots)
+
+
+@pytest.mark.parametrize("entry", sorted(SAMPLED_ENTRY_POINTS))
+def test_sampled_entry_points_accept_numpy_integer_shots(entry):
+    state = make_family("werner", [0.5])
+    plain, numpy_int = (SAMPLED_ENTRY_POINTS[entry](state, n) for n in (100, np.int64(100)))
+    if entry == "qst_estimate":
+        plain, numpy_int = plain[1], numpy_int[1]
+    if entry == "outcomes_sampled":
+        assert np.array_equal(plain.c, numpy_int.c) and numpy_int.shots == 100
+    else:
+        assert plain.to_dict() == numpy_int.to_dict()
+
+
 def test_scheme_exact_matches_closed_form():
     for trial in range(50):
         state = random_state(2500 + trial, rank=1 + trial % 4)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from gqdkit import (
+    GqdEstimate,
+    NumericalContractError,
     StateValidationError,
     TwoQubitState,
     decompose,
@@ -14,6 +16,7 @@ from gqdkit import (
     gqd_exact,
     k_matrix,
     make_family,
+    qst_estimate,
     random_state,
 )
 from gqdkit import gqd_core
@@ -22,9 +25,9 @@ from gqdkit.gqd_core import (
     _GRID_POINTS,
     _GRID_PROJ,
     KMatrix,
-    _dephased,
     _distance_sq,
     _fibonacci_axes,
+    _pinched,
     _projectors,
 )
 from gqdkit.statekit import MAXIMALLY_MIXED, PAULI
@@ -151,12 +154,33 @@ def test_gqd_value_structure():
     assert g.eigenvalues[0] >= g.eigenvalues[1] >= g.eigenvalues[2] >= 0.0
 
 
+RESULT_SCHEMA = {"route", "value", "std_err", "eigenvalues", "outcomes", "moments"}
+
+
+@pytest.mark.parametrize("which", ["A", "B"])
+def test_closed_form_and_tomography_return_the_shared_result_type(which):
+    state = random_state(125, rank=3)
+    results = [gqd_exact(state, which), qst_estimate(state, which=which)[1]]
+    results.append(qst_estimate(state, shots_per_setting=500, seed=4, which=which)[1])
+    for g in results:
+        assert isinstance(g, GqdEstimate)
+        assert (g.route, g.std_err, g.outcomes, g.moments) == ("bloch-exact", 0.0, None, None)
+        assert set(g.to_dict()) == RESULT_SCHEMA
+
+
+def test_result_rejects_unsorted_eigenvalues():
+    GqdEstimate(0.1, 0.0, (0.5, 0.2, 0.2), "bloch-exact")
+    for lam in [(0.2, 0.5, 0.1), (0.5, 0.1, 0.2)]:
+        with pytest.raises(NumericalContractError, match="sorted descending"):
+            GqdEstimate(0.1, 0.0, lam, "bloch-exact")
+
+
 def test_dephased_state_is_valid_zero_discord_state():
     rng = np.random.default_rng(2)
     for trial in range(25):
         axis = rng.normal(size=3)
         rho = random_state(6000 + trial, rank=1 + trial % 4).matrix
-        chi = _dephased(rho, (axis / np.linalg.norm(axis))[None])[0]
+        chi = _pinched(rho, _projectors((axis / np.linalg.norm(axis))[None])[1])[0]
         assert np.max(np.abs(chi - chi.conj().T)) <= 1e-12
         assert abs(np.trace(chi) - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(chi)[0] >= -1e-12
@@ -183,7 +207,7 @@ def test_dephased_and_distance_match_the_definition():
         unit, proj = _projectors(axes)
         dist = _distance_sq(rho, proj)
         assert np.max(np.abs(unit - axes / np.linalg.norm(axes, axis=1, keepdims=True))) <= 1e-15
-        assert np.max(np.abs(_dephased(rho, axes) - chis)) <= 1e-14
+        assert np.max(np.abs(_pinched(rho, proj) - chis)) <= 1e-14
         assert np.max(np.abs(dist - np.sum(np.abs(rho - chis) ** 2, axis=(1, 2)))) <= 1e-14
 
 

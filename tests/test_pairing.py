@@ -106,6 +106,12 @@ def test_setting_matching_is_the_fully_singlet_member():
         assert all(p.kind == "singlet" for p in s.pairs)
 
 
+def test_setting_layout_is_the_standard_layout_object():
+    layouts = standard_layouts()
+    assert [s.layout for s in settings()] == [layouts[0], layouts[3], layouts[7]]
+    assert all(s.layout is layouts[i] for s, i in zip(settings(), (0, 3, 7)))
+
+
 def test_setting_covered_layouts_share_the_matching():
     by_label = {lay.label: lay for lay in standard_layouts()}
     for s in settings():

@@ -15,7 +15,7 @@ from gqdkit import (
     state_to_dict,
     state_to_json,
 )
-from gqdkit.statekit import MAXIMALLY_MIXED, SINGLET
+from gqdkit.statekit import MAXIMALLY_MIXED, SINGLET, _bloch_matrix
 
 
 def ket_state(amplitudes):
@@ -59,6 +59,13 @@ def test_round_trip_on_random_states():
         state = random_state(seed, rank=1 + seed % 4)
         again = reconstruct(decompose(state))
         assert np.max(np.abs(again.matrix - state.matrix)) <= 1e-12
+
+
+def test_bloch_matrix_inverts_decompose():
+    for seed in range(100):
+        state = random_state([17, seed], rank=1 + seed % 4)
+        b = decompose(state)
+        assert np.max(np.abs(_bloch_matrix(b.x, b.y, b.T) - state.matrix)) <= 1e-14
 
 
 def test_bloch_norm_purity_identity():
