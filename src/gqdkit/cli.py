@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NumericalContractError, StateValidationError
 from .estimator import estimate_gqd
-from .gqd_core import gqd_exact, k_matrix
+from .gqd_core import gqd_exact, gqd_from_k, k_matrix
 from .pairing import render_layout, standard_layouts
 from .qst_baseline import qst_estimate, resource_report
 from .statekit import TwoQubitState, decompose, make_family, state_from_json
@@ -86,7 +86,7 @@ def cmd_exact(args) -> int:
     state = _resolve_state(args)
     bloch = decompose(state)
     k = k_matrix(bloch, args.side)
-    g = gqd_exact(state, args.side)
+    g = gqd_from_k(k)
     if args.format == "json":
         # "side" goes right after "route"; the later "route" keeps its place
         payload = {"route": g.route, "side": args.side, **g.to_dict()}

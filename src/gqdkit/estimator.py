@@ -13,6 +13,8 @@ counts as the mean of one product observable, the unfactorized form of the
 same expansion. That observable and the 0/1 hit matrices turning counts into
 c's are Kronecker products of per-pair (complement, singlet) values, built by
 contraction.pattern_product, the one place that fixes the pattern order.
+Sampled counts come from one RNG stream per key, np.random.default_rng(list(key))
+state for state; _streams seeds every stream of a call in one pass.
 """
 
 from __future__ import annotations
@@ -300,21 +302,96 @@ def _shot_count(shots, name: str) -> int:
     return int(shots)
 
 
-def _stream(key: tuple[int, ...]) -> np.random.Generator:
-    """np.random.default_rng(list(key)), built from the uint32 words numpy's seed coercion
-    makes of the entries (one per 32 bits, low word first, [0] for 0) without coercing a list."""
-    words = [w for k in key for w in ((k & 0xFFFFFFFF, k >> 32) if k >> 32 else (k,))]
-    seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
-    return np.random.Generator(np.random.PCG64(seq))
+# numpy's SeedSequence (numpy/random/bit_generator.pyx), all arithmetic mod 2**32. Each of
+# the 4 pool words is the hash of an entropy word (of 0 past the last one); hash call j xors
+# with constant j and multiplies by constant j + 1 of a fixed sequence. Each pool word is
+# then mixed with the hash of every other, and each entropy word past the pool with every
+# pool word. The PCG64 seed, generate_state(4, uint64), is the pool read twice, each word
+# hashed with _HASH_B, low words first.
+_POOL_SIZE = 4
+_MIX_MULT_L, _MIX_MULT_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_OTHERS = tuple([d for d in range(_POOL_SIZE) if d != s] for s in range(_POOL_SIZE))
+_STATE_WORDS = list(range(_POOL_SIZE)) * 2
+
+
+@lru_cache(maxsize=8)
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**j mod 2**32 for j < count, as a read-only uint32 column."""
+    consts = [init]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return _frozen(np.array(consts, dtype=np.uint32)[:, None])
+
+
+_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 2 * _POOL_SIZE + 1)
+
+
+@lru_cache(maxsize=1)
+def _fixed_seed() -> type:
+    """An ISeedSequence handing PCG64 the seed state _streams generated, where SeedSequence
+    would generate it. Made on first use: numpy 2 imports numpy.random only when asked, and
+    importing gqdkit, as every gqd command does, should not ask."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedSeed(ISeedSequence):
+        def __init__(self, state: np.ndarray) -> None:
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.state
+
+    return FixedSeed
+
+
+def _streams(prefix: tuple[int, ...], shape: tuple[int, ...]) -> list[np.random.Generator]:
+    """np.random.default_rng([*prefix, *idx]) for each idx in np.ndindex(shape), in C order.
+
+    A key's entropy is the uint32 words numpy's seed coercion makes of its
+    entries (one per 32 bits, low word first, [0] for 0; an index is one
+    word), so every key has the same word count. SeedSequence's mixing and
+    generate_state run on all keys at once, one uint32 row per pool word, and
+    each key's seed goes straight into its own PCG64: state and draws equal
+    default_rng's.
+    """
+    head = [w for k in prefix for w in ((k & 0xFFFFFFFF, k >> 32) if k >> 32 else (k,))]
+    n = math.prod(shape)
+    words = np.zeros((max(len(head) + len(shape), _POOL_SIZE), n), dtype=np.uint32)
+    words[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
+    words[len(head) : len(head) + len(shape)] = np.indices(shape).reshape(len(shape), n)
+    # 4 hash calls per row of words: 16 fill and cross-mix the pool, 4 mix in each row past it
+    consts, used = _hash_consts(0x43B0D7E5, 0x931E8875, _POOL_SIZE * len(words) + 1), 0
+
+    def hashmix(v: np.ndarray, calls: int) -> np.ndarray:
+        nonlocal used
+        v = (v ^ consts[used : used + calls]) * consts[used + 1 : used + calls + 1]
+        used += calls
+        return v ^ (v >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return r ^ (r >> _XSHIFT)
+
+    pool = hashmix(words[:_POOL_SIZE], _POOL_SIZE)
+    for src, dst in enumerate(_OTHERS):
+        pool[dst] = mix(pool[dst], hashmix(pool[src], len(dst)))
+    for word in words[_POOL_SIZE:]:
+        pool = mix(pool, hashmix(word, _POOL_SIZE))
+    out = (pool[_STATE_WORDS] ^ _HASH_B[:-1]) * _HASH_B[1:]
+    out = (out ^ (out >> _XSHIFT)).astype(np.uint64)
+    seeds = (out[0::2] | out[1::2] << np.uint64(32)).T.copy()
+    fixed = _fixed_seed()
+    return [np.random.Generator(np.random.PCG64(fixed(s))) for s in seeds]
 
 
 class _Sampler:
     """Multinomial counts of the three settings and their c frequencies.
 
     Probability vectors are built once per state, hit matrices once per setting.
-    counts(entropies) draws setting k from _stream((*entropy, k)) for each key
-    prefix in turn and stacks each setting's counts as one (draws, patterns)
-    array; frequencies reads the c's of every draw off it in one product per setting.
+    counts(prefix, repeats) draws setting k of draw r from the stream keyed by
+    (*prefix, r, k), or of its single draw by (*prefix, k) when repeats is None,
+    with every stream built by one _streams call, and stacks each setting's
+    counts as one (draws, patterns) array; frequencies reads the c's of every
+    draw off it in one product per setting.
     """
 
     def __init__(self, dists: list[OutcomeDistribution], shots: int) -> None:
@@ -322,12 +399,11 @@ class _Sampler:
         self.pvecs = [v / v.sum() for v in (d.vector() for d in dists)]
         self.hits = [_hit_matrix(d.setting) for d in dists]
 
-    def counts(self, entropies: list[tuple[int, ...]]) -> list[np.ndarray]:
-        draws = [
-            [_stream((*e, k)).multinomial(self.shots, p) for k, p in enumerate(self.pvecs)]
-            for e in entropies
-        ]
-        return [np.array(setting) for setting in zip(*draws)]
+    def counts(self, prefix: tuple[int, ...], repeats: int | None = None) -> list[np.ndarray]:
+        n = len(self.pvecs)
+        rngs = _streams(prefix, (n,) if repeats is None else (repeats, n))
+        draws = [rng.multinomial(self.shots, self.pvecs[i % n]) for i, rng in enumerate(rngs)]
+        return [np.array(draws[k::n]) for k in range(n)]
 
     def frequencies(self, counts: list[np.ndarray]) -> np.ndarray:
         c = np.zeros((len(counts[0]), N_OUTCOMES))
@@ -342,14 +418,15 @@ def outcomes_sampled(state: TwoQubitState, shots_per_setting: int, seed) -> Outc
     """Empirical outcome frequencies from multinomial sampling.
 
     Each of the three settings draws `shots_per_setting` samples from its
-    exact joint distribution; setting k uses the stream keyed by (seed, k).
+    exact joint distribution; setting k uses the stream keyed by (seed, k),
+    the three built by one _streams call.
     c_i is the frequency of all singlet-designated pairs of P_i showing the
     singlet outcome, identity-designated pairs unconstrained.
     """
     shots = _shot_count(shots_per_setting, "shots_per_setting")
     entropy = stream_key(seed)
     sampler = _Sampler([joint_distribution(s, state) for s in settings()], shots)
-    c = sampler.frequencies(sampler.counts([entropy]))[0]
+    c = sampler.frequencies(sampler.counts(entropy))[0]
     return OutcomeVector(c, "sampled", shots=shots, seed=entropy)
 
 
@@ -463,8 +540,9 @@ def estimate_gqd(
     scheme-exact uses exact outcome probabilities; side B is obtained by
     permuting the outcome vector before moment evaluation. scheme-sampled
     repeats the sampled pipeline `repeats` times (repeat r, setting k draws
-    from _stream((seed, r, k)), unchanged per key) and reports the mean value with
-    the sample standard deviation across repeats as std_err. Setting k's counts
+    from the stream keyed by (seed, r, k), unchanged per key; _streams seeds
+    all of them in one pass) and reports the mean value with the sample
+    standard deviation across repeats as std_err. Setting k's counts
     of all repeats are one (repeats, patterns) array: the c's are
     counts_k @ hit_k / shots and moment M_k is counts_k @ moment_observable /
     shots (side B swaps the per-side pair values), exact integer sums, so the
@@ -498,7 +576,7 @@ def estimate_gqd(
     base = stream_key(seed)
     dists = [joint_distribution(s, state) for s in settings()]
     sampler = _Sampler(dists, shots)
-    counts = sampler.counts([(*base, rep) for rep in range(repeats)])
+    counts = sampler.counts(base, repeats)
     cs = sampler.frequencies(counts)
     if which == "B":
         # take keeps C order, so the mean below adds the rows as a per-repeat array's does

@@ -125,7 +125,12 @@ def k_matrix(bloch: BlochForm, which: str = "A") -> KMatrix:
 
 def gqd_exact(state: TwoQubitState, which: str = "A") -> GqdEstimate:
     """Closed-form geometric discord of a state for the chosen side (route "bloch-exact")."""
-    lam = k_matrix(decompose(state), which).spectrum
+    return gqd_from_k(k_matrix(decompose(state), which))
+
+
+def gqd_from_k(k: KMatrix) -> GqdEstimate:
+    """(lambda_2 + lambda_3) / 4 of K's spectrum, clamped and checked as gqd_exact reports it."""
+    lam = k.spectrum
     lam = np.where((lam < 0.0) & (lam > -K_POSITIVITY_TOL), 0.0, lam)
     value = (lam[1] + lam[2]) / 4.0
     if -GQD_CLAMP < value < 0.0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import _shot_count, _stream, stream_key
+from .estimator import _shot_count, _streams, stream_key
 from .gqd_core import GqdEstimate, gqd_exact
 from .pairing import settings, standard_layouts
 from .statekit import TwoQubitState, _bloch_matrix, decompose
@@ -44,7 +44,7 @@ def qst_estimate(
     With shots_per_setting=None the analytic outcome probabilities are used
     (infinite-shot limit) and the reconstruction is exact. Otherwise each of
     the nine settings draws a multinomial sample from the stream keyed by
-    (seed, setting index 3i + j), built by the estimator's stream builder; x_i
+    (seed, setting index 3i + j), all nine seeded by one _streams call; x_i
     and y_j are averaged over the three settings containing them, t_ij comes
     from setting (i, j). All nine outcome distributions are one broadcast, and
     the outcome sums run elementwise in the order of a per-setting loop, so the
@@ -64,8 +64,7 @@ def qst_estimate(
         probs = (1.0 + s * x + t * y + s * t * T) / 4.0
         probs = probs / probs.sum(axis=2, keepdims=True)
         counts = [
-            _stream((*base, k)).multinomial(shots, p)
-            for k, p in enumerate(probs.reshape(9, 4))
+            rng.multinomial(shots, p) for rng, p in zip(_streams(base, (9,)), probs.reshape(9, 4))
         ]
         freq = np.reshape(counts, (3, 3, 4)) / shots
         # [i, j]: <st>, <s>, <t> in setting (i, j), outcomes added in order as Python's sum does

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from gqdkit import cli, gqd_exact, random_state, state_to_json
+from gqdkit import cli, estimator, gqd_core, qst_baseline, statekit
+from gqdkit import gqd_exact, random_state, state_to_json
 from gqdkit.cli import SWEEP_CSV_HEADER, main
 
 
@@ -110,6 +111,22 @@ def test_exact_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "side,value,lambda1,lambda2,lambda3"
     assert abs(float(lines[1].split(",")[1]) - 0.125) <= 1e-12
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_exact_builds_the_bloch_form_once(capsys, monkeypatch, fmt):
+    calls = []
+    original = statekit.decompose
+
+    def counting(state):
+        calls.append(state)
+        return original(state)
+
+    for module in (statekit, cli, gqd_core, estimator, qst_baseline):
+        monkeypatch.setattr(module, "decompose", counting)
+    code, _, _ = run_cli(capsys, "exact", "--family", "werner", "--params", "0.5", "--format", fmt)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_scheme_exact_value(capsys):

@@ -28,7 +28,7 @@ from gqdkit.estimator import (
     MomentTriple,
     OutcomeVector,
     _hit_matrix,
-    _stream,
+    _streams,
     derive_moment_table,
     moment_observable,
     stream_key,
@@ -321,21 +321,48 @@ def test_scheme_sampled_follows_streams_and_pattern_loop_reference():
     ids=["zero", "small", "one-word-max", "two-words", "int64-max", "mixed"],
 )
 def test_stream_draws_equal_default_rng(key):
-    ours, numpy_rng = _stream(key), np.random.default_rng(list(key))
+    (ours,), numpy_rng = _streams(key, ()), np.random.default_rng(list(key))
     assert np.array_equal(ours.integers(0, 2**62, 16), numpy_rng.integers(0, 2**62, 16))
     pvals = [0.1, 0.2, 0.3, 0.4]
     assert np.array_equal(ours.multinomial(10**5, pvals), numpy_rng.multinomial(10**5, pvals))
 
 
+# prefixes of 1 to 7 uint32 words; with up to two index words, keys of 1 to 9 words,
+# so both sides of the 4-word pool
+STREAM_PREFIXES = [
+    (0,),
+    (2**32 - 1,),
+    (2**32,),
+    (2**63 - 1,),
+    (0, 2**32 - 1),
+    (2**32, 7, 0),
+    (2**63 - 1, 2**32, 0),
+    (2**63 - 1, 2**32, 2**32 - 1, 2**63 - 1),
+]
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (9,), (20, 3)], ids=["one", "3", "9", "20x3"])
+@pytest.mark.parametrize("prefix", STREAM_PREFIXES, ids=[f"p{i}" for i in range(8)])
+def test_streams_equal_default_rng_key_by_key(prefix, shape):
+    rngs = _streams(prefix, shape)
+    keys = [(*prefix, *idx) for idx in np.ndindex(shape)]
+    assert len(rngs) == len(keys)
+    for rng, key in zip(rngs, keys):
+        numpy_rng = np.random.default_rng(list(key))
+        assert rng.bit_generator.state == numpy_rng.bit_generator.state
+        assert np.array_equal(rng.integers(0, 2**62, 16), numpy_rng.integers(0, 2**62, 16))
+
+
 def test_sampled_routes_draw_the_documented_stream_keys(monkeypatch):
     drawn = []
 
-    def recording(key):
-        drawn.append(key)
-        return np.random.default_rng(list(key))
+    def recording(prefix, shape):
+        keys = [(*prefix, *idx) for idx in np.ndindex(shape)]
+        drawn.extend(keys)
+        return [np.random.default_rng(list(key)) for key in keys]
 
-    monkeypatch.setattr(estimator, "_stream", recording)
-    monkeypatch.setattr(qst_baseline, "_stream", recording)
+    monkeypatch.setattr(estimator, "_streams", recording)
+    monkeypatch.setattr(qst_baseline, "_streams", recording)
     state = random_state(2700, rank=2)
     estimate_gqd(state, "scheme-sampled", shots=100, repeats=4, seed=(9, 3))
     assert drawn == [(9, 3, r, k) for r in range(4) for k in range(3)]

@@ -299,6 +299,18 @@ def test_import_does_not_load_scipy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
+def test_import_loads_numpy_random_only_where_numpy_does():
+    # numpy >= 2 imports numpy.random on first use; the RNG streams wait for theirs
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, numpy; eager = 'numpy.random' in sys.modules; import gqdkit; "
+        "assert eager or 'numpy.random' not in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
 def test_gqd_exact_reads_the_spectrum_of_the_psd_check(monkeypatch):
     state = random_state(5300, rank=3)
     eigvalsh = np.linalg.eigvalsh
