@@ -5,8 +5,12 @@ the copies and pairs form disjoint cycles that alternate sides. Each cycle
 is contracted as a product of 4x4 bond matrices (a bond is the row/column
 index pair of one qubit slot). A pair may carry a stack of edge tensors, an
 open leg: a measured pair carries (complement, singlet), so one walk of a
-setting's cycle yields every outcome pattern at once. The walk plan, all that
-depends only on the edges, is cached; per call only the matrix products run.
+setting's cycle yields every outcome pattern at once. A closed pair's edge
+matrix is folded into the copy tensor before it: one product per call forms
+every such factor, so a closed step is one 4x4 product. An open leg keeps
+its two products, whose rounding the sampled route's draws depend on. The
+walk plan, all that depends only on the edges, is cached; per call only the
+matrix products run.
 Intermediates hold at most 2^n * 16 complex entries for n measured pairs.
 Only the dense oracle, capped at 4 copies, builds the full 4^n operator: real,
 once per layout, and traced elementwise against rho^(x) n with no 4^n x 4^n
@@ -58,9 +62,10 @@ def build_v() -> np.ndarray:
     return singlet * P_MINUS + identity * I4
 
 
-def _copy_tensor(rho: np.ndarray) -> np.ndarray:
-    # C[(i_a, j_a), (i_b, j_b)] = rho[(j_a, j_b), (i_a, i_b)]
-    return rho.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
+# Flat indices of [C; C^T] in rho, the copy tensor C and its transpose stacked:
+# C[(i_a, j_a), (i_b, j_b)] = rho[(j_a, j_b), (i_a, i_b)]
+_COPY_INDEX = np.arange(16).reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
+_BOND_INDEX = _frozen(np.concatenate([_COPY_INDEX, _COPY_INDEX.T]))
 
 
 def _edge_tensor(op: np.ndarray) -> np.ndarray:
@@ -77,10 +82,14 @@ _EDGE_STACKS["outcome"] = np.concatenate([_EDGE_STACKS["complement"], _EDGE_STAC
 def _walk_plan(edges: tuple[tuple[str, int, int, str], ...]):
     """Validated slots, cycle order and pre-shaped edge matrices of a walk; not state-dependent.
 
-    Per cycle: the first edge's (4L, 4) stack; the steps, each a flag for a
-    transposed copy tensor and a (4, 4L) edge matrix; the closing copy tensor's
-    flag; the result shape. Then the axis order restoring edge order. A failed
-    validation raises and is not cached.
+    Per cycle: the first edge's (4L, 4) stack; the steps; the last copy
+    tensor's transposed flag; the result shape. Each step crosses a copy
+    tensor (transposed from the b slot) to the next edge. A closed edge's step
+    is the index 2j + flag of its folded factor, bond @ edge matrix j; an
+    outcome leg's step is the flag and its (4, 4L) edge matrix. Then the axis
+    order restoring edge order, and the closed edge matrices the steps use,
+    each distinct one once, side by side as one (4, 4m) matrix (None when no
+    edge is closed). A failed validation raises and is not cached.
     """
     incident: dict[tuple[int, str], tuple[int, int]] = {}
     for idx, (side, lo, hi, _) in enumerate(edges):
@@ -95,7 +104,8 @@ def _walk_plan(edges: tuple[tuple[str, int, int, str], ...]):
             raise ValueError(f"copy {copy} is not covered on both sides")
 
     stacks = [_EDGE_STACKS[kind] for *_, kind in edges]
-    cycles, order = [], []
+    blocks: dict[tuple[str, int], int] = {}  # (kind, end) of a closed edge -> j
+    table, cycles, order = [], [], []
     for start_idx in range(len(edges)):
         if start_idx in order:
             continue
@@ -108,16 +118,23 @@ def _walk_plan(edges: tuple[tuple[str, int, int, str], ...]):
             if (copy, side) == start:
                 break
             idx, end = incident[(copy, side)]
-            _, lo, hi, _ = edges[idx]
+            _, lo, hi, kind = edges[idx]
             # [M_0 | M_1 | ...], each transposed when walked hi -> lo
-            wide = stacks[idx].transpose((1, 0, 2) if end == 0 else (2, 0, 1))
-            steps.append((transposed, wide.reshape(4, -1)))
+            wide = stacks[idx].transpose((1, 0, 2) if end == 0 else (2, 0, 1)).reshape(4, -1)
+            if kind == "outcome":
+                steps.append((transposed, wide))
+            else:
+                j = blocks.setdefault((kind, end), len(table))
+                if j == len(table):
+                    table.append(wide)
+                steps.append((2 * j + transposed, None))
             cycle.append(idx)
             copy = hi if end == 0 else lo
         shape = tuple(len(stacks[i]) for i in cycle)
-        cycles.append((stacks[start_idx].reshape(-1, 4), tuple(steps), transposed, shape))
+        cycles.append((stacks[start_idx].reshape(-1, 4), tuple(steps), int(transposed), shape))
         order += cycle
-    return tuple(cycles), tuple(sorted(range(len(order)), key=order.__getitem__))
+    table = _frozen(np.hstack(table)) if table else None
+    return tuple(cycles), tuple(sorted(range(len(order)), key=order.__getitem__)), table
 
 
 def _contract(edges: tuple[tuple[str, int, int, str], ...], rho: np.ndarray) -> np.ndarray:
@@ -125,21 +142,42 @@ def _contract(edges: tuple[tuple[str, int, int, str], ...], rho: np.ndarray) -> 
 
     An "outcome" edge carries the stack (complement, singlet); one result axis
     per edge, in edge order, picks its operator. Per call, on the cached plan,
-    each cycle's partial products of 4x4 bond matrices are stacked as one
-    (4K, 4) matrix, K growing by a factor L per edge. Real to IMAG_TOL.
+    one index reads both bonds [C; C^T] off rho's 16 entries, and one
+    (8, 4) @ (4, 4m) product folds each closed edge matrix the plan uses into
+    either bond. A closed step is then one product with its factor bond @ edge,
+    and a cycle of closed edges closes with a dot, tr(prod @ bond) =
+    prod.reshape(16) @ bond^T.ravel(). An outcome leg takes two products, with
+    the bond and then its (4, 4L) edge matrix, of the running (4K, 4) stack of
+    partial products (K grows by L per leg); its cycle closes with the last
+    bond and a trace per 4x4 block. Outcome legs are not folded because the
+    sampled route draws from these bits: a pattern impossible up to rounding
+    gets p = 0 from a clamped -1e-17 but stays positive at +1e-17, and numpy's
+    multinomial consumes a seed's stream differently in the two cases, so
+    reassociating the products would move sampled estimates.
+    Real to IMAG_TOL.
     """
-    cycles, axes = _walk_plan(edges)
-    C = _copy_tensor(np.asarray(rho, dtype=complex))
-    bonds = (C, C.T)
+    cycles, axes, table = _walk_plan(edges)
+    stacked = np.asarray(rho, dtype=complex).reshape(16)[_BOND_INDEX]
+    bonds = (stacked[:4], stacked[:4].T)
+    folded = None
+    if table is not None:
+        # factor 2j + t: bond t @ closed edge matrix j
+        folded = (stacked @ table).reshape(2, 4, -1, 4).transpose(2, 0, 1, 3).reshape(-1, 4, 4)
     parts = []
     for prod, steps, last, shape in cycles:
-        for transposed, wide in steps:
-            prod = prod @ bonds[transposed] @ wide
-            if wide.shape[1] > 4:
+        for step, wide in steps:
+            if wide is None:
+                # ndarray.dot dispatches faster than @ on small contiguous operands
+                prod = prod.dot(folded[step])
+            else:
                 # each product's L results stacked below one another
+                prod = prod @ bonds[step] @ wide
                 prod = prod.reshape(-1, 4, wide.shape[1] // 4, 4).transpose(0, 2, 1, 3).reshape(-1, 4)
-        prod = prod @ bonds[last]
-        parts.append(np.einsum("kii->k", prod.reshape(-1, 4, 4)).reshape(shape))
+        if len(prod) == 4:  # no outcome leg in this cycle
+            parts.append(prod.reshape(16).dot(stacked.reshape(2, 16)[1 - last]).reshape(shape))
+        else:
+            prod = prod @ bonds[last]
+            parts.append(np.einsum("kii->k", prod.reshape(-1, 4, 4)).reshape(shape))
 
     total = reduce(np.multiply.outer, parts).transpose(axes)
     residue = float(abs(total.imag).max())

@@ -568,6 +568,8 @@ def estimate_gqd(
     if mode != "scheme-sampled":
         raise ValueError(f"mode must be 'scheme-exact' or 'scheme-sampled', got {mode!r}")
     shots = _shot_count(shots, "scheme-sampled shots")
+    if not isinstance(repeats, (int, np.integer)):
+        raise ValueError(f"scheme-sampled repeats must be an integer, got {repeats!r}")
     if repeats < 2:
         raise ValueError("scheme-sampled requires repeats >= 2")
     if seed is None:
@@ -576,7 +578,7 @@ def estimate_gqd(
     base = stream_key(seed)
     dists = [joint_distribution(s, state) for s in settings()]
     sampler = _Sampler(dists, shots)
-    counts = sampler.counts(base, repeats)
+    counts = sampler.counts(base, int(repeats))
     cs = sampler.frequencies(counts)
     if which == "B":
         # take keeps C order, so the mean below adds the rows as a per-repeat array's does

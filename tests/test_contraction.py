@@ -25,6 +25,7 @@ from gqdkit.contraction import (
     pauli_exchange_sum,
 )
 from gqdkit.errors import NumericalContractError
+from gqdkit.estimator import _hit_matrix, outcomes_exact
 from gqdkit.pairing import PairingLayout, PairOp, Setting, settings, standard_layouts
 from gqdkit.statekit import MAXIMALLY_MIXED
 
@@ -254,6 +255,85 @@ def test_cached_walk_plans_give_bit_identical_results():
         assert [expect_layout(lay, state) for lay in layouts] == misses
         assert [joint_distribution(s, state).probs for s in setups] == dist_misses
     assert _walk_plan.cache_info().hits - hits == len(layouts) + len(setups)
+
+
+def einsum_reference(layout, rho):
+    # tr(O rho^(x)n) as one einsum over n copies of rho and the pair operators, no walk
+    # and no 4^n operator: qubit 2(c-1) is copy c's a side, 2(c-1)+1 its b side; label q
+    # is qubit q's row index in O and label 2n + q its column index, so tr(O R) takes
+    # each rho's rows on O's columns and its columns on O's rows
+    n_qubits = 2 * layout.n_copies
+    operands = []
+    for a in range(0, n_qubits, 2):
+        operands += [rho.reshape(2, 2, 2, 2), [n_qubits + a, n_qubits + a + 1, a, a + 1]]
+    for p in layout.pairs:
+        q1, q2 = (2 * (copy - 1) + (p.side == "b") for copy in p.copies)
+        op = PAIR_KIND_MATRICES[p.kind].reshape(2, 2, 2, 2)
+        operands += [op, [q1, q2, n_qubits + q1, n_qubits + q2]]
+    return np.einsum(*operands, [], optimize=True)
+
+
+def test_walk_matches_an_einsum_reference_up_to_six_copies():
+    rng = np.random.default_rng(15)
+    layouts = standard_layouts() + [random_matching(rng, 6) for _ in range(12)]
+    states = [random_state(1550 + trial, rank=1 + trial % 4) for trial in range(8)]
+    for lay in layouts:
+        for state in states:
+            reference = einsum_reference(lay, state.matrix)
+            assert abs(reference.imag) <= 1e-12
+            assert abs(expect_layout(lay, state) - reference.real) <= 1e-12
+
+
+STEP_FORM_STATES = [random_state(1560 + t, rank=1 + t % 4) for t in range(50)] + [
+    make_family("werner", [1.0])
+]
+
+
+def test_outcome_leg_walks_agree_with_closed_walks():
+    # the c's a setting covers, read off its joint distribution (walked with outcome
+    # legs) against the same c's from expect_layout (walked with folded closed edges)
+    for state in STEP_FORM_STATES:
+        c = outcomes_exact(state).c
+        for setting in settings():
+            indices, hit = _hit_matrix(setting)
+            read_off = joint_distribution(setting, state).vector() @ hit
+            assert np.max(np.abs(read_off - c[indices])) <= 1e-13
+
+
+def test_closed_edges_and_outcome_legs_mix_in_one_cycle():
+    # a closed edge of one kind is the outcome axis it picks (complement 0, singlet 1),
+    # and a closed identity edge is the sum of both
+    rng = np.random.default_rng(18)
+    state = random_state(1590, rank=3)
+    for setting in settings():
+        edges = [(p.side, *p.copies, "outcome") for p in setting.pairs]
+        full = _contract(tuple(edges), state.matrix)
+        for _ in range(6):
+            kinds = rng.choice(["outcome", "complement", "singlet", "identity"], len(edges)).tolist()
+            expected = full
+            for axis, kind in enumerate(kinds):
+                if kind == "identity":
+                    expected = expected.sum(axis=axis, keepdims=True)
+                elif kind != "outcome":
+                    expected = expected.take([kind == "singlet"], axis=axis)
+            mixed = tuple(edge[:3] + (kind,) for edge, kind in zip(edges, kinds))
+            assert np.max(np.abs(_contract(mixed, state.matrix) - expected)) <= 1e-13
+
+
+def random_unitary(rng):
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+def test_outcomes_are_invariant_under_local_unitaries():
+    # P^- is invariant under U (x) U, so each pair operator commutes with the same
+    # unitary on both of its slots: U_A (x) U_B on every copy leaves all c's fixed
+    rng = np.random.default_rng(17)
+    for trial in range(20):
+        state = random_state(1580 + trial, rank=1 + trial % 4)
+        u = np.kron(random_unitary(rng), random_unitary(rng))
+        rotated = TwoQubitState(u @ state.matrix @ u.conj().T)
+        assert np.max(np.abs(outcomes_exact(rotated).c - outcomes_exact(state).c)) <= 1e-12
 
 
 def test_dense_operator_is_built_once_and_read_only():

@@ -426,6 +426,34 @@ def test_sampled_entry_points_accept_numpy_integer_shots(entry):
         assert plain.to_dict() == numpy_int.to_dict()
 
 
+@pytest.mark.parametrize(
+    "repeats, message",
+    [
+        (2.5, "repeats must be an integer, got 2.5"),
+        (20.0, "repeats must be an integer, got 20.0"),
+        ("20", "repeats must be an integer, got '20'"),
+        (1, "requires repeats >= 2"),
+        (0, "requires repeats >= 2"),
+    ],
+    ids=["fraction", "float", "text", "one", "zero"],
+)
+def test_scheme_sampled_rejects_a_bad_repeat_count_up_front(monkeypatch, repeats, message):
+    def refuse(*args):
+        raise AssertionError("a joint distribution was built before repeats was checked")
+
+    monkeypatch.setattr(estimator, "joint_distribution", refuse)
+    with pytest.raises(ValueError, match=message):
+        estimate_gqd(make_family("werner", [0.5]), "scheme-sampled", shots=100, repeats=repeats, seed=1)
+
+
+def test_scheme_sampled_accepts_a_numpy_integer_repeat_count():
+    state = make_family("werner", [0.5])
+    plain, numpy_int = (
+        estimate_gqd(state, "scheme-sampled", shots=100, repeats=r, seed=1) for r in (3, np.int64(3))
+    )
+    assert plain.to_dict() == numpy_int.to_dict()
+
+
 def test_scheme_exact_matches_closed_form():
     for trial in range(50):
         state = random_state(2500 + trial, rank=1 + trial % 4)
