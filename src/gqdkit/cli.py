@@ -154,6 +154,9 @@ def cmd_scheme(args) -> int:
 def cmd_sweep(args) -> int:
     if args.num < 1:
         raise StateValidationError(f"--num must be >= 1, got {args.num}")
+    for flag, value in (("--start", args.start), ("--stop", args.stop)):
+        if not np.isfinite(value):
+            raise StateValidationError(f"{flag} must be finite, got {value}")
     _check_sampling(args)
     params = _parse_params(args.params) or [0.0] * max(1, args.sweep_index + 1)
     if not -len(params) <= args.sweep_index < len(params):

@@ -14,7 +14,8 @@ same expansion. That observable and the 0/1 hit matrices turning counts into
 c's are Kronecker products of per-pair (complement, singlet) values, built by
 contraction.pattern_product, the one place that fixes the pattern order.
 Sampled counts come from one RNG stream per key, np.random.default_rng(list(key))
-state for state; _streams seeds every stream of a call in one pass.
+state for state; _streams seeds every stream of a call in one pass. Both
+routes solve the spectrum cubic with one scalar kernel, _spectrum_roots.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ MOMENT_TABLE: dict[int, dict[tuple[int, ...], float]] = {
 }
 
 
-def _eval_table(table: dict[tuple[int, ...], float], c: np.ndarray) -> float:
+def _eval_table(table: dict[tuple[int, ...], float], c: list[float]) -> float:
     total = 0.0
     for mono, coeff in table.items():
         term = coeff
@@ -288,16 +289,20 @@ def stream_key(seed) -> tuple[int, ...]:
     """
     key = tuple(np.ravel(np.asarray(seed, dtype=object)))
     for s in key:
-        if not isinstance(s, (int, np.integer)):
+        if not _is_int(s):
             raise ValueError(f"seed entry {s} is not an integer")
         if not 0 <= s < 2**63:
             raise ValueError(f"seed entry {s} is outside [0, 2**63)")
     return tuple(int(s) for s in key)
 
 
+def _is_int(x) -> bool:  # a count or a seed entry; a bool, though an int subclass, is neither
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _shot_count(shots, name: str) -> int:
     """A shot count as an int; one that is not an integer, or is below 1, is rejected."""
-    if not isinstance(shots, (int, np.integer)) or shots < 1:
+    if not _is_int(shots) or shots < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {shots!r}")
     return int(shots)
 
@@ -445,7 +450,8 @@ def moments_from_outcomes(c: OutcomeVector) -> MomentTriple:
     For exact vectors the result must satisfy the three-value power-mean
     bounds M1^2 / 3 <= M2 <= M1^2; violations signal an upstream bug.
     """
-    m = [_eval_table(MOMENT_TABLE[k], c.c) for k in MOMENT_ORDERS]
+    c_list = c.c.tolist()
+    m = [_eval_table(MOMENT_TABLE[k], c_list) for k in MOMENT_ORDERS]
     if c.provenance == "exact":
         if m[0] < -POWER_MEAN_TOL or m[1] < -POWER_MEAN_TOL:
             raise NumericalContractError(
@@ -464,67 +470,62 @@ def moments_from_outcomes(c: OutcomeVector) -> MomentTriple:
 # moments -> spectrum
 
 
-def _monic_cubic_roots(p: float, q: float, r: float) -> np.ndarray:
-    """Roots of x^3 + p x^2 + q x + r via the depressed cubic.
+def _spectrum_roots(m1: float, m2: float, m3: float) -> tuple[list[float], float]:
+    """Roots of the K spectrum's characteristic cubic and their largest |imaginary part|.
 
-    A discriminant within REPEATED_ROOT_DISC of zero together with a
-    noise-level linear coefficient marks a spectrum degenerate at floating
-    point resolution and returns the exact triple root. Otherwise the
-    trigonometric branch covers three real roots (its clamped arccos
-    degenerates gracefully to the double-root configuration), and the
-    Cardano branch returns the real root plus a conjugate pair. Closed
-    repeated-root formulas are deliberately not used for resolvable
-    clustered spectra: at a discriminant near 1e-12 they can be off by
-    1e-3 while the trigonometric form stays exact to rounding.
+    Newton's identities give the cubic, solved in depressed form. A
+    discriminant within REPEATED_ROOT_DISC of zero with a noise-level linear
+    coefficient is a triple root at floating point resolution. Otherwise the
+    trigonometric branch covers three real roots (its clamped arccos degrades
+    gracefully to a double root), and the Cardano branch gives the real root
+    and the real part of a conjugate pair. Closed repeated-root formulas are
+    not used: at a discriminant near 1e-12 they can be off by 1e-3 where the
+    trigonometric form stays exact to rounding.
+
+    Plain floats give numpy's bits: + - * / and sqrt are correctly rounded
+    and ** is libm pow for both. math.acos differs from np.arccos on some
+    arguments, and array np.power from pow on some p**3 and x**(1/3), so
+    arccos and cos stay numpy calls and each call solves one cubic.
     """
+    e2 = (m1**2 - m2) / 2.0
+    e3 = (m1**3 - 3.0 * m1 * m2 + 2.0 * m3) / 6.0
+    p, q, r = -m1, e2, -e3  # e1 = m1
     shift = p / 3.0
     a = q - p * p / 3.0
     b = 2.0 * p**3 / 27.0 - p * q / 3.0 + r
     disc = -4.0 * a**3 - 27.0 * b * b
     if abs(disc) < REPEATED_ROOT_DISC and abs(a) < 1e-10:
-        t = np.zeros(3, dtype=complex)
-    elif disc >= 0.0:
-        amp = 2.0 * np.sqrt(-a / 3.0)
-        arg = np.clip(3.0 * b / (2.0 * a) * np.sqrt(-3.0 / a), -1.0, 1.0)
-        theta = np.arccos(arg)
-        t = amp * np.cos((theta - 2.0 * np.pi * np.arange(3)) / 3.0)
-        t = t.astype(complex)
-    else:
-        sq = np.sqrt(b * b / 4.0 + a**3 / 27.0)
-        u3 = -b / 2.0 + sq if abs(-b / 2.0 + sq) >= abs(-b / 2.0 - sq) else -b / 2.0 - sq
-        u = np.sign(u3) * abs(u3) ** (1.0 / 3.0)
-        v = 0.0 if u == 0.0 else -a / (3.0 * u)
-        real_root = u + v
-        re = -(u + v) / 2.0
-        im = np.sqrt(3.0) * (u - v) / 2.0
-        t = np.array([real_root, re + 1j * im, re - 1j * im], dtype=complex)
-        if abs(disc) < REPEATED_ROOT_DISC:
-            # a conjugate pair this close to real is a double root at
-            # floating point resolution; its real part is the root
-            t = t.real.astype(complex)
-    return t - shift
+        return [0.0 - shift] * 3, 0.0
+    if disc >= 0.0:
+        amp = 2.0 * math.sqrt(-a / 3.0)
+        arg = min(max(3.0 * b / (2.0 * a) * math.sqrt(-3.0 / a), -1.0), 1.0)
+        theta = float(np.arccos(arg))
+        angles = [(theta - k) / 3.0 for k in (0.0, 2.0 * math.pi, 4.0 * math.pi)]
+        return [amp * c - shift for c in np.cos(angles).tolist()], 0.0
+    sq = b * b / 4.0 + a**3 / 27.0
+    sq = math.sqrt(sq) if sq >= 0.0 else math.nan  # np.sqrt's nan below zero
+    u3 = -b / 2.0 + sq if abs(-b / 2.0 + sq) >= abs(-b / 2.0 - sq) else -b / 2.0 - sq
+    root = abs(u3) ** (1.0 / 3.0)
+    u = root if u3 > 0.0 else -root if u3 < 0.0 else 0.0 * root  # np.sign(u3) * root
+    v = 0.0 if u == 0.0 else -a / (3.0 * u)
+    re = -(u + v) / 2.0
+    # closer to zero, the conjugate pair is a double root at floating point resolution
+    imag = abs(math.sqrt(3.0) * (u - v) / 2.0) if abs(disc) >= REPEATED_ROOT_DISC else 0.0
+    return [u + v - shift, re - shift, re - shift], imag
 
 
 def eigenvalues_from_moments(m: MomentTriple, noisy: bool = False) -> np.ndarray:
-    """Recover the K spectrum from its power sums, descending.
+    """The K spectrum from its power sums, descending, negative roots clamped to zero.
 
-    Newton's identities give the elementary symmetric polynomials, whose
-    characteristic cubic is solved in closed form. With noisy=False a
-    complex residue beyond COMPLEX_ROOT_TOL is an error; with noisy=True
-    real parts are taken unconditionally. Negative roots are clamped to
-    zero after root-finding.
+    With noisy=False a complex residue beyond COMPLEX_ROOT_TOL is an error;
+    with noisy=True real parts are taken unconditionally.
     """
-    e1 = m.m1
-    e2 = (m.m1**2 - m.m2) / 2.0
-    e3 = (m.m1**3 - 3.0 * m.m1 * m.m2 + 2.0 * m.m3) / 6.0
-    roots = _monic_cubic_roots(-e1, e2, -e3)
-    worst_imag = float(np.max(np.abs(roots.imag)))
+    roots, worst_imag = _spectrum_roots(m.m1, m.m2, m.m3)
     if not noisy and worst_imag >= COMPLEX_ROOT_TOL:
         raise NumericalContractError(
             f"moment cubic has complex residue {worst_imag:.3e} on the exact route"
         )
-    lam = np.clip(roots.real, 0.0, None)
-    return np.sort(lam)[::-1]
+    return np.sort(np.maximum(roots, 0.0))[::-1]
 
 
 def estimate_gqd(
@@ -545,8 +546,9 @@ def estimate_gqd(
     standard deviation across repeats as std_err. Setting k's counts
     of all repeats are one (repeats, patterns) array: the c's are
     counts_k @ hit_k / shots and moment M_k is counts_k @ moment_observable /
-    shots (side B swaps the per-side pair values), exact integer sums, so the
-    results equal a per-repeat loop's; only the cubic is solved per repeat.
+    shots (side B swaps the per-side pair values), exact integer sums, and
+    the cubic of each repeat goes through the same _spectrum_roots as
+    eigenvalues_from_moments, so the results equal a per-repeat loop's.
     The reported `outcomes` are the mean c frequencies across repeats
     (permuted for side B), the same frequencies as those drawn by
     outcomes_sampled; the sampled moments do not pass through them.
@@ -561,14 +563,12 @@ def estimate_gqd(
         m = moments_from_outcomes(c)
         lam = eigenvalues_from_moments(m)
         value = (lam[1] + lam[2]) / 4.0
-        return GqdEstimate(
-            float(value), 0.0, tuple(float(v) for v in lam), "scheme-exact", c, m
-        )
+        return GqdEstimate(float(value), 0.0, tuple(lam.tolist()), "scheme-exact", c, m)
 
     if mode != "scheme-sampled":
         raise ValueError(f"mode must be 'scheme-exact' or 'scheme-sampled', got {mode!r}")
     shots = _shot_count(shots, "scheme-sampled shots")
-    if not isinstance(repeats, (int, np.integer)):
+    if not _is_int(repeats):
         raise ValueError(f"scheme-sampled repeats must be an integer, got {repeats!r}")
     if repeats < 2:
         raise ValueError("scheme-sampled requires repeats >= 2")
@@ -583,20 +583,16 @@ def estimate_gqd(
     if which == "B":
         # take keeps C order, so the mean below adds the rows as a per-repeat array's does
         cs = cs.take(_SIDE_B_ORDER, axis=1)
-    ms = np.column_stack([n @ moment_observable(d, which) for n, d in zip(counts, dists)])
-    ms = ms / sampler.shots
-    lams = np.array([eigenvalues_from_moments(MomentTriple(*m), noisy=True) for m in ms.tolist()])
+    ms = np.column_stack([n @ moment_observable(d, which) for n, d in zip(counts, dists)]) / shots
+    roots = [_spectrum_roots(*m)[0] for m in ms.tolist()]
+    lams = np.sort(np.maximum(roots, 0.0), axis=1)[:, ::-1]
     values = (lams[:, 1] + lams[:, 2]) / 4.0
 
     mean_c = OutcomeVector(cs.mean(axis=0), "sampled", shots=shots, seed=base)
     mean_m = MomentTriple(*ms.mean(axis=0))
+    mean_lam = tuple(lams.mean(axis=0).tolist())
     return GqdEstimate(
-        float(values.mean()),
-        float(values.std(ddof=1)),
-        tuple(float(v) for v in lams.mean(axis=0)),
-        "scheme-sampled",
-        mean_c,
-        mean_m,
+        float(values.mean()), float(values.std(ddof=1)), mean_lam, "scheme-sampled", mean_c, mean_m
     )
 
 
@@ -650,7 +646,7 @@ def _max_dev(
     tables: dict[int, dict[tuple[int, ...], float]], states: list[TwoQubitState]
 ) -> dict[int, float]:
     """Per order, the largest |table(c) - tr(K^k)| over the states."""
-    cvecs = [outcomes_exact(s).c for s in states]
+    cvecs = [outcomes_exact(s).c.tolist() for s in states]
     oracle = np.array([_oracle_moments(s) for s in states])
     return {
         k: float(np.max(np.abs([_eval_table(tables[k], c) for c in cvecs] - oracle[:, k - 1])))

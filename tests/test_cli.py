@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -243,6 +244,26 @@ def test_sweep_rejects_empty_grid(capsys):
     )
     assert code == 2
     assert "num" in err
+
+
+@pytest.mark.parametrize(
+    "start, stop, flag",
+    [("0", "inf", "--stop"), ("nan", "1", "--start"), ("-inf", "inf", "--start")],
+    ids=["stop-inf", "start-nan", "both"],
+)
+def test_sweep_rejects_a_non_finite_endpoint(capsys, monkeypatch, start, stop, flag):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid point was computed before the endpoints were checked")
+
+    monkeypatch.setattr(cli, "make_family", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.linspace would warn on an infinite span
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "werner", f"--start={start}", f"--stop={stop}", "--num", "2"
+        )
+    assert code == 2
+    assert out == ""
+    assert f"{flag} must be finite" in err
 
 
 def test_layouts_all(capsys):

@@ -24,7 +24,9 @@ from gqdkit import (
 )
 from gqdkit.estimator import (
     BASELINE_MOMENT_TABLE,
+    COMPLEX_ROOT_TOL,
     MOMENT_TABLE,
+    REPEATED_ROOT_DISC,
     MomentTriple,
     OutcomeVector,
     _hit_matrix,
@@ -197,6 +199,135 @@ def test_exact_route_rejects_complex_spectrum():
     assert np.all(lam >= 0.0)
 
 
+# The numpy spectrum solver that estimator._spectrum_roots replaced, verbatim:
+# the reference the plain-float kernel must reproduce bit for bit.
+def _monic_cubic_roots(p: float, q: float, r: float) -> np.ndarray:
+    """Roots of x^3 + p x^2 + q x + r via the depressed cubic.
+
+    A discriminant within REPEATED_ROOT_DISC of zero together with a
+    noise-level linear coefficient marks a spectrum degenerate at floating
+    point resolution and returns the exact triple root. Otherwise the
+    trigonometric branch covers three real roots (its clamped arccos
+    degenerates gracefully to the double-root configuration), and the
+    Cardano branch returns the real root plus a conjugate pair. Closed
+    repeated-root formulas are deliberately not used for resolvable
+    clustered spectra: at a discriminant near 1e-12 they can be off by
+    1e-3 while the trigonometric form stays exact to rounding.
+    """
+    shift = p / 3.0
+    a = q - p * p / 3.0
+    b = 2.0 * p**3 / 27.0 - p * q / 3.0 + r
+    disc = -4.0 * a**3 - 27.0 * b * b
+    if abs(disc) < REPEATED_ROOT_DISC and abs(a) < 1e-10:
+        t = np.zeros(3, dtype=complex)
+    elif disc >= 0.0:
+        amp = 2.0 * np.sqrt(-a / 3.0)
+        arg = np.clip(3.0 * b / (2.0 * a) * np.sqrt(-3.0 / a), -1.0, 1.0)
+        theta = np.arccos(arg)
+        t = amp * np.cos((theta - 2.0 * np.pi * np.arange(3)) / 3.0)
+        t = t.astype(complex)
+    else:
+        sq = np.sqrt(b * b / 4.0 + a**3 / 27.0)
+        u3 = -b / 2.0 + sq if abs(-b / 2.0 + sq) >= abs(-b / 2.0 - sq) else -b / 2.0 - sq
+        u = np.sign(u3) * abs(u3) ** (1.0 / 3.0)
+        v = 0.0 if u == 0.0 else -a / (3.0 * u)
+        real_root = u + v
+        re = -(u + v) / 2.0
+        im = np.sqrt(3.0) * (u - v) / 2.0
+        t = np.array([real_root, re + 1j * im, re - 1j * im], dtype=complex)
+        if abs(disc) < REPEATED_ROOT_DISC:
+            # a conjugate pair this close to real is a double root at
+            # floating point resolution; its real part is the root
+            t = t.real.astype(complex)
+    return t - shift
+
+
+def reference_eigenvalues_from_moments(m: MomentTriple, noisy: bool = False) -> np.ndarray:
+    """Recover the K spectrum from its power sums, descending.
+
+    Newton's identities give the elementary symmetric polynomials, whose
+    characteristic cubic is solved in closed form. With noisy=False a
+    complex residue beyond COMPLEX_ROOT_TOL is an error; with noisy=True
+    real parts are taken unconditionally. Negative roots are clamped to
+    zero after root-finding.
+    """
+    e1 = m.m1
+    e2 = (m.m1**2 - m.m2) / 2.0
+    e3 = (m.m1**3 - 3.0 * m.m1 * m.m2 + 2.0 * m.m3) / 6.0
+    roots = _monic_cubic_roots(-e1, e2, -e3)
+    worst_imag = float(np.max(np.abs(roots.imag)))
+    if not noisy and worst_imag >= COMPLEX_ROOT_TOL:
+        raise NumericalContractError(
+            f"moment cubic has complex residue {worst_imag:.3e} on the exact route"
+        )
+    lam = np.clip(roots.real, 0.0, None)
+    return np.sort(lam)[::-1]
+
+
+def reference_roots(m: MomentTriple) -> np.ndarray:
+    """The complex roots reference_eigenvalues_from_moments solves for."""
+    e2 = (m.m1**2 - m.m2) / 2.0
+    e3 = (m.m1**3 - 3.0 * m.m1 * m.m2 + 2.0 * m.m3) / 6.0
+    return _monic_cubic_roots(-m.m1, e2, -e3)
+
+
+def cubic_branch(m: MomentTriple) -> str:
+    """The branch of the cubic solver a moment triple takes, by its tests in order."""
+    p = -m.m1
+    q = (m.m1**2 - m.m2) / 2.0
+    a = q - p * p / 3.0
+    b = 2.0 * p**3 / 27.0 - p * q / 3.0 - (m.m1**3 - 3.0 * m.m1 * m.m2 + 2.0 * m.m3) / 6.0
+    disc = -4.0 * a**3 - 27.0 * b * b
+    if abs(disc) < REPEATED_ROOT_DISC and abs(a) < 1e-10:
+        return "triple"
+    if disc >= 0.0:
+        return "trigonometric"
+    return "cardano-snap" if abs(disc) < REPEATED_ROOT_DISC else "cardano"
+
+
+def test_spectrum_kernel_equals_the_numpy_solver_bit_for_bit(monkeypatch):
+    solved = []
+    kernel = estimator._spectrum_roots
+
+    def record(*m):
+        solved.append(MomentTriple(*m))
+        return kernel(*m)
+
+    monkeypatch.setattr(estimator, "_spectrum_roots", record)
+    # sampled rows, as the route passes them to the kernel: 1e5 shots x 20 repeats
+    for t in range(4):
+        state = random_state(2700 + t, rank=1 + t % 4)
+        for which in ("A", "B"):
+            estimate_gqd(state, "scheme-sampled", which=which, shots=100_000, repeats=20, seed=t)
+    sampled = list(solved)
+    # exact rows: rank-1 states (where the repeated-root snap fires) and werner states
+    exact = [
+        moments_from_outcomes(c)
+        for t in range(60)
+        for c in (outcomes_exact(random_state(2800 + t, rank=1)),)
+        for c in (c, permute_outcomes(c))
+    ]
+    exact += [moments_from_outcomes(outcomes_exact(make_family("werner", [p]))) for p in (0.2, 0.5, 0.9)]
+    corpus = sampled + exact + [MomentTriple(0.0, -1.0, 0.0)]
+    branches = {cubic_branch(m) for m in corpus}
+    assert branches == {"triple", "trigonometric", "cardano", "cardano-snap"}
+    assert {cubic_branch(m) for m in sampled} >= {"trigonometric", "cardano"}
+    for m in corpus:
+        roots, imag = kernel(m.m1, m.m2, m.m3)
+        want = reference_roots(m)
+        assert np.array_equal(roots, want.real)  # a zero's sign may differ before the clamp
+        assert np.array_equal(np.abs(want.imag).max().view(np.int64), np.float64(imag).view(np.int64))
+        got = eigenvalues_from_moments(m, noisy=True)
+        want = reference_eigenvalues_from_moments(m, noisy=True)
+        assert got.shape == (3,)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), m
+    for m in exact:
+        want = reference_eigenvalues_from_moments(m)
+        assert np.array_equal(eigenvalues_from_moments(m).view(np.int64), want.view(np.int64))
+    with pytest.raises(NumericalContractError, match="complex residue"):
+        eigenvalues_from_moments(MomentTriple(0, -1, 0))
+
+
 def test_permute_outcomes_is_the_documented_swap():
     c = OutcomeVector(np.arange(11) / 11.0, "exact")
     swapped = permute_outcomes(c)
@@ -313,6 +444,11 @@ def test_scheme_sampled_follows_streams_and_pattern_loop_reference():
         assert np.array_equal(est.outcomes.c, np.mean(cs, axis=0))
         got = [est.moments.m1, est.moments.m2, est.moments.m3]
         assert np.array_equal(got, np.mean(ms, axis=0))
+        lams = np.array([eigenvalues_from_moments(MomentTriple(*m), noisy=True) for m in ms])
+        discord = (lams[:, 1] + lams[:, 2]) / 4.0
+        assert np.array_equal(est.value, discord.mean())
+        assert np.array_equal(est.std_err, discord.std(ddof=1))
+        assert np.array_equal(est.eigenvalues, lams.mean(axis=0))
 
 
 @pytest.mark.parametrize(
@@ -392,6 +528,15 @@ def test_stream_key_rejects_float_entries(seed, entry):
         np.random.default_rng(seed)  # numpy refuses the same seeds
 
 
+@pytest.mark.parametrize("seed, entry", [(True, True), ((3, False), False)], ids=["true", "pair"])
+def test_stream_key_rejects_bool_entries(seed, entry):
+    # a bool is an int subclass: seed=True would key the streams of seed 1
+    with pytest.raises(ValueError, match=f"seed entry {entry} is not an integer"):
+        stream_key(seed)
+    with pytest.raises(ValueError, match=f"seed entry {entry} is not an integer"):
+        estimate_gqd(make_family("werner", [0.5]), "scheme-sampled", shots=100, repeats=2, seed=seed)
+
+
 def test_stream_key_accepts_numpy_integers():
     assert stream_key(np.int64(5)) == (5,)
     assert stream_key(np.array([1, 2], dtype=np.uint32)) == (1, 2)
@@ -407,7 +552,9 @@ SAMPLED_ENTRY_POINTS = {
 
 @pytest.mark.parametrize("entry", sorted(SAMPLED_ENTRY_POINTS))
 @pytest.mark.parametrize(
-    "shots", [100.5, 100.0, np.float64(100.0), "100", 0], ids=["fraction", "float", "numpy-float", "text", "zero"]
+    "shots",
+    [100.5, 100.0, np.float64(100.0), "100", 0, True],
+    ids=["fraction", "float", "numpy-float", "text", "zero", "bool"],
 )
 def test_sampled_entry_points_reject_a_non_integer_shot_count(entry, shots):
     with pytest.raises(ValueError, match="shots"):
@@ -434,8 +581,9 @@ def test_sampled_entry_points_accept_numpy_integer_shots(entry):
         ("20", "repeats must be an integer, got '20'"),
         (1, "requires repeats >= 2"),
         (0, "requires repeats >= 2"),
+        (True, "repeats must be an integer, got True"),
     ],
-    ids=["fraction", "float", "text", "one", "zero"],
+    ids=["fraction", "float", "text", "one", "zero", "bool"],
 )
 def test_scheme_sampled_rejects_a_bad_repeat_count_up_front(monkeypatch, repeats, message):
     def refuse(*args):
