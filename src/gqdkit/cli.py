@@ -26,6 +26,9 @@ EXIT_NUMERIC = 3
 
 SWEEP_CSV_HEADER = "param,D_exact,D_scheme_exact,D_sampled_mean,D_sampled_stderr"
 
+# Flags whose value may start with "-": a number or a comma-separated list of numbers.
+NUMERIC_FLAGS = ("--params", "--start", "--stop")
+
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -224,6 +227,35 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _is_number_list(raw: str) -> bool:
+    try:
+        return bool(_parse_params(raw))
+    except StateValidationError:
+        return False
+
+
+def _is_numeric_flag(arg: str) -> bool:
+    """A NUMERIC_FLAGS entry or an abbreviation of exactly one, as argparse accepts."""
+    return arg.startswith("--") and sum(flag.startswith(arg) for flag in NUMERIC_FLAGS) == 1
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """`--params -0.5,0.2` as `--params=-0.5,0.2` for NUMERIC_FLAGS and their abbreviations.
+
+    argparse reads a value that starts with "-" as a flag unless the whole value
+    looks like a plain negative number, so "-0.5,0.2" and "-1e-3" would fail.
+    A value that is not a list of numbers, such as a real flag, is left alone;
+    the flag keeps its spelling, so argparse still resolves an abbreviation itself.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and _is_numeric_flag(out[-1]) and arg.startswith("-") and _is_number_list(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gqd",
@@ -281,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_INPUT
     try:

@@ -36,7 +36,7 @@ from .contraction import (
 from .errors import NumericalContractError
 from .gqd_core import GqdEstimate, k_matrix
 from .pairing import Setting, settings, standard_layouts
-from .statekit import TwoQubitState, _frozen, decompose, random_state
+from .statekit import TwoQubitState, _frozen, _is_int, decompose, random_state
 
 MOMENT_ORDERS = (1, 2, 3)
 N_OUTCOMES = 11
@@ -294,10 +294,6 @@ def stream_key(seed) -> tuple[int, ...]:
         if not 0 <= s < 2**63:
             raise ValueError(f"seed entry {s} is outside [0, 2**63)")
     return tuple(int(s) for s in key)
-
-
-def _is_int(x) -> bool:  # a count or a seed entry; a bool, though an int subclass, is neither
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _shot_count(shots, name: str) -> int:

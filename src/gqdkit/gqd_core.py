@@ -4,9 +4,9 @@ The discord of a two-qubit state is (lambda_2 + lambda_3) / 4 where the
 lambdas are the descending eigenvalues of K = x x^t + T T^t (side A) or
 K' = y y^t + T^t T (side B). The minimization oracle checks that value
 against its definition, the squared distance to the nearest zero-discord
-state: it projects onto the states classical in a measurement basis on side
-A and searches the measurement axis, independently of the closed form. The
-global grid's axes and projectors are built once at import, read-only.
+state, independently of the closed form: it searches the measurement axis n
+on side A, dephasing rho in that basis as (rho + S rho S) / 2, S = n.sigma (x) I,
+from the nine sandwiches (sigma_i (x) I) rho (sigma_j (x) I) of each call.
 GqdEstimate is the one result type of every route: this closed form, the
 scheme (exact or sampled) and the tomography baseline.
 """
@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NumericalContractError, StateValidationError
-from .statekit import I2, PAULI, BlochForm, TwoQubitState, _frozen, decompose
+from .statekit import SIGMA_A, BlochForm, TwoQubitState, _frozen, _is_int, decompose
 
 if TYPE_CHECKING:
     from .estimator import MomentTriple, OutcomeVector
@@ -149,33 +149,26 @@ def _fibonacci_axes(count: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
 
 
-def _projectors(axes: np.ndarray):
-    """The normalized axes and, per axis, Pi_k = (I +- n.sigma)/2, shape (N, 2, 2, 2)."""
-    axes = axes / np.linalg.norm(axes, axis=-1, keepdims=True)
-    n_sigma = np.einsum("ni,iab->nab", axes, PAULI)
-    return axes, (I2 + np.stack([n_sigma, -n_sigma], axis=1)) / 2.0
+def _sandwiches(rho: np.ndarray) -> np.ndarray:
+    """W_ij = (sigma_i (x) I) rho (sigma_j (x) I) as real rows: row 3i+j holds 32 floats."""
+    return np.einsum("iab,bc,jcd->ijad", SIGMA_A, rho, SIGMA_A).view(np.float64).reshape(9, 32)
 
 
-def _pinched(rho: np.ndarray, proj: np.ndarray) -> np.ndarray:
-    """sum_k (Pi_k (x) I) rho (Pi_k (x) I) per projector pair, as two contractions."""
-    half = np.einsum("nkac,cbde->nkabde", proj, rho.reshape(2, 2, 2, 2))
-    return np.einsum("nkabde,nkdf->nabfe", half, proj).reshape(-1, 4, 4)
+def _dephased(rho: np.ndarray, sandwiches: np.ndarray, axes: np.ndarray):
+    """The unit axes and chi_n = (rho + S rho S) / 2 per axis n, S = n.sigma (x) I, as real rows."""
+    unit = axes / np.linalg.norm(axes, axis=-1, keepdims=True)
+    flipped = (unit[:, :, None] * unit[:, None]).reshape(-1, 9) @ sandwiches  # sum n_i n_j W_ij
+    return unit, (rho.view(np.float64).reshape(32) + flipped) / 2.0
 
 
-def _distance_sq(rho: np.ndarray, proj: np.ndarray) -> np.ndarray:
-    """||rho - chi_n||_F^2 for each axis n, given its projector pair from _projectors."""
-    diff = (rho - _pinched(rho, proj)).view(np.float64).reshape(len(proj), -1)
-    return np.einsum("ij,ij->i", diff, diff)
+def _distance_sq(rho: np.ndarray, sandwiches: np.ndarray, axes: np.ndarray):
+    """The unit axes and ||rho - chi_n||_F^2 per axis n."""
+    unit, chi = _dephased(rho, sandwiches, axes)
+    diff = rho.view(np.float64).reshape(32) - chi
+    return unit, np.einsum("ij,ij->i", diff, diff)
 
 
-# The global grid's unit axes and projectors, built once.
-_GRID_AXES, _GRID_PROJ = map(_frozen, _projectors(_fibonacci_axes(_GRID_POINTS)))
-
-
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
-    )
+_GRID_AXES = _frozen(_fibonacci_axes(_GRID_POINTS))  # the global grid's axes, built once
 
 
 def gqd_by_minimization(
@@ -190,31 +183,37 @@ def gqd_by_minimization(
     interpolating polynomial (Hessian eigenvalues in absolute value) is one
     more candidate; it follows nearly flat valleys that a grid alone crosses
     too slowly; its pseudo-inverse Hessian comes from the same eigh, with
-    pinv's cutoff. The value is the objective at the best axis found, so up to
-    rounding it is never below the true minimum. Deterministic, no random draws:
-    `restarts` (>= 1) and `seed` are accepted but do not change the result.
-    Side B is side A of SWAP rho SWAP.
+    pinv's cutoff. A candidate scores ||rho - chi_n||_F^2, chi_n built per axis
+    by _dephased; a batch of axes is one real matrix product. The value is the
+    objective at the best axis found, so up to rounding it is never below the
+    true minimum. Deterministic, no random draws: `restarts` (an integer >= 1)
+    and `seed` are accepted but do not change the result. Side B is side A of
+    SWAP rho SWAP.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    if not _is_int(restarts) or restarts < 1:
+        raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
     rho = state.matrix
-    dist = _distance_sq(rho, _GRID_PROJ)
-    axis, value = _GRID_AXES[np.argmin(dist)], dist.min()
+    sandwiches = _sandwiches(rho)
+    grid, dist = _distance_sq(rho, sandwiches, _GRID_AXES)
+    axis, value = grid[np.argmin(dist)].tolist(), float(dist.min())
     step = _START_STEP
     while step > _STEP_TOL:
-        e1 = _cross(axis, np.eye(3)[np.argmin(np.abs(axis))])
-        frame = np.stack([e1, _cross(axis, e1)]) / np.linalg.norm(e1)
-        grid, proj = _projectors(axis + step * _LOCAL_OFFSETS @ frame)
-        dist = _distance_sq(rho, proj)
-        c = (_LOCAL_INTERP @ dist).reshape(5, 5)
-        mu, vec = np.linalg.eigh([[2.0 * c[2, 0], c[1, 1]], [c[1, 1], 2.0 * c[0, 2]]])
+        # tangent frame: e1 = axis x (unit vector along its smallest entry), e2 = axis x e1
+        x, y, z = axis
+        e1 = ((0.0, z, -y), (-z, 0.0, x), (y, -x, 0.0))[min(range(3), key=lambda i: abs(axis[i]))]
+        e2 = (y * e1[2] - z * e1[1], z * e1[0] - x * e1[2], x * e1[1] - y * e1[0])
+        frame = np.array([e1, e2]) / (e1[0] * e1[0] + e1[1] * e1[1] + e1[2] * e1[2]) ** 0.5
+        grid, dist = _distance_sq(rho, sandwiches, axis + step * _LOCAL_OFFSETS @ frame)
+        c = (_LOCAL_INTERP @ dist).tolist()  # c[5i+j]: coefficient of a^i b^j
+        mu, vec = np.linalg.eigh([[2.0 * c[10], c[6]], [c[6], 2.0 * c[2]]])
         # pinv of vec |mu| vec^T, with pinv's cutoff (1e-15 of the largest)
         size = np.abs(mu)
         inv = np.divide(1.0, size, out=np.zeros(2), where=size > 1e-15 * size.max())
-        shift = vec @ (inv * (vec.T @ [c[1, 0], c[0, 1]]))
-        newton, proj = _projectors((axis - step * shift @ frame)[None])
-        cands, dist = np.vstack([grid, newton]), np.append(dist, _distance_sq(rho, proj))
-        if dist.min() < value:
-            axis, value = cands[np.argmin(dist)], dist.min()
+        shift = vec @ (inv * (vec.T @ [c[5], c[1]]))
+        newton, newton_dist = _distance_sq(rho, sandwiches, (axis - step * shift @ frame)[None])
+        best = int(np.argmin(dist))  # the grid point goes first: a tie keeps it
+        for cand, cand_value in ((grid[best], dist[best]), (newton[0], newton_dist[0])):
+            if cand_value < value:
+                axis, value = cand.tolist(), float(cand_value)
         step /= 2.0
-    return float(value)
+    return value

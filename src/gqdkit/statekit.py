@@ -61,14 +61,18 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _is_int(x) -> bool:  # a count or a seed entry; a bool, though an int subclass, is neither
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class TwoQubitState:
-    """A validated 4x4 density matrix (Hermitian, unit trace, PSD)."""
+    """A validated 4x4 density matrix (Hermitian, unit trace, PSD), kept C-ordered."""
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.asarray(self.matrix, dtype=complex, order="C")  # the oracle reads it as 32 floats
         if m.shape != (4, 4):
             raise StateValidationError(f"expected a 4x4 matrix, got shape {m.shape}")
         if not np.isfinite(m).all():

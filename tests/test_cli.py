@@ -266,6 +266,38 @@ def test_sweep_rejects_a_non_finite_endpoint(capsys, monkeypatch, start, stop, f
     assert f"{flag} must be finite" in err
 
 
+def test_exact_accepts_a_parameter_list_that_starts_negative(capsys):
+    # argparse alone reads "-0.5,0.2,0.1" as a flag; a real flag there still exits 2
+    code, out, _ = run_cli(capsys, "exact", "--family", "bell_diagonal", "--params", "-0.5,0.2,0.1")
+    assert code == 0
+    state = statekit.make_family("bell_diagonal", [-0.5, 0.2, 0.1])
+    assert json.loads(out)["value"] == gqd_exact(state).value
+    assert run_cli(capsys, "exact", "--family", "bell_diagonal", "--params=-0.5,0.2,0.1")[1] == out
+    assert run_cli(capsys, "exact", "--family", "bell_diagonal", "--par", "-0.5,0.2,0.1")[1] == out
+    code, out, err = run_cli(capsys, "exact", "--family", "werner", "--params", "--side", "A")
+    assert (code, out) == (2, "")
+    assert "argument --params: expected one argument" in err
+
+
+def test_sweep_accepts_endpoints_that_argparse_reads_as_flags(capsys):
+    argv = ["sweep", "--family", "bell_diagonal", "--params", "-0.5,0.2,0.1", "--num", "2"]
+    code, out, _ = run_cli(capsys, *argv, "--start", "-1e-3", "--stop", "-0.5")
+    assert code == 0
+    assert [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]] == [-1e-3, -0.5]
+    assert run_cli(capsys, *argv, "--start=-1e-3", "--stop=-0.5")[1] == out
+    assert run_cli(capsys, *argv, "--sta", "-1e-3", "--sto", "-0.5")[1] == out
+    # "--st" abbreviates both endpoints: argparse names the ambiguity
+    code, _, err = run_cli(capsys, *argv, "--st", "-1e-3", "--stop", "-0.5")
+    assert code == 2
+    assert "ambiguous option: --st" in err
+    # the value reaches the family, which names the invariant it breaks
+    code, _, err = run_cli(
+        capsys, "sweep", "--family", "werner", "--start", "-1e-3", "--stop", "0.5", "--num", "2"
+    )
+    assert code == 2
+    assert "werner: p = -0.001 outside [0, 1]" in err
+
+
 def test_layouts_all(capsys):
     code, out, _ = run_cli(capsys, "layouts")
     assert code == 0

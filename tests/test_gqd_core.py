@@ -23,14 +23,17 @@ from gqdkit import gqd_core
 from gqdkit.gqd_core import (
     _GRID_AXES,
     _GRID_POINTS,
-    _GRID_PROJ,
+    _LOCAL_INTERP,
+    _LOCAL_OFFSETS,
+    _START_STEP,
+    _STEP_TOL,
     KMatrix,
+    _dephased,
     _distance_sq,
     _fibonacci_axes,
-    _pinched,
-    _projectors,
+    _sandwiches,
 )
-from gqdkit.statekit import MAXIMALLY_MIXED, PAULI
+from gqdkit.statekit import I2, MAXIMALLY_MIXED, PAULI, _frozen
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -175,12 +178,18 @@ def test_result_rejects_unsorted_eigenvalues():
             GqdEstimate(0.1, 0.0, lam, "bloch-exact")
 
 
+def dephased(rho, axes):
+    """The unit axes and chi_n per axis as (N, 4, 4) complex matrices, from the oracle's kernel."""
+    unit, chi = _dephased(rho, _sandwiches(rho), axes)
+    return unit, chi.view(complex).reshape(-1, 4, 4)
+
+
 def test_dephased_state_is_valid_zero_discord_state():
     rng = np.random.default_rng(2)
     for trial in range(25):
         axis = rng.normal(size=3)
         rho = random_state(6000 + trial, rank=1 + trial % 4).matrix
-        chi = _pinched(rho, _projectors((axis / np.linalg.norm(axis))[None])[1])[0]
+        chi = dephased(rho, (axis / np.linalg.norm(axis))[None])[1][0]
         assert np.max(np.abs(chi - chi.conj().T)) <= 1e-12
         assert abs(np.trace(chi) - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(chi)[0] >= -1e-12
@@ -204,19 +213,22 @@ def test_dephased_and_distance_match_the_definition():
     for trial in range(4):
         rho = random_state(6100 + trial, rank=1 + trial % 4).matrix
         chis = np.array([dephased_by_definition(rho, axis) for axis in axes])
-        unit, proj = _projectors(axes)
-        dist = _distance_sq(rho, proj)
+        unit, chi = dephased(rho, axes)
+        unit_d, dist = _distance_sq(rho, _sandwiches(rho), axes)
+        assert np.array_equal(unit, unit_d)
         assert np.max(np.abs(unit - axes / np.linalg.norm(axes, axis=1, keepdims=True))) <= 1e-15
-        assert np.max(np.abs(_pinched(rho, proj) - chis)) <= 1e-14
+        assert np.max(np.abs(chi - chis)) <= 1e-14
         assert np.max(np.abs(dist - np.sum(np.abs(rho - chis) ** 2, axis=(1, 2)))) <= 1e-14
 
 
 def test_grid_operands_are_built_once_and_read_only():
-    axes, proj = _projectors(_fibonacci_axes(_GRID_POINTS))
-    assert np.array_equal(_GRID_AXES, axes) and np.array_equal(_GRID_PROJ, proj)
-    assert _GRID_PROJ.shape == (_GRID_POINTS, 2, 2, 2)
-    for cached in (_GRID_AXES, _GRID_PROJ):
-        assert not cached.flags.writeable
+    # the grid's axes are the only operand cached at import; rho's sandwiches are per call
+    assert np.array_equal(_GRID_AXES, _fibonacci_axes(_GRID_POINTS))
+    assert _GRID_AXES.shape == (_GRID_POINTS, 3)
+    assert not _GRID_AXES.flags.writeable
+    rho = random_state(6200, rank=3).matrix
+    unit = _distance_sq(rho, _sandwiches(rho), _GRID_AXES)[0]
+    assert np.array_equal(unit, ref_projectors(_fibonacci_axes(_GRID_POINTS))[0])
 
 
 def test_minimization_on_classical_states():
@@ -238,9 +250,15 @@ def rotated_on_a(state, seed):
     return TwoQubitState(u @ state.matrix @ u.conj().T)
 
 
+def rotated_on_b(state, seed):
+    u = np.kron(np.eye(2), haar_qubit_unitary(np.random.default_rng(seed)))
+    return TwoQubitState(u @ state.matrix @ u.conj().T)
+
+
 # (state, side): a triply degenerate K (werner 0.5), a rank-1 state, the
-# singlet corner of the Bell tetrahedron, side B of a random state, and two
-# largest K eigenvalues 1e-4 apart with their axes turned off the grid's.
+# singlet corner of the Bell tetrahedron, side B of a random state, two
+# largest K eigenvalues 1e-4 apart with their axes turned off the grid's,
+# a random state turned by a local unitary on B, and random states of ranks 1-4.
 ORACLE_CASES = {
     "werner-0.8": (make_family("werner", [0.8]), "A"),
     "werner-0.5": (make_family("werner", [0.5]), "A"),
@@ -248,6 +266,8 @@ ORACLE_CASES = {
     "bell-corner": (make_family("bell_diagonal", [-1.0, -1.0, -1.0]), "A"),
     "side-B": (random_state(5100, rank=3), "B"),
     "near-degenerate": (rotated_on_a(make_family("bell_diagonal", [0.5, 0.4999, -0.2]), 5), "A"),
+    "rotated-on-B": (rotated_on_b(random_state(5300, rank=2), 7), "A"),
+    **{f"random-rank-{r}": (random_state(5400 + r, rank=r), "A") for r in range(1, 5)},
 }
 
 
@@ -271,6 +291,84 @@ def test_minimization_never_undershoots(states, side):
         assert found - exact <= 1e-4
 
 
+# The oracle as it was before the sandwich kernel, kept verbatim up to a `ref` prefix on its
+# names: per axis a projector pair Pi_k = (I +- n.sigma)/2 and two complex contractions per
+# batch. The kernel must reproduce it to rounding.
+
+
+def ref_projectors(axes: np.ndarray):
+    """The normalized axes and, per axis, Pi_k = (I +- n.sigma)/2, shape (N, 2, 2, 2)."""
+    axes = axes / np.linalg.norm(axes, axis=-1, keepdims=True)
+    n_sigma = np.einsum("ni,iab->nab", axes, PAULI)
+    return axes, (I2 + np.stack([n_sigma, -n_sigma], axis=1)) / 2.0
+
+
+def ref_pinched(rho: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """sum_k (Pi_k (x) I) rho (Pi_k (x) I) per projector pair, as two contractions."""
+    half = np.einsum("nkac,cbde->nkabde", proj, rho.reshape(2, 2, 2, 2))
+    return np.einsum("nkabde,nkdf->nabfe", half, proj).reshape(-1, 4, 4)
+
+
+def ref_distance_sq(rho: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """||rho - chi_n||_F^2 for each axis n, given its projector pair from ref_projectors."""
+    diff = (rho - ref_pinched(rho, proj)).view(np.float64).reshape(len(proj), -1)
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+# The global grid's unit axes and projectors, built once.
+REF_GRID_AXES, REF_GRID_PROJ = map(_frozen, ref_projectors(_fibonacci_axes(_GRID_POINTS)))
+
+
+def ref_cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.array(
+        [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+    )
+
+
+def ref_gqd_by_minimization(
+    state: TwoQubitState, restarts: int = 200, seed: int = 0
+) -> float:
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    rho = state.matrix
+    dist = ref_distance_sq(rho, REF_GRID_PROJ)
+    axis, value = REF_GRID_AXES[np.argmin(dist)], dist.min()
+    step = _START_STEP
+    while step > _STEP_TOL:
+        e1 = ref_cross(axis, np.eye(3)[np.argmin(np.abs(axis))])
+        frame = np.stack([e1, ref_cross(axis, e1)]) / np.linalg.norm(e1)
+        grid, proj = ref_projectors(axis + step * _LOCAL_OFFSETS @ frame)
+        dist = ref_distance_sq(rho, proj)
+        c = (_LOCAL_INTERP @ dist).reshape(5, 5)
+        mu, vec = np.linalg.eigh([[2.0 * c[2, 0], c[1, 1]], [c[1, 1], 2.0 * c[0, 2]]])
+        # pinv of vec |mu| vec^T, with pinv's cutoff (1e-15 of the largest)
+        size = np.abs(mu)
+        inv = np.divide(1.0, size, out=np.zeros(2), where=size > 1e-15 * size.max())
+        shift = vec @ (inv * (vec.T @ [c[1, 0], c[0, 1]]))
+        newton, proj = ref_projectors((axis - step * shift @ frame)[None])
+        cands, dist = np.vstack([grid, newton]), np.append(dist, ref_distance_sq(rho, proj))
+        if dist.min() < value:
+            axis, value = cands[np.argmin(dist)], dist.min()
+        step /= 2.0
+    return float(value)
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_minimization_matches_the_reference_on_oracle_panels(seed):
+    # the benchmark's oracle-check panel of this seed: four states of each rank 1-4
+    for k in range(16):
+        state = random_state([seed, 3, k], rank=1 + k % 4)
+        found = gqd_by_minimization(state, restarts=4, seed=k)
+        assert abs(found - ref_gqd_by_minimization(state, restarts=4, seed=k)) <= 1e-14
+
+
+@pytest.mark.parametrize("state, side", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_minimization_matches_the_reference_on_oracle_cases(state, side):
+    if side == "B":
+        state = TwoQubitState(SWAP @ state.matrix @ SWAP)
+    assert abs(gqd_by_minimization(state) - ref_gqd_by_minimization(state)) <= 1e-14
+
+
 def test_minimization_is_independent_of_closed_form_and_rng(monkeypatch):
     state = random_state(5200, rank=2)
     expected = gqd_by_minimization(state)
@@ -286,9 +384,23 @@ def test_minimization_is_independent_of_closed_form_and_rng(monkeypatch):
     assert gqd_by_minimization(state, restarts=200, seed=12345) == expected
 
 
+def test_minimization_reads_a_fortran_ordered_state_as_its_c_ordered_copy():
+    rho = random_state(5500, rank=3).matrix
+    for matrix in (np.asfortranarray(rho), rho.T.conj()):  # rho.T.conj() is rho, F-ordered
+        state = TwoQubitState(matrix)
+        assert state.matrix.flags.c_contiguous
+        assert gqd_by_minimization(state) == gqd_by_minimization(TwoQubitState(rho.copy()))
+
+
 def test_minimization_rejects_bad_restarts():
     with pytest.raises(ValueError):
         gqd_by_minimization(random_state(0), restarts=0, seed=0)
+    for restarts in (True, 2.5, 4.0, "4", None):
+        with pytest.raises(ValueError, match="restarts must be an integer"):
+            gqd_by_minimization(random_state(0), restarts=restarts, seed=0)
+    assert gqd_by_minimization(random_state(0), restarts=np.int64(4)) == gqd_by_minimization(
+        random_state(0)
+    )
 
 
 def test_import_does_not_load_scipy():
