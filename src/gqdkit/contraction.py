@@ -13,8 +13,8 @@ walk plan, all that depends only on the edges, is cached; per call only the
 matrix products run.
 Intermediates hold at most 2^n * 16 complex entries for n measured pairs.
 Only the dense oracle, capped at 4 copies, builds the full 4^n operator: real,
-once per layout, and traced elementwise against rho^(x) n with no 4^n x 4^n
-product, independently of the cycle walk.
+realigned, once per layout, and traced as a bilinear form in n / 2 factors of
+vec(rho^T), never forming rho^(x) n, independently of the cycle walk.
 """
 
 from __future__ import annotations
@@ -193,33 +193,34 @@ def expect_layout(layout: PairingLayout, state: TwoQubitState) -> float:
 
 @lru_cache(maxsize=16)
 def _dense_operator(n_copies: int, pairs: tuple[PairOp, ...]) -> np.ndarray:
-    """The layout's full 4^n operator, read-only: the Kronecker product of the pairs'
-    operators (real in this basis), each qubit axis moved to the qubit it acts on."""
+    """The layout's full 4^n operator, read-only: the Kronecker product of the pairs' operators
+    (real in this basis), each qubit axis moved to the qubit it acts on, realigned so that
+    entry O[(i_1..i_n), (j_1..j_n)] sits at row (i_1 j_1, ..., i_n/2 j_n/2), copy c's i_c j_c."""
     qubits = [2 * (copy - 1) + (p.side == "b") for p in pairs for copy in p.copies]
     inv = list(np.argsort(qubits))
+    # copy by copy: its two row qubit axes, then its two column qubit axes
+    axes = [inv[q] + 2 * n_copies * j for c in range(0, 2 * n_copies, 2) for j in (0, 1) for q in (c, c + 1)]
     op = reduce(np.kron, [PAIR_KIND_MATRICES[p.kind].real for p in pairs])
-    op = op.reshape([2] * (4 * n_copies)).transpose(inv + [2 * n_copies + i for i in inv])
-    return _frozen(op.reshape(4**n_copies, 4**n_copies))
+    return _frozen(op.reshape([2] * (4 * n_copies)).transpose(axes).reshape(4**n_copies, -1))
 
 
 def expect_layout_dense_oracle(layout: PairingLayout, state: TwoQubitState) -> float:
     """Same expectation via the full 4^n operator; verification oracle.
 
     Refuses 6 copies (the 4096-dimensional operator exceeds the memory
-    budget this oracle is allowed). The real operator is built once per
-    layout; the trace is taken elementwise, tr(O R) = sum_ij O_ij R^t_ij with
-    R^t = (rho^t)^(x) n, so no 4^n x 4^n product is formed. Its real and
-    imaginary parts are summed separately and the imaginary part is checked.
+    budget this oracle is allowed). The realigned real operator is built once
+    per layout; the trace is one bilinear form, tr(O rho^(x) n) = a^T O a with
+    a = r (x) ... (x) r, n / 2 factors of r = vec(rho^T), so neither rho^(x) n
+    nor a 4^n x 4^n product is formed. Its imaginary part is checked.
     """
     if layout.n_copies > 4:
         raise ValueError("dense oracle is limited to n_copies <= 4")
-    op_full = _dense_operator(layout.n_copies, layout.pairs)
-    rho_t = state.matrix.T
-    rho_full_t = reduce(np.kron, [np.kron(rho_t, rho_t)] * (layout.n_copies // 2))
-    re, im = op_full.reshape(-1) @ rho_full_t.view(np.float64).reshape(-1, 2)
-    if abs(im) > IMAG_TOL:
-        raise NumericalContractError(f"dense expectation has imaginary residue {im:.3e}")
-    return float(re)
+    op = _dense_operator(layout.n_copies, layout.pairs)
+    a = reduce(np.multiply.outer, [state.matrix.T.reshape(16)] * (layout.n_copies // 2)).reshape(-1)
+    total = a @ (op @ a.view(np.float64).reshape(-1, 2)).view(complex)[:, 0]
+    if abs(total.imag) > IMAG_TOL:
+        raise NumericalContractError(f"dense expectation has imaginary residue {total.imag:.3e}")
+    return float(total.real)
 
 
 def pattern_product(per_pair) -> np.ndarray:

@@ -13,6 +13,7 @@ scheme (exact or sampled) and the tomography baseline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -156,7 +157,7 @@ def _sandwiches(rho: np.ndarray) -> np.ndarray:
 
 def _dephased(rho: np.ndarray, sandwiches: np.ndarray, axes: np.ndarray):
     """The unit axes and chi_n = (rho + S rho S) / 2 per axis n, S = n.sigma (x) I, as real rows."""
-    unit = axes / np.linalg.norm(axes, axis=-1, keepdims=True)
+    unit = axes / np.sqrt(np.add.reduce(axes * axes, axis=-1, keepdims=True))  # as np.linalg.norm
     flipped = (unit[:, :, None] * unit[:, None]).reshape(-1, 9) @ sandwiches  # sum n_i n_j W_ij
     return unit, (rho.view(np.float64).reshape(32) + flipped) / 2.0
 
@@ -171,6 +172,26 @@ def _distance_sq(rho: np.ndarray, sandwiches: np.ndarray, axes: np.ndarray):
 _GRID_AXES = _frozen(_fibonacci_axes(_GRID_POINTS))  # the global grid's axes, built once
 
 
+def _newton_shift(a: float, b: float, d: float, g1: float, g2: float) -> tuple[float, float]:
+    """pinv(V |M| V^T) (g1, g2) for the Hessian [[a, b], [b, d]] = V M V^T, with pinv's cutoff,
+    in plain floats. V and M are LAPACK dlaev2's, which np.linalg.eigh runs on a 2x2: mu1, the
+    larger |mu|, along (c, s) and mu2 = det / mu1 along (-s, c)."""
+    big, small = (a, d) if abs(a) > abs(d) else (d, a)
+    lo, hi = sorted((abs(a - d), abs(2.0 * b)))
+    rt = hi * math.sqrt(1.0 + (lo / hi) * (lo / hi)) if lo < hi else hi * math.sqrt(2.0)
+    mu1 = 0.5 * (a + d - rt) if a + d < 0.0 else 0.5 * (a + d + rt)
+    mu2 = (big / mu1) * small - (b / mu1) * b if a + d else -mu1
+    cs = a - d + rt if a - d >= 0.0 else a - d - rt
+    t = -2.0 * b / cs if abs(cs) > abs(2.0 * b) else -cs / (2.0 * b) if b else 0.0
+    r = 1.0 / math.sqrt(1.0 + t * t)
+    c, s = (t * r, r) if abs(cs) > abs(2.0 * b) else (r, t * r)
+    c, s = (-s, c) if (a + d < 0.0) == (a - d < 0.0) else (c, s)
+    cut = 1e-15 * max(abs(mu1), abs(mu2))
+    u1 = (1.0 / abs(mu1)) * (c * g1 + s * g2) if abs(mu1) > cut else 0.0
+    u2 = (1.0 / abs(mu2)) * (c * g2 - s * g1) if abs(mu2) > cut else 0.0
+    return c * u1 - s * u2, s * u1 + c * u2
+
+
 def gqd_by_minimization(
     state: TwoQubitState, restarts: int = 200, seed: int = 0
 ) -> float:
@@ -182,10 +203,10 @@ def gqd_by_minimization(
     step halves from 0.1 to 1e-10 rad. A Newton step on each local grid's
     interpolating polynomial (Hessian eigenvalues in absolute value) is one
     more candidate; it follows nearly flat valleys that a grid alone crosses
-    too slowly; its pseudo-inverse Hessian comes from the same eigh, with
-    pinv's cutoff. A candidate scores ||rho - chi_n||_F^2, chi_n built per axis
-    by _dephased; a batch of axes is one real matrix product. The value is the
-    objective at the best axis found, so up to rounding it is never below the
+    too slowly; _newton_shift takes it in plain floats, with eigh's eigenpairs
+    and pinv's cutoff. A candidate scores ||rho - chi_n||_F^2, chi_n built per
+    axis by _dephased; a batch of axes is one real matrix product. The value is
+    the objective at the best axis found, so up to rounding it is never below the
     true minimum. Deterministic, no random draws: `restarts` (an integer >= 1)
     and `seed` are accepted but do not change the result. Side B is side A of
     SWAP rho SWAP.
@@ -202,15 +223,13 @@ def gqd_by_minimization(
         x, y, z = axis
         e1 = ((0.0, z, -y), (-z, 0.0, x), (y, -x, 0.0))[min(range(3), key=lambda i: abs(axis[i]))]
         e2 = (y * e1[2] - z * e1[1], z * e1[0] - x * e1[2], x * e1[1] - y * e1[0])
-        frame = np.array([e1, e2]) / (e1[0] * e1[0] + e1[1] * e1[1] + e1[2] * e1[2]) ** 0.5
-        grid, dist = _distance_sq(rho, sandwiches, axis + step * _LOCAL_OFFSETS @ frame)
+        scale = (e1[0] * e1[0] + e1[1] * e1[1] + e1[2] * e1[2]) ** 0.5
+        f1, f2 = [v / scale for v in e1], [v / scale for v in e2]
+        grid, dist = _distance_sq(rho, sandwiches, axis + step * _LOCAL_OFFSETS @ [f1, f2])
         c = (_LOCAL_INTERP @ dist).tolist()  # c[5i+j]: coefficient of a^i b^j
-        mu, vec = np.linalg.eigh([[2.0 * c[10], c[6]], [c[6], 2.0 * c[2]]])
-        # pinv of vec |mu| vec^T, with pinv's cutoff (1e-15 of the largest)
-        size = np.abs(mu)
-        inv = np.divide(1.0, size, out=np.zeros(2), where=size > 1e-15 * size.max())
-        shift = vec @ (inv * (vec.T @ [c[5], c[1]]))
-        newton, newton_dist = _distance_sq(rho, sandwiches, (axis - step * shift @ frame)[None])
+        s1, s2 = _newton_shift(2.0 * c[10], c[6], 2.0 * c[2], c[5], c[1])
+        newton_axis = [a - step * (s1 * u + s2 * v) for a, u, v in zip(axis, f1, f2)]
+        newton, newton_dist = _distance_sq(rho, sandwiches, np.array([newton_axis]))
         best = int(np.argmin(dist))  # the grid point goes first: a tie keeps it
         for cand, cand_value in ((grid[best], dist[best]), (newton[0], newton_dist[0])):
             if cand_value < value:

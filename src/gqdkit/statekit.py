@@ -61,6 +61,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _is_real(x) -> bool:  # a JSON number; a bool, though an int subclass, is not one
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _is_int(x) -> bool:  # a count or a seed entry; a bool, though an int subclass, is neither
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
@@ -294,10 +298,10 @@ def state_from_dict(data: dict) -> TwoQubitState:
     if keys == {"matrix"}:
         raw = data["matrix"]
         try:
-            m = np.array(
-                [[complex(e[0], e[1]) for e in row] for row in raw], dtype=complex
-            )
-        except (TypeError, ValueError, IndexError) as exc:
+            if not all(len(e) == 2 and all(map(_is_real, e)) for row in raw for e in row):
+                raise ValueError("an entry is not two real numbers")
+            m = np.array([[complex(*e) for e in row] for row in raw], dtype=complex)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise StateValidationError(
                 "matrix entries must be [re, im] pairs in a 4x4 grid"
             ) from exc
@@ -306,9 +310,7 @@ def state_from_dict(data: dict) -> TwoQubitState:
         family, params = data["family"], data["params"]
         if not isinstance(family, str):
             raise StateValidationError(f"family must be a string, got {family!r}")
-        if not isinstance(params, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in params
-        ):
+        if not isinstance(params, list) or not all(map(_is_real, params)):
             raise StateValidationError(f"params must be a list of numbers, got {params!r}")
         return make_family(family, params)
     raise StateValidationError(

@@ -49,6 +49,19 @@ def test_exact_rejects_bad_file(tmp_path, capsys):
     assert "Hermitian" in err or "trace" in err or "positive" in err
 
 
+@pytest.mark.parametrize("entry", [[1.0, 0.0, 5.0], [True, False]], ids=["three-values", "booleans"])
+def test_exact_rejects_an_entry_that_is_not_two_numbers(tmp_path, capsys, entry):
+    # a valid |00><00| but for the form of its one nonzero entry
+    matrix = [[[0.0, 0.0] for j in range(4)] for i in range(4)]
+    matrix[0][0] = entry
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    code, out, err = run_cli(capsys, "exact", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert "matrix entries must be [re, im] pairs in a 4x4 grid" in err
+
+
 def matrix_with(entry):
     # the maximally mixed state with one off-diagonal pair set to `entry`
     m = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -380,11 +381,32 @@ def test_dense_oracle_never_walks_the_cycles(monkeypatch):
         assert abs(expect_layout_dense_oracle(lay, state) - textbook_dense(lay, [state])[0].real) <= 1e-14
 
 
+def fake_realigned_operator(n, pairs):
+    # a real operator that pairs a's entries 1 and 2: a^T O a = a_1 a_2, which is
+    # rho_10 rho_20 on 2 copies and rho_00^2 rho_10 rho_20 on 4, complex for a generic rho
+    op = np.zeros((4**n, 4**n))
+    op[1, 2] = 1.0
+    return op
+
+
 def test_dense_oracle_checks_the_imaginary_residue(monkeypatch):
-    # a real non-symmetric operator against a complex Hermitian rho^(x)n
-    monkeypatch.setattr(
-        contraction, "_dense_operator", lambda n, pairs: np.triu(np.ones((4**n, 4**n)))
-    )
+    # only the symmetric part of the realigned operator enters a^T O a, so the fake pairs
+    # two off-diagonal entries of rho rather than breaking the operator's symmetry
+    monkeypatch.setattr(contraction, "_dense_operator", fake_realigned_operator)
     for lay in (standard_layouts()[0], standard_layouts()[3]):
         with pytest.raises(NumericalContractError, match="imaginary residue"):
             expect_layout_dense_oracle(lay, random_state(1800, rank=3))
+
+
+def test_dense_oracle_never_forms_the_copies_product():
+    # once the operator is cached, a 4-copy call holds a (256,) vector and a (256, 2)
+    # product, a few KiB; rho^(x)4 alone is 256 x 256 complex, 1 MiB
+    layout, state = standard_layouts()[3], random_state(1900, rank=4)
+    expect_layout_dense_oracle(layout, state)
+    tracemalloc.start()
+    try:
+        expect_layout_dense_oracle(layout, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024

@@ -31,6 +31,7 @@ from gqdkit.gqd_core import (
     _dephased,
     _distance_sq,
     _fibonacci_axes,
+    _newton_shift,
     _sandwiches,
 )
 from gqdkit.statekit import I2, MAXIMALLY_MIXED, PAULI, _frozen
@@ -292,8 +293,9 @@ def test_minimization_never_undershoots(states, side):
 
 
 # The oracle as it was before the sandwich kernel, kept verbatim up to a `ref` prefix on its
-# names: per axis a projector pair Pi_k = (I +- n.sigma)/2 and two complex contractions per
-# batch. The kernel must reproduce it to rounding.
+# names and its eigh/pinv Newton step moved into ref_pinv_step: per axis a projector pair
+# Pi_k = (I +- n.sigma)/2 and two complex contractions per batch. The kernel must reproduce
+# it to rounding.
 
 
 def ref_projectors(axes: np.ndarray):
@@ -325,6 +327,14 @@ def ref_cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     )
 
 
+def ref_pinv_step(hessian, gradient) -> np.ndarray:
+    mu, vec = np.linalg.eigh(hessian)
+    # pinv of vec |mu| vec^T, with pinv's cutoff (1e-15 of the largest)
+    size = np.abs(mu)
+    inv = np.divide(1.0, size, out=np.zeros(2), where=size > 1e-15 * size.max())
+    return vec @ (inv * (vec.T @ gradient))
+
+
 def ref_gqd_by_minimization(
     state: TwoQubitState, restarts: int = 200, seed: int = 0
 ) -> float:
@@ -340,17 +350,30 @@ def ref_gqd_by_minimization(
         grid, proj = ref_projectors(axis + step * _LOCAL_OFFSETS @ frame)
         dist = ref_distance_sq(rho, proj)
         c = (_LOCAL_INTERP @ dist).reshape(5, 5)
-        mu, vec = np.linalg.eigh([[2.0 * c[2, 0], c[1, 1]], [c[1, 1], 2.0 * c[0, 2]]])
-        # pinv of vec |mu| vec^T, with pinv's cutoff (1e-15 of the largest)
-        size = np.abs(mu)
-        inv = np.divide(1.0, size, out=np.zeros(2), where=size > 1e-15 * size.max())
-        shift = vec @ (inv * (vec.T @ [c[1, 0], c[0, 1]]))
+        shift = ref_pinv_step([[2.0 * c[2, 0], c[1, 1]], [c[1, 1], 2.0 * c[0, 2]]], [c[1, 0], c[0, 1]])
         newton, proj = ref_projectors((axis - step * shift @ frame)[None])
         cands, dist = np.vstack([grid, newton]), np.append(dist, ref_distance_sq(rho, proj))
         if dist.min() < value:
             axis, value = cands[np.argmin(dist)], dist.min()
         step /= 2.0
     return float(value)
+
+
+def test_newton_shift_matches_the_eigh_pinv_form():
+    # random symmetric Hessians over twelve decades, then the zero matrix, a = d with b = 0,
+    # a |mu| under the cutoff (diagonal and rotated rank 1), indefinite and negative definite
+    rng = np.random.default_rng(19)
+    cases = list(rng.normal(size=(3000, 3)) * 10.0 ** rng.integers(-6, 7, size=(3000, 1)))
+    cases += [(0.0, 0.0, 0.0), (2.0, 0.0, 2.0), (-3.0, 0.0, -3.0), (1.0, 0.0, 1e-16)]
+    cases += [(0.36, 0.48, 0.64), (1.0, 2.0, 1.0), (0.0, 1.0, 0.0), (-1.0, 0.5, -2.0)]
+    for a, b, d in cases:
+        gradient = rng.normal(size=2)
+        expected = ref_pinv_step([[a, b], [b, d]], gradient)
+        mu = np.abs(np.linalg.eigvalsh([[a, b], [b, d]]))
+        kept = mu[mu > 1e-15 * mu.max()]
+        # relative to the step's bound, |gradient| over the smallest |mu| kept
+        scale = np.linalg.norm(gradient) / kept.min() if len(kept) else 1.0
+        assert np.max(np.abs(_newton_shift(a, b, d, *gradient) - expected)) <= 1e-15 * scale
 
 
 @pytest.mark.parametrize("seed", range(1, 11))

@@ -206,6 +206,16 @@ def test_state_file_rejects_bad_json_and_shapes():
         state_from_dict({"matrix": [[1, 2], [3, 4]]})
 
 
+def test_state_file_rejects_entries_that_are_not_two_numbers():
+    # a valid |00><00| but for the form of its one nonzero entry: no value may be dropped,
+    # a bool is not a number, and a JSON object must not escape as a KeyError
+    for entry in ([1.0, 0.0, 5.0], [True, False], [1.0], {"0": 1.0, "1": 0.0}, ["1", "0"]):
+        matrix = [[[0.0, 0.0] for j in range(4)] for i in range(4)]
+        matrix[0][0] = entry
+        with pytest.raises(StateValidationError, match=r"\[re, im\] pairs in a 4x4 grid"):
+            state_from_dict({"matrix": matrix})
+
+
 def test_matrices_are_immutable():
     state = random_state(9)
     with pytest.raises(ValueError):
