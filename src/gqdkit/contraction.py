@@ -1,20 +1,15 @@
 """Exact expectation values of pair-operator layouts on identical copies.
 
-Because every copy has exactly one a-side and one b-side pair attached,
-the copies and pairs form disjoint cycles that alternate sides. Each cycle
-is contracted as a product of 4x4 bond matrices (a bond is the row/column
-index pair of one qubit slot). A pair may carry a stack of edge tensors, an
-open leg: a measured pair carries (complement, singlet), so one walk of a
-setting's cycle yields every outcome pattern at once. A closed pair's edge
-matrix is folded into the copy tensor before it: one product per call forms
-every such factor, so a closed step is one 4x4 product. An open leg keeps
-its two products, whose rounding the sampled route's draws depend on. The
-walk plan, all that depends only on the edges, is cached; per call only the
-matrix products run.
-Intermediates hold at most 2^n * 16 complex entries for n measured pairs.
-Only the dense oracle, capped at 4 copies, builds the full 4^n operator: real,
-realigned, once per layout, and traced as a bilinear form in n / 2 factors of
-vec(rho^T), never forming rho^(x) n, independently of the cycle walk.
+Every copy has one a-side and one b-side pair attached, so copies and pairs
+form disjoint cycles that alternate sides. In the Bloch basis sigma_mu (x)
+sigma_nu (sigma_0 = I) a copy is its real correlation matrix R = [[1, y^T],
+[x, T]] and a pair operator is diagonal, so a cycle is the trace of a product of
+real 4x4 factors diag(d) R and diag(d) R^T. A measured pair's open leg, the
+factors (complement, singlet), makes one walk yield every outcome pattern. The
+walk plan is cached per edge structure; intermediates hold at most 2^n * 16
+reals for n measured pairs. Only the dense oracle, capped at 4 copies, builds
+the 4^n operator: in the computational basis, real, realigned, once per layout,
+and traced as a bilinear form in n / 2 factors of vec(rho^T).
 """
 
 from __future__ import annotations
@@ -51,139 +46,111 @@ def pauli_exchange_sum() -> np.ndarray:
 
 
 def build_u() -> np.ndarray:
-    """The a-side pair operator, -4 P^- + I."""
+    """The a-side pair operator, -4 P^- + I: U = diag(0, 1, 1, 1) = Pi in the Bloch basis.
+
+    As build_v's V is the identity there, k U pairs and k V pairs on a cycle of 2k
+    copies measure M_k = tr((Pi R R^T)^k) = tr K^k, K = [x T][x T]^T = x x^T + T T^T.
+    """
     identity, singlet = PAIR_WEIGHTS["a"]
     return singlet * P_MINUS + identity * I4
 
 
 def build_v() -> np.ndarray:
-    """The b-side pair operator, -4 P^- + 2 I."""
+    """The b-side pair operator, -4 P^- + 2 I: the identity in the Bloch basis (see build_u)."""
     identity, singlet = PAIR_WEIGHTS["b"]
     return singlet * P_MINUS + identity * I4
 
 
-# Flat indices of [C; C^T] in rho, the copy tensor C and its transpose stacked:
-# C[(i_a, j_a), (i_b, j_b)] = rho[(j_a, j_b), (i_a, i_b)]
-_COPY_INDEX = np.arange(16).reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
-_BOND_INDEX = _frozen(np.concatenate([_COPY_INDEX, _COPY_INDEX.T]))
+# Each pair operator is sum_mu d_mu sigma_mu (x) sigma_mu in the Bloch basis: d per kind
+_BLOCH_DIAGONALS = {
+    "identity": (1.0, 0.0, 0.0, 0.0),
+    "complement": (0.75, 0.25, 0.25, 0.25),
+    "singlet": (0.25, -0.25, -0.25, -0.25),
+}
+# Each kind's columns in a (4, 12) block of the factor stack; an outcome leg takes the
+# adjacent (complement, singlet)
+_FACTOR_COLUMNS = {kind: slice(4 * k, 4 * k + 4) for k, kind in enumerate(_BLOCH_DIAGONALS)}
+_FACTOR_COLUMNS["outcome"] = slice(4, 12)
 
 
-def _edge_tensor(op: np.ndarray) -> np.ndarray:
-    # E[(i_1, j_1), (i_2, j_2)] = op[(i_1, i_2), (j_1, j_2)]
-    return np.asarray(op, dtype=complex).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+def _factor_map() -> np.ndarray:
+    """(96, 16) map of rho's entries to the (2, 4, 12) factor stack: for C = R, then
+    C = R^T, the three factors diag(d) C side by side in _BLOCH_DIAGONALS order."""
+    sigma = np.concatenate([np.eye(2)[None], PAULI])
+    # R_mu,nu = tr(rho sigma_mu (x) sigma_nu) = vec(rho) . vec((sigma_mu (x) sigma_nu)^T)
+    r_map = np.array([[np.kron(sm, sn).T.reshape(16) for sn in sigma] for sm in sigma])
+    c_map = np.stack([r_map, r_map.transpose(1, 0, 2)])
+    d = np.array(list(_BLOCH_DIAGONALS.values()))
+    return _frozen((d.T[None, :, :, None, None] * c_map[:, :, None]).reshape(96, 16))
 
 
-# Edge-tensor stacks, built once: each pair kind, and a measured pair's outcome leg.
-_EDGE_STACKS = {kind: _edge_tensor(op)[None] for kind, op in PAIR_KIND_MATRICES.items()}
-_EDGE_STACKS["outcome"] = np.concatenate([_EDGE_STACKS["complement"], _EDGE_STACKS["singlet"]])
+_FACTOR_MAP = _factor_map()
 
 
 @lru_cache(maxsize=256)
 def _walk_plan(edges: tuple[tuple[str, int, int, str], ...]):
-    """Validated slots, cycle order and pre-shaped edge matrices of a walk; not state-dependent.
+    """Validated slots and cycle order of a walk; not state-dependent.
 
-    Per cycle: the first edge's (4L, 4) stack; the steps; the last copy
-    tensor's transposed flag; the result shape. Each step crosses a copy
-    tensor (transposed from the b slot) to the next edge. A closed edge's step
-    is the index 2j + flag of its folded factor, bond @ edge matrix j; an
-    outcome leg's step is the flag and its (4, 4L) edge matrix. Then the axis
-    order restoring edge order, and the closed edge matrices the steps use,
-    each distinct one once, side by side as one (4, 4m) matrix (None when no
-    edge is closed). A failed validation raises and is not cached.
+    Per cycle: the first edge's factor-stack index and the others' in walk order; then
+    the result shape in walk order and the axis order restoring edge order. An index
+    picks diag(d) C for the edge's kind (both outcome kinds for a leg), C = R^T where
+    the walk crosses the next copy from its b slot, else R. A failed validation raises
+    and is not cached.
     """
-    incident: dict[tuple[int, str], tuple[int, int]] = {}
+    incident: dict[tuple[int, str], tuple[int, int]] = {}  # slot -> (edge, the edge's other copy)
     for idx, (side, lo, hi, _) in enumerate(edges):
-        for end, copy in enumerate((lo, hi)):
+        for copy, other in ((lo, hi), (hi, lo)):
             slot = (copy, side)
             if slot in incident:
                 raise ValueError(f"slot {slot} appears in more than one pair")
-            incident[slot] = (idx, end)
-    copies = {copy for _, lo, hi, _ in edges for copy in (lo, hi)}
-    for copy in copies:
+            incident[slot] = (idx, other)
+    for copy in {copy for _, lo, hi, _ in edges for copy in (lo, hi)}:
         if (copy, "a") not in incident or (copy, "b") not in incident:
             raise ValueError(f"copy {copy} is not covered on both sides")
 
-    stacks = [_EDGE_STACKS[kind] for *_, kind in edges]
-    blocks: dict[tuple[str, int], int] = {}  # (kind, end) of a closed edge -> j
-    table, cycles, order = [], [], []
-    for start_idx in range(len(edges)):
-        if start_idx in order:
+    cycles, order = [], []
+    for start in range(len(edges)):
+        if start in order:
             continue
-        side, lo, copy, _ = edges[start_idx]
-        start = (lo, side)
-        steps, cycle = [], [start_idx]
+        side, _, copy, _ = edges[start]
+        idx, steps = start, []
         while True:
-            # across the copy tensor (transposed from the b slot), to the other slot
-            transposed, side = side == "b", "b" if side == "a" else "a"
-            if (copy, side) == start:
+            # the edge, then across the copy tensor (transposed from the b slot) to the other slot
+            steps.append((int(side == "b"), slice(None), _FACTOR_COLUMNS[edges[idx][3]]))
+            order.append(idx)
+            side = "b" if side == "a" else "a"
+            idx, copy = incident[(copy, side)]
+            if idx == start:
                 break
-            idx, end = incident[(copy, side)]
-            _, lo, hi, kind = edges[idx]
-            # [M_0 | M_1 | ...], each transposed when walked hi -> lo
-            wide = stacks[idx].transpose((1, 0, 2) if end == 0 else (2, 0, 1)).reshape(4, -1)
-            if kind == "outcome":
-                steps.append((transposed, wide))
-            else:
-                j = blocks.setdefault((kind, end), len(table))
-                if j == len(table):
-                    table.append(wide)
-                steps.append((2 * j + transposed, None))
-            cycle.append(idx)
-            copy = hi if end == 0 else lo
-        shape = tuple(len(stacks[i]) for i in cycle)
-        cycles.append((stacks[start_idx].reshape(-1, 4), tuple(steps), int(transposed), shape))
-        order += cycle
-    table = _frozen(np.hstack(table)) if table else None
-    return tuple(cycles), tuple(sorted(range(len(order)), key=order.__getitem__)), table
+        cycles.append((steps[0], tuple(steps[1:])))
+    shape = tuple(2 if edges[i][3] == "outcome" else 1 for i in order)
+    return tuple(cycles), shape, tuple(sorted(range(len(order)), key=order.__getitem__))
 
 
 def _contract(edges: tuple[tuple[str, int, int, str], ...], rho: np.ndarray) -> np.ndarray:
     """tr[(tensor of pair ops)(rho^(x) n)] for edges (side, lo, hi, kind | "outcome").
 
     An "outcome" edge carries the stack (complement, singlet); one result axis
-    per edge, in edge order, picks its operator. Per call, on the cached plan,
-    one index reads both bonds [C; C^T] off rho's 16 entries, and one
-    (8, 4) @ (4, 4m) product folds each closed edge matrix the plan uses into
-    either bond. A closed step is then one product with its factor bond @ edge,
-    and a cycle of closed edges closes with a dot, tr(prod @ bond) =
-    prod.reshape(16) @ bond^T.ravel(). An outcome leg takes two products, with
-    the bond and then its (4, 4L) edge matrix, of the running (4K, 4) stack of
-    partial products (K grows by L per leg); its cycle closes with the last
-    bond and a trace per 4x4 block. Outcome legs are not folded because the
-    sampled route draws from these bits: a pattern impossible up to rounding
-    gets p = 0 from a clamped -1e-17 but stays positive at +1e-17, and numpy's
-    multinomial consumes a seed's stream differently in the two cases, so
-    reassociating the products would move sampled estimates.
-    Real to IMAG_TOL.
+    per edge, in edge order, picks its operator. Per call one (96, 16) product
+    forms the six factors diag(d) R and diag(d) R^T, real to IMAG_TOL. The
+    running stack holds row r of partial product k at row (r, k); a step
+    multiplies it, as (4K, 4), by a (4, 4) factor or a leg's (4, 8) pair, read
+    back as (8K, 4): k -> 2k + bit. A cycle closes with a trace per product.
     """
-    cycles, axes, table = _walk_plan(edges)
-    stacked = np.asarray(rho, dtype=complex).reshape(16)[_BOND_INDEX]
-    bonds = (stacked[:4], stacked[:4].T)
-    folded = None
-    if table is not None:
-        # factor 2j + t: bond t @ closed edge matrix j
-        folded = (stacked @ table).reshape(2, 4, -1, 4).transpose(2, 0, 1, 3).reshape(-1, 4, 4)
-    parts = []
-    for prod, steps, last, shape in cycles:
-        for step, wide in steps:
-            if wide is None:
-                # ndarray.dot dispatches faster than @ on small contiguous operands
-                prod = prod.dot(folded[step])
-            else:
-                # each product's L results stacked below one another
-                prod = prod @ bonds[step] @ wide
-                prod = prod.reshape(-1, 4, wide.shape[1] // 4, 4).transpose(0, 2, 1, 3).reshape(-1, 4)
-        if len(prod) == 4:  # no outcome leg in this cycle
-            parts.append(prod.reshape(16).dot(stacked.reshape(2, 16)[1 - last]).reshape(shape))
-        else:
-            prod = prod @ bonds[last]
-            parts.append(np.einsum("kii->k", prod.reshape(-1, 4, 4)).reshape(shape))
-
-    total = reduce(np.multiply.outer, parts).transpose(axes)
-    residue = float(abs(total.imag).max())
+    cycles, shape, axes = _walk_plan(edges)
+    factors = _FACTOR_MAP @ np.asarray(rho, dtype=complex).reshape(16)
+    residue = float(abs(factors.imag).max())
     if residue > IMAG_TOL:
         raise NumericalContractError(f"layout expectation has imaginary residue {residue:.3e}")
-    return total.real
+    factors = np.ascontiguousarray(factors.real).reshape(2, 4, 12)
+    parts = []
+    for first, steps in cycles:
+        prod = factors[first]
+        for step in steps:
+            # ndarray.dot dispatches faster than @ on small operands
+            prod = prod.reshape(-1, 4).dot(factors[step])
+        parts.append(prod.reshape(4, -1, 4).trace(axis1=0, axis2=2))
+    return reduce(np.multiply.outer, parts).reshape(shape).transpose(axes)
 
 
 def expect_layout(layout: PairingLayout, state: TwoQubitState) -> float:
@@ -247,9 +214,7 @@ class OutcomeDistribution:
     def __post_init__(self) -> None:
         n_pairs = len(self.setting.pairs)
         if len(self.probs) != 2**n_pairs:
-            raise NumericalContractError(
-                f"expected {2 ** n_pairs} patterns, got {len(self.probs)}"
-            )
+            raise NumericalContractError(f"expected {2 ** n_pairs} patterns, got {len(self.probs)}")
         total = sum(self.probs.values())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise NumericalContractError(
@@ -282,14 +247,9 @@ def joint_distribution(setting: Setting, state: TwoQubitState) -> OutcomeDistrib
     # pattern order (see pattern_product): reversed axes put pair 0's bit lowest
     flat = _contract(edges, state.matrix).T.reshape(-1)
     if flat.min() < -NEG_PROB_TOL:
-        raise NumericalContractError(
-            f"pattern probability {flat.min():.3e} below -{NEG_PROB_TOL}"
-        )
+        raise NumericalContractError(f"pattern probability {flat.min():.3e} below -{NEG_PROB_TOL}")
     probs = dict(zip(_pattern_keys(len(edges)), np.maximum(flat, 0.0).tolist()))
     norm = sum(probs.values())
     if abs(norm - 1.0) > PROB_SUM_TOL:
-        raise NumericalContractError(
-            f"joint distribution sums to {norm:.12g} before normalization"
-        )
-    probs = {k: v / norm for k, v in probs.items()}
-    return OutcomeDistribution(setting, probs)
+        raise NumericalContractError(f"joint distribution sums to {norm:.12g} before normalization")
+    return OutcomeDistribution(setting, {k: v / norm for k, v in probs.items()})

@@ -204,14 +204,15 @@ class OutcomeVector:
         c = np.asarray(self.c, dtype=float)
         if c.shape != (N_OUTCOMES,):
             raise ValueError(f"outcome vector must have shape (11,), got {c.shape}")
+        # each range check is written so that NaN fails it
         if self.provenance == "exact":
-            if np.min(c) < -EXACT_OUTCOME_TOL or np.max(c) > 1.0 + EXACT_OUTCOME_TOL:
+            if not (np.min(c) >= -EXACT_OUTCOME_TOL and np.max(c) <= 1.0 + EXACT_OUTCOME_TOL):
                 raise NumericalContractError(
                     f"exact outcome outside [0, 1]: range [{c.min():.3e}, {c.max():.3e}]"
                 )
             c = np.clip(c, 0.0, 1.0)
         elif self.provenance == "sampled":
-            if np.min(c) < 0.0 or np.max(c) > 1.0:
+            if not (np.min(c) >= 0.0 and np.max(c) <= 1.0):
                 raise ValueError("sampled outcomes must lie in [0, 1]")
         else:
             raise ValueError(f"provenance must be 'exact' or 'sampled', got {self.provenance!r}")

@@ -120,8 +120,8 @@ class BlochForm:
                 f"Bloch data must be two 3-vectors and a 3x3 matrix, got "
                 f"{x.shape}, {y.shape}, {T.shape}"
             )
-        worst = max(np.max(np.abs(x)), np.max(np.abs(y)), np.max(np.abs(T)))
-        if worst > 1.0 + BLOCH_ENTRY_TOL:
+        worst = float(np.max(np.abs(np.concatenate([x, y, T.ravel()]))))
+        if not worst <= 1.0 + BLOCH_ENTRY_TOL:  # NaN fails too
             raise StateValidationError(
                 f"Bloch entries must lie in [-1, 1]; largest magnitude is {worst:.12g}"
             )
@@ -273,7 +273,7 @@ def random_state(seed, rank: int = 4) -> TwoQubitState:
     Draws a 4 x rank complex Gaussian matrix G and returns G G^dag normalized
     to unit trace. `seed` may be an int or a sequence of ints (stream key).
     """
-    if rank not in (1, 2, 3, 4):
+    if not _is_int(rank) or rank not in (1, 2, 3, 4):
         raise StateValidationError(f"rank must be 1..4, got {rank}")
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))

@@ -28,12 +28,39 @@ from gqdkit.contraction import (
 from gqdkit.errors import NumericalContractError
 from gqdkit.estimator import _hit_matrix, outcomes_exact
 from gqdkit.pairing import PairingLayout, PairOp, Setting, settings, standard_layouts
-from gqdkit.statekit import MAXIMALLY_MIXED
+from gqdkit.statekit import MAXIMALLY_MIXED, PAULI
 
 
 def test_pair_operator_identities():
     assert np.max(np.abs(build_u() - pauli_exchange_sum())) <= 1e-14
     assert np.max(np.abs(build_v() - (np.eye(4) + pauli_exchange_sum()))) <= 1e-14
+
+
+def pauli_coefficients(op):
+    # c[mu, nu] with op = sum c[mu, nu] sigma_mu (x) sigma_nu, sigma_0 = I
+    sigma = np.concatenate([np.eye(2)[None], PAULI])
+    return np.array([[np.trace(op @ np.kron(sm, sn)) / 4 for sn in sigma] for sm in sigma])
+
+
+def test_pair_operators_are_diagonal_in_the_bloch_basis():
+    for kind, d in contraction._BLOCH_DIAGONALS.items():
+        assert np.max(np.abs(pauli_coefficients(PAIR_KIND_MATRICES[kind]) - np.diag(d))) <= 1e-15
+    # U = Pi = diag(0, 1, 1, 1) and V = I, so a moment cycle measures tr((Pi R R^T)^k)
+    assert np.max(np.abs(pauli_coefficients(build_u()) - np.diag([0, 1, 1, 1]))) <= 1e-15
+    assert np.max(np.abs(pauli_coefficients(build_v()) - np.eye(4))) <= 1e-15
+
+
+def test_factor_stack_holds_the_correlation_matrix():
+    # against R = [[1, y^T], [x, T]] from decompose, a separate code path
+    for trial in range(12):
+        state = random_state(1950 + trial, rank=1 + trial % 4)
+        b = decompose(state)
+        r = np.block([[np.ones((1, 1)), b.y[None]], [b.x[:, None], b.T]])
+        factors = (contraction._FACTOR_MAP @ state.matrix.reshape(16)).reshape(2, 4, 12)
+        for t, c in enumerate((r, r.T)):
+            for kind, d in contraction._BLOCH_DIAGONALS.items():
+                block = factors[t][:, contraction._FACTOR_COLUMNS[kind]]
+                assert np.max(np.abs(block - np.diag(d) @ c)) <= 1e-15
 
 
 def test_singlet_projector_properties():
@@ -292,7 +319,7 @@ STEP_FORM_STATES = [random_state(1560 + t, rank=1 + t % 4) for t in range(50)] +
 
 def test_outcome_leg_walks_agree_with_closed_walks():
     # the c's a setting covers, read off its joint distribution (walked with outcome
-    # legs) against the same c's from expect_layout (walked with folded closed edges)
+    # legs) against the same c's from expect_layout (walked with closed edges only)
     for state in STEP_FORM_STATES:
         c = outcomes_exact(state).c
         for setting in settings():
@@ -396,6 +423,19 @@ def test_dense_oracle_checks_the_imaginary_residue(monkeypatch):
     for lay in (standard_layouts()[0], standard_layouts()[3]):
         with pytest.raises(NumericalContractError, match="imaginary residue"):
             expect_layout_dense_oracle(lay, random_state(1800, rank=3))
+
+
+def test_walk_checks_the_imaginary_residue():
+    # a non-Hermitian rho has complex Pauli expectations: rho_01 = 1e-3 puts 1e-3 i in
+    # R's (0, y) entry, so the factors built from rho carry an imaginary part
+    rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    rho[0, 1] = 1e-3
+    closed = tuple((p.side, *p.copies, p.kind) for p in standard_layouts()[0].pairs)
+    legs = tuple((p.side, *p.copies, "outcome") for p in settings()[1].pairs)
+    for edges in (closed, legs):
+        with pytest.raises(NumericalContractError, match="imaginary residue"):
+            _contract(edges, rho)
+        _contract(edges, (rho + rho.conj().T) / 2)  # its Hermitian part passes
 
 
 def test_dense_oracle_never_forms_the_copies_product():

@@ -676,6 +676,13 @@ def test_outcome_vector_validation():
         OutcomeVector(np.full(11, -0.2), "sampled")
     clamped = OutcomeVector(np.full(11, -1e-13), "exact")
     assert np.all(clamped.c == 0.0)
+    for bad in (np.nan, np.inf):
+        c = np.full(11, 0.1)
+        c[4] = bad
+        with pytest.raises(NumericalContractError, match="outside"):
+            OutcomeVector(c, "exact")
+        with pytest.raises(ValueError, match="must lie in"):
+            OutcomeVector(c, "sampled")
 
 
 def test_cached_hit_and_observable_arrays_are_read_only():

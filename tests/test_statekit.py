@@ -103,6 +103,14 @@ def test_reconstruct_rejects_nonphysical_bloch_data():
         reconstruct(bad)
 
 
+@pytest.mark.parametrize("where", ["x", "y", "T"])
+def test_bloch_form_rejects_nan(where):
+    data = {"x": np.zeros(3), "y": np.zeros(3), "T": np.zeros((3, 3))}
+    data[where].flat[1] = np.nan
+    with pytest.raises(StateValidationError, match="Bloch entries"):
+        BlochForm(**data)
+
+
 def test_werner_endpoints():
     assert np.allclose(make_family("werner", [0.0]).matrix, MAXIMALLY_MIXED)
     assert np.allclose(make_family("werner", [1.0]).matrix, SINGLET)
@@ -171,6 +179,12 @@ def test_random_state_deterministic():
 def test_random_state_rank_one_is_pure():
     for seed in range(20):
         assert abs(random_state(seed, rank=1).purity() - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("rank", [0, 5, 2.0, True], ids=["zero", "five", "float", "bool"])
+def test_random_state_rejects_a_bad_rank(rank):
+    with pytest.raises(StateValidationError, match="rank must be 1..4"):
+        random_state(1, rank=rank)
 
 
 def test_random_state_sweep_passes_invariants():
