@@ -5,11 +5,12 @@ form disjoint cycles that alternate sides. In the Bloch basis sigma_mu (x)
 sigma_nu (sigma_0 = I) a copy is its real correlation matrix R = [[1, y^T],
 [x, T]] and a pair operator is diagonal, so a cycle is the trace of a product of
 real 4x4 factors diag(d) R and diag(d) R^T. A measured pair's open leg, the
-factors (complement, singlet), makes one walk yield every outcome pattern. The
-walk plan is cached per edge structure; intermediates hold at most 2^n * 16
-reals for n measured pairs. Only the dense oracle, capped at 4 copies, builds
-the 4^n operator: in the computational basis, real, realigned, once per layout,
-and traced as a bilinear form in n / 2 factors of vec(rho^T).
+factors (complement, singlet), makes one walk yield every outcome pattern, kept
+as one vector in pattern order. The walk plan is cached per edge structure;
+intermediates hold at most 2^n * 16 reals for n measured pairs. Only the dense
+oracle, capped at 4 copies, builds the 4^n operator: in the computational basis,
+real, realigned, once per layout, and traced as a bilinear form in n / 2
+factors of vec(rho^T).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import NumericalContractError
 from .pairing import PairingLayout, PairOp, Setting
-from .statekit import I4, PAULI, SINGLET, TwoQubitState, _frozen
+from .statekit import I4, SIGMA, SINGLET, TwoQubitState, _frozen
 
 IMAG_TOL = 1e-10
 NEG_PROB_TOL = 1e-12
@@ -41,8 +42,8 @@ PAIR_WEIGHTS = {"a": (1, -4), "b": (2, -4)}
 
 
 def pauli_exchange_sum() -> np.ndarray:
-    """sum_i sigma^i (x) sigma^i, built directly from the Pauli matrices."""
-    return sum(np.kron(PAULI[i], PAULI[i]) for i in range(3))
+    """sum_i sigma^i (x) sigma^i, read off the Bloch basis rather than P^-."""
+    return SIGMA[1, 1] + SIGMA[2, 2] + SIGMA[3, 3]
 
 
 def build_u() -> np.ndarray:
@@ -76,9 +77,8 @@ _FACTOR_COLUMNS["outcome"] = slice(4, 12)
 def _factor_map() -> np.ndarray:
     """(96, 16) map of rho's entries to the (2, 4, 12) factor stack: for C = R, then
     C = R^T, the three factors diag(d) C side by side in _BLOCH_DIAGONALS order."""
-    sigma = np.concatenate([np.eye(2)[None], PAULI])
     # R_mu,nu = tr(rho sigma_mu (x) sigma_nu) = vec(rho) . vec((sigma_mu (x) sigma_nu)^T)
-    r_map = np.array([[np.kron(sm, sn).T.reshape(16) for sn in sigma] for sm in sigma])
+    r_map = SIGMA.transpose(0, 1, 3, 2).reshape(4, 4, 16)
     c_map = np.stack([r_map, r_map.transpose(1, 0, 2)])
     d = np.array(list(_BLOCH_DIAGONALS.values()))
     return _frozen((d.T[None, :, :, None, None] * c_map[:, :, None]).reshape(96, 16))
@@ -204,31 +204,42 @@ def pattern_product(per_pair) -> np.ndarray:
 class OutcomeDistribution:
     """Joint outcome probabilities for one measurement setting.
 
-    Keys are bit tuples aligned with `setting.pairs`, in pattern order; bit
-    1 means the pair projected onto the singlet, bit 0 onto its complement.
+    `p` holds one probability per pattern, in pattern order (see pattern_product),
+    read-only; `probs` keys the same values by bit tuples aligned with
+    `setting.pairs`, bit 1 meaning the pair projected onto the singlet, bit 0
+    onto its complement.
     """
 
     setting: Setting
-    probs: dict[tuple[int, ...], float]
+    p: np.ndarray
 
     def __post_init__(self) -> None:
-        n_pairs = len(self.setting.pairs)
-        if len(self.probs) != 2**n_pairs:
-            raise NumericalContractError(f"expected {2 ** n_pairs} patterns, got {len(self.probs)}")
-        total = sum(self.probs.values())
-        if abs(total - 1.0) > PROB_SUM_TOL:
+        p = np.asarray(self.p, dtype=float)
+        n_patterns = 2 ** len(self.setting.pairs)
+        if p.shape != (n_patterns,):
+            raise NumericalContractError(f"expected {n_patterns} patterns, got shape {p.shape}")
+        # each check is written so that NaN fails it
+        if not (np.isfinite(p).all() and p.min() >= 0.0):
+            raise NumericalContractError("pattern probabilities must be finite and nonnegative")
+        total = float(p.sum())
+        if not abs(total - 1.0) <= PROB_SUM_TOL:
             raise NumericalContractError(
                 f"probabilities sum to {total:.12g}, off from 1 by more than {PROB_SUM_TOL}"
             )
+        object.__setattr__(self, "p", _frozen(p))
+
+    @property
+    def probs(self) -> dict[tuple[int, ...], float]:
+        return dict(zip(self.patterns(), self.p.tolist()))
 
     def patterns(self) -> list[tuple[int, ...]]:
-        return list(self.probs.keys())
+        return list(_pattern_keys(len(self.setting.pairs)))
 
     def vector(self) -> np.ndarray:
-        return np.array(list(self.probs.values()), dtype=float)
+        return self.p.copy()
 
     def marginal_singlet(self, pair_index: int) -> float:
-        return sum(p for pat, p in self.probs.items() if pat[pair_index] == 1)
+        return sum(v for pat, v in self.probs.items() if pat[pair_index] == 1)
 
 
 @lru_cache(maxsize=8)
@@ -242,14 +253,15 @@ def joint_distribution(setting: Setting, state: TwoQubitState) -> OutcomeDistrib
 
     One walk of the matching with a (complement, singlet) leg on every pair
     gives all patterns; one below -NEG_PROB_TOL is an error, a smaller negative is 0.
+    The norm is Python's sum in pattern order: sampled draws depend on its bits.
     """
     edges = tuple((p.side, *p.copies, "outcome") for p in setting.pairs)
     # pattern order (see pattern_product): reversed axes put pair 0's bit lowest
     flat = _contract(edges, state.matrix).T.reshape(-1)
     if flat.min() < -NEG_PROB_TOL:
         raise NumericalContractError(f"pattern probability {flat.min():.3e} below -{NEG_PROB_TOL}")
-    probs = dict(zip(_pattern_keys(len(edges)), np.maximum(flat, 0.0).tolist()))
-    norm = sum(probs.values())
-    if abs(norm - 1.0) > PROB_SUM_TOL:
+    p = np.maximum(flat, 0.0)
+    norm = sum(p.tolist())
+    if not abs(norm - 1.0) <= PROB_SUM_TOL:  # NaN fails too
         raise NumericalContractError(f"joint distribution sums to {norm:.12g} before normalization")
-    return OutcomeDistribution(setting, {k: v / norm for k, v in probs.items()})
+    return OutcomeDistribution(setting, p / norm)

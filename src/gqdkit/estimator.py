@@ -36,7 +36,7 @@ from .contraction import (
 from .errors import NumericalContractError
 from .gqd_core import GqdEstimate, k_matrix
 from .pairing import Setting, settings, standard_layouts
-from .statekit import TwoQubitState, _frozen, _is_int, decompose, random_state
+from .statekit import TwoQubitState, _frozen, _is_int, decompose, random_state, stream_key
 
 MOMENT_ORDERS = (1, 2, 3)
 N_OUTCOMES = 11
@@ -272,29 +272,13 @@ def _hit_matrix(setting: Setting) -> tuple[np.ndarray, np.ndarray]:
     Entry (pattern, j) is 1 when every singlet-designated pair of the j-th
     covered layout shows the singlet outcome in that pattern. Cached, read-only.
     """
-    by_label = {lay.label: (i, lay) for i, lay in enumerate(standard_layouts())}
-    indices, columns = [], []
-    for label in setting.covered:
-        idx, layout = by_label[label]
-        kinds = {(p.side, p.copies): p.kind for p in layout.pairs}
-        indices.append(idx)
-        singlet = [kinds[(sp.side, sp.copies)] == "singlet" for sp in setting.pairs]
-        columns.append(pattern_product([(0, 1) if s else (1, 1) for s in singlet]))
-    return _frozen(indices), _frozen(np.array(columns, dtype=np.int64).T)
-
-
-def stream_key(seed) -> tuple[int, ...]:
-    """A seed (an int or ints, each in [0, 2**63)) as the tuple keying RNG streams.
-
-    A float entry is rejected even when integral, as np.random.default_rng does.
-    """
-    key = tuple(np.ravel(np.asarray(seed, dtype=object)))
-    for s in key:
-        if not _is_int(s):
-            raise ValueError(f"seed entry {s} is not an integer")
-        if not 0 <= s < 2**63:
-            raise ValueError(f"seed entry {s} is outside [0, 2**63)")
-    return tuple(int(s) for s in key)
+    covered = [(i, lay) for i, lay in enumerate(standard_layouts()) if lay.label in setting.covered]
+    # a covered layout stores its pairs in the setting's pair order
+    columns = [
+        pattern_product([(0, 1) if p.kind == "singlet" else (1, 1) for p in lay.pairs])
+        for _, lay in covered
+    ]
+    return _frozen([i for i, _ in covered]), _frozen(np.array(columns, dtype=np.int64).T)
 
 
 def _shot_count(shots, name: str) -> int:
@@ -398,7 +382,7 @@ class _Sampler:
 
     def __init__(self, dists: list[OutcomeDistribution], shots: int) -> None:
         self.shots = shots
-        self.pvecs = [v / v.sum() for v in (d.vector() for d in dists)]
+        self.pvecs = [d.p / d.p.sum() for d in dists]
         self.hits = [_hit_matrix(d.setting) for d in dists]
 
     def counts(self, prefix: tuple[int, ...], repeats: int | None = None) -> list[np.ndarray]:
@@ -511,14 +495,14 @@ def _spectrum_roots(m1: float, m2: float, m3: float) -> tuple[list[float], float
     return [u + v - shift, re - shift, re - shift], imag
 
 
-def eigenvalues_from_moments(m: MomentTriple, noisy: bool = False) -> np.ndarray:
+def eigenvalues_from_moments(m: MomentTriple) -> np.ndarray:
     """The K spectrum from its power sums, descending, negative roots clamped to zero.
 
-    With noisy=False a complex residue beyond COMPLEX_ROOT_TOL is an error;
-    with noisy=True real parts are taken unconditionally.
+    A complex residue beyond COMPLEX_ROOT_TOL is an error. The sampled route takes
+    real parts unconditionally: it calls _spectrum_roots itself.
     """
     roots, worst_imag = _spectrum_roots(m.m1, m.m2, m.m3)
-    if not noisy and worst_imag >= COMPLEX_ROOT_TOL:
+    if worst_imag >= COMPLEX_ROOT_TOL:
         raise NumericalContractError(
             f"moment cubic has complex residue {worst_imag:.3e} on the exact route"
         )

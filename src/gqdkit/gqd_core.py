@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NumericalContractError, StateValidationError
-from .statekit import SIGMA_A, BlochForm, TwoQubitState, _frozen, _is_int, decompose
+from .statekit import SIGMA, BlochForm, TwoQubitState, _frozen, _is_int, decompose
 
 if TYPE_CHECKING:
     from .estimator import MomentTriple, OutcomeVector
@@ -152,7 +152,8 @@ def _fibonacci_axes(count: int) -> np.ndarray:
 
 def _sandwiches(rho: np.ndarray) -> np.ndarray:
     """W_ij = (sigma_i (x) I) rho (sigma_j (x) I) as real rows: row 3i+j holds 32 floats."""
-    return np.einsum("iab,bc,jcd->ijad", SIGMA_A, rho, SIGMA_A).view(np.float64).reshape(9, 32)
+    sigma_a = SIGMA[1:, 0]  # sigma_i (x) I
+    return np.einsum("iab,bc,jcd->ijad", sigma_a, rho, sigma_a).view(np.float64).reshape(9, 32)
 
 
 def _dephased(rho: np.ndarray, sandwiches: np.ndarray, axes: np.ndarray):

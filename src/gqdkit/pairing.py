@@ -137,7 +137,7 @@ _PROTOCOL = (
 
 
 def _build_protocol() -> tuple[tuple[PairingLayout, ...], tuple[Setting, ...]]:
-    """P1..P11, labelled in order, and the three settings, each holding its first layout."""
+    """P1..P11, labelled in order, each in its setting's pair order, and the three settings."""
     layouts: list[PairingLayout] = []
     all_settings = []
     for n_copies, matching, identity_pairs in _PROTOCOL:

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import _shot_count, _streams, stream_key
+from .estimator import _shot_count, _streams
 from .gqd_core import GqdEstimate, gqd_exact
 from .pairing import settings, standard_layouts
-from .statekit import TwoQubitState, _bloch_matrix, decompose
+from .statekit import TwoQubitState, _bloch_matrix, decompose, stream_key
 
 # outcome sign pairs (s, t) for the four results of one Pauli x Pauli setting
 _OUTCOME_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -80,28 +80,23 @@ def qst_estimate(
 class ResourceReport:
     """Scheme-versus-tomography resource figures.
 
-    The r_* fields are the quoted comparison constants (r = r_p * r_c per
-    column). The two tally fields are computed independently from the
+    The r_* class constants are the quoted comparison figures, r = r_p * r_c
+    per column. The four tally fields are computed independently from the
     standard layouts and settings and are reported without asserting any
     relation to r_c_scheme.
     """
 
-    r_p_scheme: int = 3
-    r_p_qst: int = 15
-    r_c_scheme: int = 44
-    r_c_qst: int = 15
-    r_scheme: int = 132
-    r_qst: int = 225
+    r_p_scheme = 3
+    r_p_qst = 15
+    r_c_scheme = 44
+    r_c_qst = 15
+    r_scheme = r_p_scheme * r_c_scheme
+    r_qst = r_p_qst * r_c_qst
+
     projector_count_scheme: int = 11
     setting_count_scheme: int = 3
     copies_tally_per_projector: int = 0
     copies_tally_per_setting: int = 0
-
-    def __post_init__(self) -> None:
-        if self.r_scheme != self.r_p_scheme * self.r_c_scheme:
-            raise ValueError("scheme column must satisfy r = r_p * r_c")
-        if self.r_qst != self.r_p_qst * self.r_c_qst:
-            raise ValueError("tomography column must satisfy r = r_p * r_c")
 
     def to_dict(self) -> dict:
         return {

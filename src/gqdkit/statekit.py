@@ -2,9 +2,10 @@
 
 Everything works in the product basis |00>, |01>, |10>, |11|; the first
 tensor factor is subsystem a, the second subsystem b, and the Pauli axes
-are ordered (sigma^1, sigma^2, sigma^3) = (X, Y, Z). Constructors validate
-their output, so any TwoQubitState or BlochForm in circulation satisfies
-the module invariants.
+are ordered (sigma^1, sigma^2, sigma^3) = (X, Y, Z). SIGMA holds the Bloch
+basis sigma_mu (x) sigma_nu, sigma_0 = I, once for the package. Constructors
+validate their output, so any TwoQubitState or BlochForm in circulation
+satisfies the module invariants.
 """
 
 from __future__ import annotations
@@ -34,12 +35,9 @@ PAULI = np.array(
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
 
-# Tensor-product Pauli bases, indexed [i] resp. [i, j].
-SIGMA_A = np.stack([np.kron(PAULI[i], I2) for i in range(3)])
-SIGMA_B = np.stack([np.kron(I2, PAULI[i]) for i in range(3)])
-SIGMA_AB = np.stack(
-    [np.stack([np.kron(PAULI[i], PAULI[j]) for j in range(3)]) for i in range(3)]
-)
+# The Bloch basis: SIGMA[mu, nu] = sigma_mu (x) sigma_nu with sigma_0 = I, so rho's
+# coefficients R_mu,nu = tr(rho SIGMA[mu, nu]) hold 1, y (row 0), x (column 0) and T.
+SIGMA = np.array([[np.kron(sm, sn) for sn in (I2, *PAULI)] for sm in (I2, *PAULI)])
 
 SINGLET_KET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 SINGLET = np.outer(SINGLET_KET, SINGLET_KET.conj())
@@ -67,6 +65,20 @@ def _is_real(x) -> bool:  # a JSON number; a bool, though an int subclass, is no
 
 def _is_int(x) -> bool:  # a count or a seed entry; a bool, though an int subclass, is neither
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def stream_key(seed) -> tuple[int, ...]:
+    """A seed (an int or ints, each in [0, 2**63)) as the tuple keying RNG streams.
+
+    A float entry is rejected even when integral, as np.random.default_rng does.
+    """
+    key = tuple(np.ravel(np.asarray(seed, dtype=object)))
+    for s in key:
+        if not _is_int(s):
+            raise StateValidationError(f"seed entry {s} is not an integer")
+        if not 0 <= s < 2**63:
+            raise StateValidationError(f"seed entry {s} is outside [0, 2**63)")
+    return tuple(int(s) for s in key)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,29 +144,23 @@ class BlochForm:
 
 def decompose(state: TwoQubitState) -> BlochForm:
     """Bloch form of a state: x_i, y_i, and t_ij as Pauli expectation values."""
-    rho = state.matrix
-    x = np.einsum("iab,ba->i", SIGMA_A, rho)
-    y = np.einsum("iab,ba->i", SIGMA_B, rho)
-    T = np.einsum("ijab,ba->ij", SIGMA_AB, rho)
-    residue = max(
-        float(np.max(np.abs(x.imag))),
-        float(np.max(np.abs(y.imag))),
-        float(np.max(np.abs(T.imag))),
-    )
+    r = np.einsum("mnab,ba->mn", SIGMA, state.matrix)
+    residue = float(np.max(np.abs(r.imag)))
     if residue > IMAG_TRACE_TOL:
         raise NumericalContractError(
             f"Pauli expectation values have imaginary residue {residue:.3e}"
         )
-    return BlochForm(x.real, y.real, T.real)
+    return BlochForm(r.real[1:, 0], r.real[0, 1:], r.real[1:, 1:])
 
 
 def _bloch_matrix(x: np.ndarray, y: np.ndarray, T: np.ndarray) -> np.ndarray:
     """(I + x.sigma (x) I + I (x) y.sigma + sum_ij t_ij sigma^i (x) sigma^j) / 4, unchecked."""
+    # three sums: one einsum over SIGMA would move the last bits of tomography values
     return (
         I4
-        + np.einsum("i,iab->ab", x, SIGMA_A)
-        + np.einsum("i,iab->ab", y, SIGMA_B)
-        + np.einsum("ij,ijab->ab", T, SIGMA_AB)
+        + np.einsum("i,iab->ab", x, SIGMA[1:, 0])
+        + np.einsum("i,iab->ab", y, SIGMA[0, 1:])
+        + np.einsum("ij,ijab->ab", T, SIGMA[1:, 1:])
     ) / 4.0
 
 
@@ -234,13 +240,7 @@ def make_family(name: str, params: Sequence[float]) -> TwoQubitState:
                 "bell_diagonal: (c1, c2, c3) outside the physical tetrahedron "
                 f"(smallest Bell weight {np.min(weights):.3e})"
             )
-        rho = (
-            I4
-            + c1 * SIGMA_AB[0, 0]
-            + c2 * SIGMA_AB[1, 1]
-            + c3 * SIGMA_AB[2, 2]
-        ) / 4.0
-        return TwoQubitState(rho)
+        return TwoQubitState((I4 + c1 * SIGMA[1, 1] + c2 * SIGMA[2, 2] + c3 * SIGMA[3, 3]) / 4.0)
 
     if name == "pure":
         ket = _pure_ket(params)
@@ -271,10 +271,11 @@ def random_state(seed, rank: int = 4) -> TwoQubitState:
     """Random density matrix of the given rank, deterministic per seed.
 
     Draws a 4 x rank complex Gaussian matrix G and returns G G^dag normalized
-    to unit trace. `seed` may be an int or a sequence of ints (stream key).
+    to unit trace. `seed` may be an int or a sequence of ints, as stream_key accepts.
     """
     if not _is_int(rank) or rank not in (1, 2, 3, 4):
         raise StateValidationError(f"rank must be 1..4, got {rank}")
+    stream_key(seed)
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
     m = g @ g.conj().T

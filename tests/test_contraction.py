@@ -17,6 +17,7 @@ from gqdkit import (
 from gqdkit import contraction
 from gqdkit.contraction import (
     P_MINUS,
+    OutcomeDistribution,
     PAIR_KIND_MATRICES,
     _contract,
     _dense_operator,
@@ -165,6 +166,45 @@ def test_joint_distribution_sums_to_one():
         state = random_state(1100 + trial, rank=1 + trial % 4)
         for setting in settings():
             assert abs(sum(joint_distribution(setting, state).probs.values()) - 1.0) <= 1e-9
+
+
+def _two_pair_vector(p00, p10, p01, p11):
+    return np.array([p00, p10, p01, p11])
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        (np.full(3, 1 / 3), "expected 4 patterns"),
+        (np.full((2, 2), 0.25), "expected 4 patterns"),
+        (_two_pair_vector(np.nan, 0.5, 0.25, 0.25), "finite and nonnegative"),
+        (_two_pair_vector(np.inf, 0.5, 0.25, 0.25), "finite and nonnegative"),
+        (_two_pair_vector(-0.25, 0.5, 0.5, 0.25), "finite and nonnegative"),
+        (_two_pair_vector(0.25, 0.25, 0.25, 0.3), "sum to"),
+    ],
+    ids=["short", "matrix", "nan", "inf", "negative", "sum-off"],
+)
+def test_outcome_distribution_rejects_a_bad_vector(p, message):
+    with pytest.raises(NumericalContractError, match=message):
+        OutcomeDistribution(settings()[0], p)
+
+
+def test_joint_distribution_rejects_a_nan_walk(monkeypatch):
+    # a NaN pattern survives the clamp; the sum check before normalization catches it
+    monkeypatch.setattr(contraction, "_contract", lambda edges, rho: np.full((2, 2), np.nan))
+    with pytest.raises(NumericalContractError, match="before normalization"):
+        joint_distribution(settings()[0], random_state(1150))
+
+
+def test_outcome_distribution_holds_one_read_only_vector():
+    dist = joint_distribution(settings()[1], random_state(1160, rank=3))
+    assert list(dist.probs) == dist.patterns()
+    assert list(dist.probs.values()) == dist.p.tolist()
+    with pytest.raises(ValueError, match="read-only"):
+        dist.p[0] = 0.5
+    copy = dist.vector()
+    copy[0] = 0.5  # a writable copy: the distribution keeps its own values
+    assert dist.p[0] != 0.5
 
 
 def _relabel(setting, kinds):

@@ -194,9 +194,10 @@ def test_eigenvalue_round_trip_on_random_triples():
 def test_exact_route_rejects_complex_spectrum():
     with pytest.raises(NumericalContractError, match="complex"):
         eigenvalues_from_moments(MomentTriple(0.0, -1.0, 0.0))
-    lam = eigenvalues_from_moments(MomentTriple(0.0, -1.0, 0.0), noisy=True)
-    assert lam.shape == (3,)
-    assert np.all(lam >= 0.0)
+    # x^3 + x / 2: the real parts are 0, 0, 0 and the conjugate pair is +-i / sqrt(2)
+    roots, imag = estimator._spectrum_roots(0.0, -1.0, 0.0)
+    assert np.max(np.abs(roots)) <= 1e-15
+    assert abs(imag - np.sqrt(0.5)) <= 1e-15
 
 
 # The numpy spectrum solver that estimator._spectrum_roots replaced, verbatim:
@@ -317,7 +318,11 @@ def test_spectrum_kernel_equals_the_numpy_solver_bit_for_bit(monkeypatch):
         want = reference_roots(m)
         assert np.array_equal(roots, want.real)  # a zero's sign may differ before the clamp
         assert np.array_equal(np.abs(want.imag).max().view(np.int64), np.float64(imag).view(np.int64))
-        got = eigenvalues_from_moments(m, noisy=True)
+        if imag >= COMPLEX_ROOT_TOL:
+            with pytest.raises(NumericalContractError, match="complex residue"):
+                eigenvalues_from_moments(m)
+            continue
+        got = eigenvalues_from_moments(m)
         want = reference_eigenvalues_from_moments(m, noisy=True)
         assert got.shape == (3,)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), m
@@ -444,7 +449,7 @@ def test_scheme_sampled_follows_streams_and_pattern_loop_reference():
         assert np.array_equal(est.outcomes.c, np.mean(cs, axis=0))
         got = [est.moments.m1, est.moments.m2, est.moments.m3]
         assert np.array_equal(got, np.mean(ms, axis=0))
-        lams = np.array([eigenvalues_from_moments(MomentTriple(*m), noisy=True) for m in ms])
+        lams = np.array([reference_eigenvalues_from_moments(MomentTriple(*m), noisy=True) for m in ms])
         discord = (lams[:, 1] + lams[:, 2]) / 4.0
         assert np.array_equal(est.value, discord.mean())
         assert np.array_equal(est.std_err, discord.std(ddof=1))

@@ -10,7 +10,12 @@ from gqdkit import (
     resource_report,
 )
 from gqdkit.qst_baseline import _project_to_state
-from gqdkit.statekit import SIGMA_A, SIGMA_AB, SIGMA_B
+from gqdkit.statekit import PAULI
+
+# the tensor-product Pauli tables indexed [i] resp. [i, j], built here from PAULI
+SIGMA_A = np.stack([np.kron(p, np.eye(2)) for p in PAULI])
+SIGMA_B = np.stack([np.kron(np.eye(2), p) for p in PAULI])
+SIGMA_AB = np.stack([[np.kron(p, q) for q in PAULI] for p in PAULI])
 
 
 def test_exact_limit_reconstruction_is_lossless():

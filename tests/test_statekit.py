@@ -15,7 +15,7 @@ from gqdkit import (
     state_to_dict,
     state_to_json,
 )
-from gqdkit.statekit import MAXIMALLY_MIXED, SINGLET, _bloch_matrix
+from gqdkit.statekit import MAXIMALLY_MIXED, PAULI, SIGMA, SINGLET, _bloch_matrix
 
 
 def ket_state(amplitudes):
@@ -45,6 +45,30 @@ def test_singlet_decompose():
     assert np.allclose(b.x, 0.0, atol=1e-12)
     assert np.allclose(b.y, 0.0, atol=1e-12)
     assert np.allclose(b.T, -np.eye(3), atol=1e-12)
+
+
+def test_sigma_is_the_table_of_pauli_products():
+    sigma = [np.eye(2), *PAULI]
+    assert SIGMA.shape == (4, 4, 4, 4)
+    for mu in range(4):
+        for nu in range(4):
+            assert np.array_equal(SIGMA[mu, nu], np.kron(sigma[mu], sigma[nu]))
+
+
+@pytest.mark.parametrize(
+    "state, x, y, T",
+    [
+        (TwoQubitState(SINGLET), np.zeros(3), np.zeros(3), -np.eye(3)),
+        # |0> (x) |+>: x = (0, 0, 1), y = (1, 0, 0), T = x y^T
+        (ket_state([1, 1, 0, 0]), [0, 0, 1], [1, 0, 0], np.outer([0, 0, 1], [1, 0, 0])),
+    ],
+    ids=["singlet", "product"],
+)
+def test_decompose_on_textbook_states(state, x, y, T):
+    b = decompose(state)
+    assert np.max(np.abs(b.x - x)) <= 1e-15
+    assert np.max(np.abs(b.y - y)) <= 1e-15
+    assert np.max(np.abs(b.T - T)) <= 1e-15
 
 
 def test_reconstruct_trivial_cases():
@@ -185,6 +209,26 @@ def test_random_state_rank_one_is_pure():
 def test_random_state_rejects_a_bad_rank(rank):
     with pytest.raises(StateValidationError, match="rank must be 1..4"):
         random_state(1, rank=rank)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [-1, [1, -2], 2**63, 1.5, 2.0, "x", None, True, [3, False]],
+    ids=["negative", "negative-entry", "2^63", "fraction", "integral-float", "string", "none",
+         "bool", "bool-entry"],
+)
+def test_random_state_rejects_a_bad_seed(seed):
+    with pytest.raises(StateValidationError, match="seed entry"):
+        random_state(seed)
+
+
+def test_random_state_seeds_numpy_with_the_seed_as_given():
+    # the seed check leaves numpy's seed as given, so every panel state keeps its bits
+    for seed in (0, 5, 2**40, [17, 3], (2**63 - 1, 0), np.int64(9)):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        m = g @ g.conj().T
+        assert np.array_equal(random_state(seed, rank=2).matrix, m / np.trace(m))
 
 
 def test_random_state_sweep_passes_invariants():
