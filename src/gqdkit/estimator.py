@@ -13,9 +13,9 @@ counts as the mean of one product observable, the unfactorized form of the
 same expansion. That observable and the 0/1 hit matrices turning counts into
 c's are Kronecker products of per-pair (complement, singlet) values, built by
 contraction.pattern_product, the one place that fixes the pattern order.
-Sampled counts come from one RNG stream per key, np.random.default_rng(list(key))
-state for state; _streams seeds every stream of a call in one pass. Both
-routes solve the spectrum cubic with one scalar kernel, _spectrum_roots.
+Sampled counts come from statekit._draw, the package's one draw function; this
+module normalizes and groups them by setting. Both routes solve the spectrum
+cubic with one scalar kernel, _spectrum_roots.
 """
 
 from __future__ import annotations
@@ -36,7 +36,9 @@ from .contraction import (
 from .errors import NumericalContractError
 from .gqd_core import GqdEstimate, k_matrix
 from .pairing import Setting, settings, standard_layouts
-from .statekit import TwoQubitState, _frozen, _is_int, decompose, random_state, stream_key
+from .statekit import (
+    TwoQubitState, _draw, _frozen, _is_int, _sampling_inputs, decompose, random_state
+)
 
 MOMENT_ORDERS = (1, 2, 3)
 N_OUTCOMES = 11
@@ -281,139 +283,32 @@ def _hit_matrix(setting: Setting) -> tuple[np.ndarray, np.ndarray]:
     return _frozen([i for i, _ in covered]), _frozen(np.array(columns, dtype=np.int64).T)
 
 
-def _shot_count(shots, name: str) -> int:
-    """A shot count as an int; one that is not an integer, or is below 1, is rejected."""
-    if not _is_int(shots) or shots < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {shots!r}")
-    return int(shots)
+def _frequencies(counts: list[np.ndarray], shots: int) -> np.ndarray:
+    """The c's of every draw, one row each, from each setting's (draws, patterns) counts."""
+    c = np.zeros((len(counts[0]), N_OUTCOMES))
+    for n, (indices, hit) in zip(counts, map(_hit_matrix, settings())):
+        c[:, indices] = (n @ hit) / shots
+    return c
 
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx), all arithmetic mod 2**32. Each of
-# the 4 pool words is the hash of an entropy word (of 0 past the last one); hash call j xors
-# with constant j and multiplies by constant j + 1 of a fixed sequence. Each pool word is
-# then mixed with the hash of every other, and each entropy word past the pool with every
-# pool word. The PCG64 seed, generate_state(4, uint64), is the pool read twice, each word
-# hashed with _HASH_B, low words first.
-_POOL_SIZE = 4
-_MIX_MULT_L, _MIX_MULT_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
-_OTHERS = tuple([d for d in range(_POOL_SIZE) if d != s] for s in range(_POOL_SIZE))
-_STATE_WORDS = list(range(_POOL_SIZE)) * 2
-
-
-@lru_cache(maxsize=8)
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """init * mult**j mod 2**32 for j < count, as a read-only uint32 column."""
-    consts = [init]
-    for _ in range(count - 1):
-        consts.append(consts[-1] * mult & 0xFFFFFFFF)
-    return _frozen(np.array(consts, dtype=np.uint32)[:, None])
-
-
-_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 2 * _POOL_SIZE + 1)
-
-
-@lru_cache(maxsize=1)
-def _fixed_seed() -> type:
-    """An ISeedSequence handing PCG64 the seed state _streams generated, where SeedSequence
-    would generate it. Made on first use: numpy 2 imports numpy.random only when asked, and
-    importing gqdkit, as every gqd command does, should not ask."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class FixedSeed(ISeedSequence):
-        def __init__(self, state: np.ndarray) -> None:
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-            return self.state
-
-    return FixedSeed
-
-
-def _streams(prefix: tuple[int, ...], shape: tuple[int, ...]) -> list[np.random.Generator]:
-    """np.random.default_rng([*prefix, *idx]) for each idx in np.ndindex(shape), in C order.
-
-    A key's entropy is the uint32 words numpy's seed coercion makes of its
-    entries (one per 32 bits, low word first, [0] for 0; an index is one
-    word), so every key has the same word count. SeedSequence's mixing and
-    generate_state run on all keys at once, one uint32 row per pool word, and
-    each key's seed goes straight into its own PCG64: state and draws equal
-    default_rng's.
-    """
-    head = [w for k in prefix for w in ((k & 0xFFFFFFFF, k >> 32) if k >> 32 else (k,))]
-    n = math.prod(shape)
-    words = np.zeros((max(len(head) + len(shape), _POOL_SIZE), n), dtype=np.uint32)
-    words[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
-    words[len(head) : len(head) + len(shape)] = np.indices(shape).reshape(len(shape), n)
-    # 4 hash calls per row of words: 16 fill and cross-mix the pool, 4 mix in each row past it
-    consts, used = _hash_consts(0x43B0D7E5, 0x931E8875, _POOL_SIZE * len(words) + 1), 0
-
-    def hashmix(v: np.ndarray, calls: int) -> np.ndarray:
-        nonlocal used
-        v = (v ^ consts[used : used + calls]) * consts[used + 1 : used + calls + 1]
-        used += calls
-        return v ^ (v >> _XSHIFT)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        r = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return r ^ (r >> _XSHIFT)
-
-    pool = hashmix(words[:_POOL_SIZE], _POOL_SIZE)
-    for src, dst in enumerate(_OTHERS):
-        pool[dst] = mix(pool[dst], hashmix(pool[src], len(dst)))
-    for word in words[_POOL_SIZE:]:
-        pool = mix(pool, hashmix(word, _POOL_SIZE))
-    out = (pool[_STATE_WORDS] ^ _HASH_B[:-1]) * _HASH_B[1:]
-    out = (out ^ (out >> _XSHIFT)).astype(np.uint64)
-    seeds = (out[0::2] | out[1::2] << np.uint64(32)).T.copy()
-    fixed = _fixed_seed()
-    return [np.random.Generator(np.random.PCG64(fixed(s))) for s in seeds]
-
-
-class _Sampler:
-    """Multinomial counts of the three settings and their c frequencies.
-
-    Probability vectors are built once per state, hit matrices once per setting.
-    counts(prefix, repeats) draws setting k of draw r from the stream keyed by
-    (*prefix, r, k), or of its single draw by (*prefix, k) when repeats is None,
-    with every stream built by one _streams call, and stacks each setting's
-    counts as one (draws, patterns) array; frequencies reads the c's of every
-    draw off it in one product per setting.
-    """
-
-    def __init__(self, dists: list[OutcomeDistribution], shots: int) -> None:
-        self.shots = shots
-        self.pvecs = [d.p / d.p.sum() for d in dists]
-        self.hits = [_hit_matrix(d.setting) for d in dists]
-
-    def counts(self, prefix: tuple[int, ...], repeats: int | None = None) -> list[np.ndarray]:
-        n = len(self.pvecs)
-        rngs = _streams(prefix, (n,) if repeats is None else (repeats, n))
-        draws = [rng.multinomial(self.shots, self.pvecs[i % n]) for i, rng in enumerate(rngs)]
-        return [np.array(draws[k::n]) for k in range(n)]
-
-    def frequencies(self, counts: list[np.ndarray]) -> np.ndarray:
-        c = np.zeros((len(counts[0]), N_OUTCOMES))
-        for n, (indices, hit) in zip(counts, self.hits):
-            c[:, indices] = (n @ hit) / self.shots
-        if c.min() < 0.0 or c.max() > 1.0:
-            raise ValueError("sampled outcomes must lie in [0, 1]")
-        return c
+def _setting_counts(state: TwoQubitState, key: tuple, shape: tuple, shots: int) -> list[np.ndarray]:
+    """Setting k's counts from p / p.sum(), keyed (*key, *idx, k), one (draws, patterns) array."""
+    dists = [joint_distribution(s, state) for s in settings()]
+    draws = _draw(key, (*shape, len(dists)), [d.p / d.p.sum() for d in dists], shots)
+    return [np.array(draws[k :: len(dists)]) for k in range(len(dists))]
 
 
 def outcomes_sampled(state: TwoQubitState, shots_per_setting: int, seed) -> OutcomeVector:
     """Empirical outcome frequencies from multinomial sampling.
 
     Each of the three settings draws `shots_per_setting` samples from its
-    exact joint distribution; setting k uses the stream keyed by (seed, k),
-    the three built by one _streams call.
+    exact joint distribution; setting k uses the stream keyed by (seed, k).
     c_i is the frequency of all singlet-designated pairs of P_i showing the
     singlet outcome, identity-designated pairs unconstrained.
     """
-    shots = _shot_count(shots_per_setting, "shots_per_setting")
-    entropy = stream_key(seed)
-    sampler = _Sampler([joint_distribution(s, state) for s in settings()], shots)
-    c = sampler.frequencies(sampler.counts(entropy))[0]
-    return OutcomeVector(c, "sampled", shots=shots, seed=entropy)
+    shots, key = _sampling_inputs(shots_per_setting, seed, "outcomes_sampled")
+    c = _frequencies(_setting_counts(state, key, (), shots), shots)[0]
+    return OutcomeVector(c, "sampled", shots=shots, seed=key)
 
 
 # Side-B outcome relabeling: (c2, c5, c9) swap with (c3, c6, c10).
@@ -501,6 +396,8 @@ def eigenvalues_from_moments(m: MomentTriple) -> np.ndarray:
     A complex residue beyond COMPLEX_ROOT_TOL is an error. The sampled route takes
     real parts unconditionally: it calls _spectrum_roots itself.
     """
+    if not all(map(math.isfinite, (m.m1, m.m2, m.m3))):
+        raise NumericalContractError(f"moments must be finite, got {m}")
     roots, worst_imag = _spectrum_roots(m.m1, m.m2, m.m3)
     if worst_imag >= COMPLEX_ROOT_TOL:
         raise NumericalContractError(
@@ -522,8 +419,8 @@ def estimate_gqd(
     scheme-exact uses exact outcome probabilities; side B is obtained by
     permuting the outcome vector before moment evaluation. scheme-sampled
     repeats the sampled pipeline `repeats` times (repeat r, setting k draws
-    from the stream keyed by (seed, r, k), unchanged per key; _streams seeds
-    all of them in one pass) and reports the mean value with the sample
+    from the stream keyed by (seed, r, k), unchanged per key; statekit._draw
+    makes every draw) and reports the mean value with the sample
     standard deviation across repeats as std_err. Setting k's counts
     of all repeats are one (repeats, patterns) array: the c's are
     counts_k @ hit_k / shots and moment M_k is counts_k @ moment_observable /
@@ -548,23 +445,18 @@ def estimate_gqd(
 
     if mode != "scheme-sampled":
         raise ValueError(f"mode must be 'scheme-exact' or 'scheme-sampled', got {mode!r}")
-    shots = _shot_count(shots, "scheme-sampled shots")
+    shots, base = _sampling_inputs(shots, seed, "scheme-sampled")
     if not _is_int(repeats):
         raise ValueError(f"scheme-sampled repeats must be an integer, got {repeats!r}")
     if repeats < 2:
         raise ValueError("scheme-sampled requires repeats >= 2")
-    if seed is None:
-        raise ValueError("scheme-sampled requires a seed")
 
-    base = stream_key(seed)
-    dists = [joint_distribution(s, state) for s in settings()]
-    sampler = _Sampler(dists, shots)
-    counts = sampler.counts(base, int(repeats))
-    cs = sampler.frequencies(counts)
+    counts = _setting_counts(state, base, (int(repeats),), shots)
+    cs = _frequencies(counts, shots)
     if which == "B":
         # take keeps C order, so the mean below adds the rows as a per-repeat array's does
         cs = cs.take(_SIDE_B_ORDER, axis=1)
-    ms = np.column_stack([n @ moment_observable(d, which) for n, d in zip(counts, dists)]) / shots
+    ms = np.column_stack([n @ _observable(s, which) for n, s in zip(counts, settings())]) / shots
     roots = [_spectrum_roots(*m)[0] for m in ms.tolist()]
     lams = np.sort(np.maximum(roots, 0.0), axis=1)[:, ::-1]
     values = (lams[:, 1] + lams[:, 2]) / 4.0

@@ -91,17 +91,18 @@ class GqdEstimate:
     def __post_init__(self) -> None:
         if self.route not in ("bloch-exact", "scheme-exact", "scheme-sampled"):
             raise ValueError(f"unknown route {self.route!r}")
-        if self.value < -1e-9:
-            raise NumericalContractError(f"estimate {self.value:.3e} below -1e-9")
+        # each check is written so that NaN and infinity fail it
+        if not -1e-9 <= self.value < math.inf:
+            raise NumericalContractError(f"estimate {self.value:.3e} is not finite and >= -1e-9")
         if self.value < 0.0:
             object.__setattr__(self, "value", 0.0)
-        if self.std_err < 0.0:
-            raise ValueError("std_err must be >= 0")
+        if not 0.0 <= self.std_err < math.inf:
+            raise ValueError(f"std_err must be finite and >= 0, got {self.std_err}")
         if self.route != "scheme-sampled" and self.std_err != 0.0:
             raise ValueError("exact routes must report std_err = 0")
         lam = self.eigenvalues
-        if not (lam[0] >= lam[1] >= lam[2]):
-            raise NumericalContractError("eigenvalues must be sorted descending")
+        if not (math.inf > lam[0] >= lam[1] >= lam[2] > -math.inf):
+            raise NumericalContractError(f"eigenvalues must be finite and sorted descending: {lam}")
 
     def to_dict(self) -> dict:
         return {

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .statekit import _is_int
+
 SIDES = ("a", "b")
 KINDS = ("singlet", "identity")
 COPY_COUNTS = (2, 4, 6)
@@ -42,6 +44,8 @@ class PairOp:
             raise ValueError(f"side must be 'a' or 'b', got {self.side!r}")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if len(self.copies) != 2 or not all(map(_is_int, self.copies)):
+            raise ValueError(f"copies must be two integer copy indices, got {self.copies!r}")
         lo, hi = sorted(int(c) for c in self.copies)
         if lo == hi:
             raise ValueError(f"pair slots must be distinct, got copies {self.copies}")
@@ -67,8 +71,9 @@ class PairingLayout:
     label: str | None = field(default=None)
 
     def __post_init__(self) -> None:
-        if self.n_copies not in COPY_COUNTS:
-            raise ValueError(f"n_copies must be one of {COPY_COUNTS}, got {self.n_copies}")
+        if not _is_int(self.n_copies) or self.n_copies not in COPY_COUNTS:
+            raise ValueError(f"n_copies must be one of {COPY_COUNTS}, got {self.n_copies!r}")
+        object.__setattr__(self, "n_copies", int(self.n_copies))
         pairs = tuple(self.pairs)
         object.__setattr__(self, "pairs", pairs)
         for side in SIDES:
@@ -212,9 +217,9 @@ def layout_to_dict(layout: PairingLayout) -> dict:
 
 def layout_from_dict(data: dict) -> PairingLayout:
     if not isinstance(data, dict) or set(data) != {"n_copies", "pairs"}:
-        raise ValueError(
-            'layout object must have exactly the fields "n_copies" and "pairs"'
-        )
+        raise ValueError('layout object must have exactly the fields "n_copies" and "pairs"')
+    if not isinstance(data["pairs"], list):
+        raise ValueError(f'"pairs" must be a list, got {data["pairs"]!r}')
     pairs = []
     for entry in data["pairs"]:
         if not isinstance(entry, dict) or set(entry) != {"side", "copies", "kind"}:
@@ -222,10 +227,10 @@ def layout_from_dict(data: dict) -> PairingLayout:
                 'each pair must have exactly the fields "side", "copies", "kind"'
             )
         copies = entry["copies"]
-        if len(copies) != 2:
-            raise ValueError(f"pair copies must list two copy indices, got {copies}")
-        pairs.append(PairOp(entry["side"], (int(copies[0]), int(copies[1])), entry["kind"]))
-    return PairingLayout(int(data["n_copies"]), tuple(pairs))
+        if not isinstance(copies, list) or len(copies) != 2:
+            raise ValueError(f"pair copies must list two copy indices, got {copies!r}")
+        pairs.append(PairOp(entry["side"], tuple(copies), entry["kind"]))
+    return PairingLayout(data["n_copies"], tuple(pairs))
 
 
 def layout_to_json(layout: PairingLayout) -> str:

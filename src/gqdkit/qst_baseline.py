@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import _shot_count, _streams
 from .gqd_core import GqdEstimate, gqd_exact
 from .pairing import settings, standard_layouts
-from .statekit import TwoQubitState, _bloch_matrix, decompose, stream_key
+from .statekit import TwoQubitState, _bloch_matrix, _draw, _sampling_inputs, decompose
 
 # outcome sign pairs (s, t) for the four results of one Pauli x Pauli setting
 _OUTCOME_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -44,7 +43,7 @@ def qst_estimate(
     With shots_per_setting=None the analytic outcome probabilities are used
     (infinite-shot limit) and the reconstruction is exact. Otherwise each of
     the nine settings draws a multinomial sample from the stream keyed by
-    (seed, setting index 3i + j), all nine seeded by one _streams call; x_i
+    (seed, setting index 3i + j), all nine drawn by one statekit._draw call; x_i
     and y_j are averaged over the three settings containing them, t_ij comes
     from setting (i, j). All nine outcome distributions are one broadcast, and
     the outcome sums run elementwise in the order of a per-setting loop, so the
@@ -54,19 +53,13 @@ def qst_estimate(
     if shots_per_setting is None:
         x_hat, y_hat, t_hat = bloch.x, bloch.y, bloch.T
     else:
-        shots = _shot_count(shots_per_setting, "shots_per_setting")
-        if seed is None:
-            raise ValueError("sampled tomography requires a seed")
-        base = stream_key(seed)
+        shots, key = _sampling_inputs(shots_per_setting, seed, "sampled tomography")
         s, t = np.array(_OUTCOME_SIGNS).T
         # probs[i, j, o]: outcome o of setting (i, j); every sign flip is exact
         x, y, T = bloch.x[:, None, None], bloch.y[None, :, None], bloch.T[:, :, None]
         probs = (1.0 + s * x + t * y + s * t * T) / 4.0
         probs = probs / probs.sum(axis=2, keepdims=True)
-        counts = [
-            rng.multinomial(shots, p) for rng, p in zip(_streams(base, (9,)), probs.reshape(9, 4))
-        ]
-        freq = np.reshape(counts, (3, 3, 4)) / shots
+        freq = np.reshape(_draw(key, (9,), probs.reshape(9, 4), shots), (3, 3, 4)) / shots
         # [i, j]: <st>, <s>, <t> in setting (i, j), outcomes added in order as Python's sum does
         t_hat, marg_a, marg_b = (sum(w[o] * freq[..., o] for o in range(4)) for w in (s * t, s, t))
         x_hat = marg_a.mean(axis=1)

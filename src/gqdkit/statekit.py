@@ -6,12 +6,18 @@ are ordered (sigma^1, sigma^2, sigma^3) = (X, Y, Z). SIGMA holds the Bloch
 basis sigma_mu (x) sigma_nu, sigma_0 = I, once for the package. Constructors
 validate their output, so any TwoQubitState or BlochForm in circulation
 satisfies the module invariants.
+
+Every random draw is made here: a seed is a stream key (stream_key), a sampled
+route's inputs pass one rule (_sampling_inputs), and _draw draws its counts from
+one stream per key (_streams), each equal to np.random.default_rng(list(key)).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -68,17 +74,119 @@ def _is_int(x) -> bool:  # a count or a seed entry; a bool, though an int subcla
 
 
 def stream_key(seed) -> tuple[int, ...]:
-    """A seed (an int or ints, each in [0, 2**63)) as the tuple keying RNG streams.
+    """A seed (an int or one or more ints, each in [0, 2**63)) as the tuple keying RNG streams.
 
     A float entry is rejected even when integral, as np.random.default_rng does.
     """
     key = tuple(np.ravel(np.asarray(seed, dtype=object)))
+    if not key:
+        raise StateValidationError("seed has no entries")
     for s in key:
         if not _is_int(s):
             raise StateValidationError(f"seed entry {s} is not an integer")
         if not 0 <= s < 2**63:
             raise StateValidationError(f"seed entry {s} is outside [0, 2**63)")
     return tuple(int(s) for s in key)
+
+
+def _sampling_inputs(shots, seed, route: str) -> tuple[int, tuple[int, ...]]:
+    """A sampled route's shot count (an integer >= 1) as an int and its seed as a stream key."""
+    if not _is_int(shots) or shots < 1:
+        raise ValueError(f"{route} shots must be an integer >= 1, got {shots!r}")
+    if seed is None:
+        raise ValueError(f"{route} requires a seed")
+    return int(shots), stream_key(seed)
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx), all arithmetic mod 2**32. Each of
+# the 4 pool words is the hash of an entropy word (of 0 past the last one); hash call j xors
+# with constant j and multiplies by constant j + 1 of a fixed sequence. Each pool word is
+# then mixed with the hash of every other, and each entropy word past the pool with every
+# pool word. The PCG64 seed, generate_state(4, uint64), is the pool read twice, each word
+# hashed with _HASH_B, low words first.
+_POOL_SIZE = 4
+_MIX_MULT_L, _MIX_MULT_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_OTHERS = tuple([d for d in range(_POOL_SIZE) if d != s] for s in range(_POOL_SIZE))
+_STATE_WORDS = list(range(_POOL_SIZE)) * 2
+
+
+@lru_cache(maxsize=8)
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**j mod 2**32 for j < count, as a read-only uint32 column."""
+    consts = [init]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return _frozen(np.array(consts, dtype=np.uint32)[:, None])
+
+
+_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 2 * _POOL_SIZE + 1)
+
+
+@lru_cache(maxsize=1)
+def _fixed_seed() -> type:
+    """An ISeedSequence handing PCG64 the seed state _streams generated, where SeedSequence
+    would generate it. Made on first use: numpy 2 imports numpy.random only when asked, and
+    importing gqdkit, as every gqd command does, should not ask."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedSeed(ISeedSequence):
+        def __init__(self, state: np.ndarray) -> None:
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.state
+
+    return FixedSeed
+
+
+def _streams(prefix: tuple[int, ...], shape: tuple[int, ...]) -> list[np.random.Generator]:
+    """np.random.default_rng([*prefix, *idx]) for each idx in np.ndindex(shape), in C order.
+
+    A key's entropy is the uint32 words numpy's seed coercion makes of its
+    entries (one per 32 bits, low word first, [0] for 0; an index is one
+    word), so every key has the same word count. SeedSequence's mixing and
+    generate_state run on all keys at once, one uint32 row per pool word, and
+    each key's seed goes straight into its own PCG64: state and draws equal
+    default_rng's.
+    """
+    head = [w for k in prefix for w in ((k & 0xFFFFFFFF, k >> 32) if k >> 32 else (k,))]
+    n = math.prod(shape)
+    words = np.zeros((max(len(head) + len(shape), _POOL_SIZE), n), dtype=np.uint32)
+    words[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
+    words[len(head) : len(head) + len(shape)] = np.indices(shape).reshape(len(shape), n)
+    # 4 hash calls per row of words: 16 fill and cross-mix the pool, 4 mix in each row past it
+    consts, used = _hash_consts(0x43B0D7E5, 0x931E8875, _POOL_SIZE * len(words) + 1), 0
+
+    def hashmix(v: np.ndarray, calls: int) -> np.ndarray:
+        nonlocal used
+        v = (v ^ consts[used : used + calls]) * consts[used + 1 : used + calls + 1]
+        used += calls
+        return v ^ (v >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return r ^ (r >> _XSHIFT)
+
+    pool = hashmix(words[:_POOL_SIZE], _POOL_SIZE)
+    for src, dst in enumerate(_OTHERS):
+        pool[dst] = mix(pool[dst], hashmix(pool[src], len(dst)))
+    for word in words[_POOL_SIZE:]:
+        pool = mix(pool, hashmix(word, _POOL_SIZE))
+    out = (pool[_STATE_WORDS] ^ _HASH_B[:-1]) * _HASH_B[1:]
+    out = (out ^ (out >> _XSHIFT)).astype(np.uint64)
+    seeds = (out[0::2] | out[1::2] << np.uint64(32)).T.copy()
+    fixed = _fixed_seed()
+    return [np.random.Generator(np.random.PCG64(fixed(s))) for s in seeds]
+
+
+def _draw(key: tuple[int, ...], shape: tuple[int, ...], pvecs, shots: int) -> list[np.ndarray]:
+    """Multinomial counts of `shots` draws for each idx of np.ndindex(shape), in C order.
+
+    idx draws from pvecs[idx[-1]] with the stream keyed (*key, *idx), every stream
+    of the call built by one _streams call: the package's one draw of counts.
+    """
+    n = shape[-1]
+    return [rng.multinomial(shots, pvecs[i % n]) for i, rng in enumerate(_streams(key, shape))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,8 +383,7 @@ def random_state(seed, rank: int = 4) -> TwoQubitState:
     """
     if not _is_int(rank) or rank not in (1, 2, 3, 4):
         raise StateValidationError(f"rank must be 1..4, got {rank}")
-    stream_key(seed)
-    rng = np.random.default_rng(seed)
+    rng = _streams(stream_key(seed), ())[0]  # np.random.default_rng(seed)'s stream
     g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
     m = g @ g.conj().T
     return TwoQubitState(m / np.trace(m))

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from gqdkit import estimator, qst_baseline
+from gqdkit import estimator, statekit
 from gqdkit import (
     NumericalContractError,
+    StateValidationError,
     TwoQubitState,
     decompose,
     eigenvalues_from_moments,
@@ -30,12 +31,10 @@ from gqdkit.estimator import (
     MomentTriple,
     OutcomeVector,
     _hit_matrix,
-    _streams,
     derive_moment_table,
     moment_observable,
-    stream_key,
 )
-from gqdkit.statekit import MAXIMALLY_MIXED
+from gqdkit.statekit import MAXIMALLY_MIXED, _streams, stream_key
 
 MM_OUTCOMES = np.array(
     [
@@ -198,6 +197,15 @@ def test_exact_route_rejects_complex_spectrum():
     roots, imag = estimator._spectrum_roots(0.0, -1.0, 0.0)
     assert np.max(np.abs(roots)) <= 1e-15
     assert abs(imag - np.sqrt(0.5)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "m", [(np.nan, 1.0, 1.0), (1.0, np.nan, 1.0), (np.inf, 1.0, 1.0), (1.0, 1.0, -np.inf)],
+    ids=["m1-nan", "m2-nan", "m1-inf", "m3-neg-inf"],
+)
+def test_eigenvalues_from_moments_rejects_non_finite_moments(m):
+    with pytest.raises(NumericalContractError, match="moments must be finite"):
+        eigenvalues_from_moments(MomentTriple(*m))
 
 
 # The numpy spectrum solver that estimator._spectrum_roots replaced, verbatim:
@@ -502,9 +510,8 @@ def test_sampled_routes_draw_the_documented_stream_keys(monkeypatch):
         drawn.extend(keys)
         return [np.random.default_rng(list(key)) for key in keys]
 
-    monkeypatch.setattr(estimator, "_streams", recording)
-    monkeypatch.setattr(qst_baseline, "_streams", recording)
-    state = random_state(2700, rank=2)
+    state = random_state(2700, rank=2)  # before the patch: random_state draws a stream too
+    monkeypatch.setattr(statekit, "_streams", recording)
     estimate_gqd(state, "scheme-sampled", shots=100, repeats=4, seed=(9, 3))
     assert drawn == [(9, 3, r, k) for r in range(4) for k in range(3)]
     drawn.clear()
@@ -549,10 +556,29 @@ def test_stream_key_accepts_numpy_integers():
 
 
 SAMPLED_ENTRY_POINTS = {
-    "estimate_gqd": lambda s, shots: estimate_gqd(s, "scheme-sampled", shots=shots, repeats=2, seed=1),
-    "outcomes_sampled": lambda s, shots: outcomes_sampled(s, shots, seed=1),
-    "qst_estimate": lambda s, shots: qst_estimate(s, shots_per_setting=shots, seed=1),
+    "estimate_gqd": lambda s, shots, seed=1: estimate_gqd(
+        s, "scheme-sampled", shots=shots, repeats=2, seed=seed
+    ),
+    "outcomes_sampled": lambda s, shots, seed=1: outcomes_sampled(s, shots, seed=seed),
+    "qst_estimate": lambda s, shots, seed=1: qst_estimate(s, shots_per_setting=shots, seed=seed),
 }
+
+
+@pytest.mark.parametrize("seed", [[], ()], ids=["list", "tuple"])
+@pytest.mark.parametrize("entry", ["random_state", *sorted(SAMPLED_ENTRY_POINTS)])
+def test_an_empty_seed_is_rejected(entry, seed):
+    # an empty key would draw from the streams keyed (r, k) alone, the streams of other seeds
+    with pytest.raises(StateValidationError, match="seed has no entries"):
+        if entry == "random_state":
+            random_state(seed)
+        else:
+            SAMPLED_ENTRY_POINTS[entry](make_family("werner", [0.5]), 100, seed)
+
+
+@pytest.mark.parametrize("entry", sorted(SAMPLED_ENTRY_POINTS))
+def test_sampled_entry_points_require_a_seed(entry):
+    with pytest.raises(ValueError, match="requires a seed"):
+        SAMPLED_ENTRY_POINTS[entry](make_family("werner", [0.5]), 100, None)
 
 
 @pytest.mark.parametrize("entry", sorted(SAMPLED_ENTRY_POINTS))

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -177,6 +178,24 @@ def test_result_rejects_unsorted_eigenvalues():
     for lam in [(0.2, 0.5, 0.1), (0.5, 0.1, 0.2)]:
         with pytest.raises(NumericalContractError, match="sorted descending"):
             GqdEstimate(0.1, 0.0, lam, "bloch-exact")
+
+
+@pytest.mark.parametrize(
+    "value, std_err, lam, error, message",
+    [
+        (math.nan, 0.0, (1.0, 0.0, 0.0), NumericalContractError, "estimate"),
+        (math.inf, 0.0, (1.0, 0.0, 0.0), NumericalContractError, "estimate"),
+        (0.1, math.nan, (1.0, 0.0, 0.0), ValueError, "std_err"),
+        (0.1, math.inf, (1.0, 0.0, 0.0), ValueError, "std_err"),
+        (0.1, 0.0, (math.inf, 0.0, 0.0), NumericalContractError, "eigenvalues must be finite"),
+        (0.1, 0.0, (1.0, 0.0, -math.inf), NumericalContractError, "eigenvalues must be finite"),
+    ],
+    ids=["value-nan", "value-inf", "std-err-nan", "std-err-inf", "lam-inf", "lam-neg-inf"],
+)
+def test_result_rejects_non_finite_numbers(value, std_err, lam, error, message):
+    # to_dict() would emit NaN or Infinity, which is not JSON
+    with pytest.raises(error, match=message):
+        GqdEstimate(value, std_err, lam, "scheme-sampled")
 
 
 def dephased(rho, axes):

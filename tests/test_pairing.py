@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from gqdkit.pairing import (
@@ -87,6 +88,46 @@ def test_layout_invariants_rejected():
         )
     with pytest.raises(ValueError, match="distinct"):
         PairOp("a", (2, 2), "singlet")
+
+
+def _p1_dict(top=None, **first_pair):
+    """P1's layout dict with fields of the dict (top) and of its first pair changed."""
+    data = layout_to_dict(standard_layouts()[0])
+    data["pairs"][0].update(first_pair)
+    data.update(top or {})
+    return data
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PairOp("a", "12", "singlet"),
+        lambda: PairOp("a", (1.5, 2), "singlet"),
+        lambda: PairOp("a", (1, 2.0), "singlet"),
+        lambda: PairOp("a", (True, 2), "singlet"),
+        lambda: PairingLayout(2.0, standard_layouts()[0].pairs),
+        lambda: layout_from_dict(_p1_dict(top={"n_copies": 2.7})),
+        lambda: layout_from_dict(_p1_dict(copies=[1.9, 2])),
+        lambda: layout_from_dict(_p1_dict(copies=[True, 2])),
+        lambda: layout_from_dict(_p1_dict(copies="12")),
+        lambda: layout_from_dict(_p1_dict(top={"pairs": 5})),
+    ],
+    ids=[
+        "text-copies", "fractional-copy", "float-copy", "bool-copy", "float-count",
+        "dict-fractional-count", "dict-fractional-copy", "dict-bool-copy", "dict-text-copies",
+        "dict-pairs-not-a-list",
+    ],
+)
+def test_layout_input_is_rejected_not_truncated(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_layout_accepts_numpy_integers():
+    op = PairOp("a", (np.int64(2), np.int32(1)), "singlet")
+    assert op.copies == (1, 2) and all(type(c) is int for c in op.copies)
+    layout = PairingLayout(np.int64(2), standard_layouts()[0].pairs)
+    assert type(layout.n_copies) is int and layout == standard_layouts()[0]
 
 
 def test_settings_cover_the_layouts_once():
