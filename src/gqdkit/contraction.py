@@ -251,17 +251,12 @@ def _pattern_keys(n_pairs: int) -> tuple[tuple[int, ...], ...]:
 def joint_distribution(setting: Setting, state: TwoQubitState) -> OutcomeDistribution:
     """Exact joint distribution of all pair outcomes for a setting.
 
-    One walk of the matching with a (complement, singlet) leg on every pair
-    gives all patterns; one below -NEG_PROB_TOL is an error, a smaller negative is 0.
-    The norm is Python's sum in pattern order: sampled draws depend on its bits.
+    One walk of the matching with a (complement, singlet) leg on every pair gives all
+    patterns, not renormalized; one below -NEG_PROB_TOL is an error, a smaller negative 0.
     """
     edges = tuple((p.side, *p.copies, "outcome") for p in setting.pairs)
     # pattern order (see pattern_product): reversed axes put pair 0's bit lowest
     flat = _contract(edges, state.matrix).T.reshape(-1)
     if flat.min() < -NEG_PROB_TOL:
         raise NumericalContractError(f"pattern probability {flat.min():.3e} below -{NEG_PROB_TOL}")
-    p = np.maximum(flat, 0.0)
-    norm = sum(p.tolist())
-    if not abs(norm - 1.0) <= PROB_SUM_TOL:  # NaN fails too
-        raise NumericalContractError(f"joint distribution sums to {norm:.12g} before normalization")
-    return OutcomeDistribution(setting, p / norm)
+    return OutcomeDistribution(setting, np.maximum(flat, 0.0))

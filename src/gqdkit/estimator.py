@@ -13,9 +13,9 @@ counts as the mean of one product observable, the unfactorized form of the
 same expansion. That observable and the 0/1 hit matrices turning counts into
 c's are Kronecker products of per-pair (complement, singlet) values, built by
 contraction.pattern_product, the one place that fixes the pattern order.
-Sampled counts come from statekit._draw, the package's one draw function; this
-module normalizes and groups them by setting. Both routes solve the spectrum
-cubic with one scalar kernel, _spectrum_roots.
+Sampled counts come from statekit._draw, the package's one draw function and draw
+rule, handed the raw distributions; this module groups the counts. Both routes
+solve the spectrum cubic with one scalar kernel, _spectrum_roots.
 """
 
 from __future__ import annotations
@@ -292,9 +292,9 @@ def _frequencies(counts: list[np.ndarray], shots: int) -> np.ndarray:
 
 
 def _setting_counts(state: TwoQubitState, key: tuple, shape: tuple, shots: int) -> list[np.ndarray]:
-    """Setting k's counts from p / p.sum(), keyed (*key, *idx, k), one (draws, patterns) array."""
+    """Setting k's counts, one (draws, patterns) array, from its raw p keyed (*key, *idx, k)."""
     dists = [joint_distribution(s, state) for s in settings()]
-    draws = _draw(key, (*shape, len(dists)), [d.p / d.p.sum() for d in dists], shots)
+    draws = _draw(key, (*shape, len(dists)), [d.p for d in dists], shots)
     return [np.array(draws[k :: len(dists)]) for k in range(len(dists))]
 
 

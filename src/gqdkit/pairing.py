@@ -44,7 +44,8 @@ class PairOp:
             raise ValueError(f"side must be 'a' or 'b', got {self.side!r}")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if len(self.copies) != 2 or not all(map(_is_int, self.copies)):
+        copies = self.copies if hasattr(self.copies, "__len__") else ()  # e.g. 5 or None
+        if len(copies) != 2 or not all(map(_is_int, copies)):
             raise ValueError(f"copies must be two integer copy indices, got {self.copies!r}")
         lo, hi = sorted(int(c) for c in self.copies)
         if lo == hi:

@@ -43,11 +43,11 @@ def qst_estimate(
     With shots_per_setting=None the analytic outcome probabilities are used
     (infinite-shot limit) and the reconstruction is exact. Otherwise each of
     the nine settings draws a multinomial sample from the stream keyed by
-    (seed, setting index 3i + j), all nine drawn by one statekit._draw call; x_i
-    and y_j are averaged over the three settings containing them, t_ij comes
-    from setting (i, j). All nine outcome distributions are one broadcast, and
-    the outcome sums run elementwise in the order of a per-setting loop, so the
-    results equal that loop's bit for bit.
+    (seed, setting index 3i + j), all nine drawn by one statekit._draw call from
+    the raw broadcast probabilities; x_i and y_j are averaged over the three
+    settings containing them, t_ij comes from setting (i, j). The outcome sums run
+    elementwise in the order of a per-setting loop, so the results equal that
+    loop's bit for bit.
     """
     bloch = decompose(state)
     if shots_per_setting is None:
@@ -55,10 +55,9 @@ def qst_estimate(
     else:
         shots, key = _sampling_inputs(shots_per_setting, seed, "sampled tomography")
         s, t = np.array(_OUTCOME_SIGNS).T
-        # probs[i, j, o]: outcome o of setting (i, j); every sign flip is exact
+        # probs[i, j, o]: outcome o of setting (i, j), handed to _draw as computed
         x, y, T = bloch.x[:, None, None], bloch.y[None, :, None], bloch.T[:, :, None]
         probs = (1.0 + s * x + t * y + s * t * T) / 4.0
-        probs = probs / probs.sum(axis=2, keepdims=True)
         freq = np.reshape(_draw(key, (9,), probs.reshape(9, 4), shots), (3, 3, 4)) / shots
         # [i, j]: <st>, <s>, <t> in setting (i, j), outcomes added in order as Python's sum does
         t_hat, marg_a, marg_b = (sum(w[o] * freq[..., o] for o in range(4)) for w in (s * t, s, t))

@@ -8,8 +8,8 @@ validate their output, so any TwoQubitState or BlochForm in circulation
 satisfies the module invariants.
 
 Every random draw is made here: a seed is a stream key (stream_key), a sampled
-route's inputs pass one rule (_sampling_inputs), and _draw draws its counts from
-one stream per key (_streams), each equal to np.random.default_rng(list(key)).
+route's inputs pass one rule (_sampling_inputs), and _draw draws its counts on one
+grid (DRAW_GRID) from one stream per key (_streams), each np.random.default_rng(list(key)).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
 BLOCH_ENTRY_TOL = 1e-12
 IMAG_TRACE_TOL = 1e-10
+DRAW_GRID = 2.0**32  # _draw's grid: p moves a count only by moving half a step, 1.2e-10
 
 PAULI = np.array(
     [
@@ -182,11 +183,15 @@ def _streams(prefix: tuple[int, ...], shape: tuple[int, ...]) -> list[np.random.
 def _draw(key: tuple[int, ...], shape: tuple[int, ...], pvecs, shots: int) -> list[np.ndarray]:
     """Multinomial counts of `shots` draws for each idx of np.ndindex(shape), in C order.
 
-    idx draws from pvecs[idx[-1]] with the stream keyed (*key, *idx), every stream
-    of the call built by one _streams call: the package's one draw of counts.
+    idx draws from pvecs[idx[-1]], p, with the stream keyed (*key, *idx), one _streams call
+    for all. It draws from q / q.sum(), q = rint(p * DRAW_GRID): an exact integer sum, so
+    the draw hangs on q alone. NaN or p < -2**-33, a negative count, is an error.
     """
-    n = shape[-1]
-    return [rng.multinomial(shots, pvecs[i % n]) for i, rng in enumerate(_streams(key, shape))]
+    qs = [np.rint(np.asarray(p, dtype=float) * DRAW_GRID) + 0.0 for p in pvecs]  # no -0.0
+    if not all(q.min() >= 0.0 for q in qs):  # NaN fails too
+        raise NumericalContractError("a draw probability is NaN or below -2**-33, half a step")
+    n, pvals = shape[-1], [q / q.sum() for q in qs]
+    return [rng.multinomial(shots, pvals[i % n]) for i, rng in enumerate(_streams(key, shape))]
 
 
 @dataclass(frozen=True, eq=False)

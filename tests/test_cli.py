@@ -360,6 +360,16 @@ def test_compare_reports_resources_and_is_deterministic(capsys):
     assert payload["qst"]["route"] == "bloch-exact"
 
 
+def test_compare_draws_a_product_state(capsys):
+    # tomography meets a -1.4e-17 outcome probability on this state; it draws as 0
+    code, out, _ = run_cli(
+        capsys, "compare", "--family", "product", "--params", "0.1,0.2,0.3,0,0,1",
+        "--shots", "1000", "--seed", "1",
+    )
+    assert code == 0
+    assert json.loads(out)["qst"]["route"] == "bloch-exact"
+
+
 def test_output_file_writing(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(

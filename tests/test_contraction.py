@@ -190,9 +190,9 @@ def test_outcome_distribution_rejects_a_bad_vector(p, message):
 
 
 def test_joint_distribution_rejects_a_nan_walk(monkeypatch):
-    # a NaN pattern survives the clamp; the sum check before normalization catches it
+    # a NaN pattern survives the clamp; OutcomeDistribution's own check catches it
     monkeypatch.setattr(contraction, "_contract", lambda edges, rho: np.full((2, 2), np.nan))
-    with pytest.raises(NumericalContractError, match="before normalization"):
+    with pytest.raises(NumericalContractError, match="finite and nonnegative"):
         joint_distribution(settings()[0], random_state(1150))
 
 

@@ -34,7 +34,7 @@ from gqdkit.estimator import (
     derive_moment_table,
     moment_observable,
 )
-from gqdkit.statekit import MAXIMALLY_MIXED, _streams, stream_key
+from gqdkit.statekit import MAXIMALLY_MIXED, _draw, _streams, stream_key
 
 MM_OUTCOMES = np.array(
     [
@@ -422,10 +422,9 @@ def test_scheme_sampled_follows_streams_and_pattern_loop_reference():
             c, m = np.zeros(11), []
             for k, setting in enumerate(settings()):
                 dist = joint_distribution(setting, state)
-                pvec = dist.vector()
-                counts = np.random.default_rng([seed, rep, k]).multinomial(
-                    shots, pvec / pvec.sum()
-                )
+                # the draw rule: raw p on the grid 2**-32, drawn from q / q.sum()
+                q = np.rint(dist.vector() * 2**32)
+                counts = np.random.default_rng([seed, rep, k]).multinomial(shots, q / q.sum())
                 patterns = dist.patterns()
                 for label in setting.covered:
                     kinds = {(p.side, p.copies): p.kind for p in layouts[label].pairs}
@@ -520,6 +519,41 @@ def test_sampled_routes_draw_the_documented_stream_keys(monkeypatch):
     drawn.clear()
     outcomes_sampled(state, 100, seed=11)
     assert drawn == [(11, k) for k in range(3)]
+
+
+# werner(0.5), which has no zero pattern, werner(1.0), 20 rank-1 states, ranks 1-4
+ULP_PANEL = [make_family("werner", [0.5]), make_family("werner", [1.0])] + [
+    random_state(2800 + t, rank=1 if t < 20 else 1 + t % 4) for t in range(28)
+]
+
+
+def _nudged(p, ulps):
+    """p with every nonzero entry moved `ulps` ulps, up for ulps > 0 and down otherwise."""
+    out = p.copy()
+    for _ in range(abs(ulps)):
+        out = np.where(p != 0.0, np.nextafter(out, np.inf if ulps > 0 else -np.inf), out)
+    return out
+
+
+@pytest.mark.parametrize("ulps", [1, 3, -2], ids=["up-1", "up-3", "down-2"])
+def test_draws_do_not_move_with_the_last_bits_of_the_probabilities(ulps):
+    for n, state in enumerate(ULP_PANEL):
+        pvecs = [joint_distribution(s, state).vector() for s in settings()]
+        nudged = [_nudged(p, ulps) for p in pvecs]
+        assert all((a != b).sum() == (a != 0).sum() for a, b in zip(pvecs, nudged))
+        draws = [_draw((n, 7), (4, 3), vecs, 10**5) for vecs in (pvecs, nudged)]
+        assert all(map(np.array_equal, *draws))
+
+
+def test_draw_takes_a_rounding_level_negative_as_zero():
+    p, zeroed = [0.5, -1e-17, 0.25, 0.25], [0.5, 0.0, 0.25, 0.25]
+    assert np.array_equal(_draw((3,), (1,), [p], 1000), _draw((3,), (1,), [zeroed], 1000))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1e-9], ids=["nan", "negative"])
+def test_draw_rejects_nan_and_negative_probabilities(bad):
+    with pytest.raises(NumericalContractError, match="NaN or below -2"):
+        _draw((3,), (1,), [[0.5, bad, 0.25, 0.25]], 1000)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**63, 2**64, (3, -2)], ids=["neg", "2^63", "2^64", "pair"])

@@ -111,11 +111,13 @@ def _p1_dict(top=None, **first_pair):
         lambda: layout_from_dict(_p1_dict(copies=[True, 2])),
         lambda: layout_from_dict(_p1_dict(copies="12")),
         lambda: layout_from_dict(_p1_dict(top={"pairs": 5})),
+        lambda: PairOp("a", 5, "singlet"),
+        lambda: PairOp("a", None, "singlet"),
     ],
     ids=[
         "text-copies", "fractional-copy", "float-copy", "bool-copy", "float-count",
         "dict-fractional-count", "dict-fractional-copy", "dict-bool-copy", "dict-text-copies",
-        "dict-pairs-not-a-list",
+        "dict-pairs-not-a-list", "int-copies", "none-copies",
     ],
 )
 def test_layout_input_is_rejected_not_truncated(build):

@@ -83,7 +83,8 @@ def test_sampled_tomography_follows_the_setting_loop_reference():
                     ]
                 )
                 rng = np.random.default_rng([*seed, 3 * i + j])
-                freq = rng.multinomial(shots, probs / probs.sum()) / shots
+                q = np.rint(probs * 2**32)  # the draw rule: p on the grid 2**-32, q / q.sum()
+                freq = rng.multinomial(shots, q / q.sum()) / shots
                 t_hat[i, j] = sum(s * t * f for (s, t), f in zip(signs, freq))
                 marg_a[i, j] = sum(s * f for (s, t), f in zip(signs, freq))
                 marg_b[i, j] = sum(t * f for (s, t), f in zip(signs, freq))
@@ -99,6 +100,17 @@ def test_sampled_tomography_follows_the_setting_loop_reference():
             reference = _project_to_state(raw)
             assert np.array_equal(recon.matrix, reference.matrix)
             assert est.value == gqd_exact(reference, which).value
+
+
+def test_sampled_tomography_draws_a_rounding_level_negative_as_zero():
+    # y = (0, 0, 1): outcomes t = -1 of settings (i, 3) have probability 0 up to
+    # rounding, -1.4e-17 for (s, t) = (1, -1) in setting (2, 3); the draw grid takes it as 0
+    state = make_family("product", [0.1, 0.2, 0.3, 0, 0, 1])
+    bloch = decompose(state)
+    assert (1.0 + bloch.x[1] - bloch.y[2] - bloch.T[1, 2]) / 4.0 < 0.0
+    recon, est = qst_estimate(state, shots_per_setting=1000, seed=(1, 1))
+    assert abs(np.trace(recon.matrix) - 1.0) <= 1e-12
+    assert abs(est.value - gqd_exact(state).value) <= 0.02
 
 
 def test_qst_requires_seed_for_sampling():
