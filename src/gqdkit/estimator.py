@@ -10,12 +10,13 @@ reference table against a direct tr(K^k) oracle and, when it is off,
 validates the derived table on fresh states and reports the diff. The exact
 route evaluates the table; the sampled route reads moment k off setting k's
 counts as the mean of one product observable, the unfactorized form of the
-same expansion. That observable and the 0/1 hit matrices turning counts into
-c's are Kronecker products of per-pair (complement, singlet) values, built by
+same expansion. One integer matrix per side, _readoff, turns counts into c's
+and moments: its columns, 0/1 hit columns and the observables, are Kronecker
+products of per-pair (complement, singlet) values, built by
 contraction.pattern_product, the one place that fixes the pattern order.
 Sampled counts come from statekit._draw, the package's one draw function and draw
-rule, handed the raw distributions; this module groups the counts. Both routes
-solve the spectrum cubic with one scalar kernel, _spectrum_roots.
+rule, handed the raw distributions, as one integer array. Both routes solve the
+spectrum cubic with one scalar kernel, _spectrum_roots.
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ import numpy as np
 
 from .contraction import (
     PAIR_WEIGHTS,
-    OutcomeDistribution,
     expect_layout,
     joint_distribution,
     pattern_product,
 )
 from .errors import NumericalContractError
-from .gqd_core import GqdEstimate, k_matrix
-from .pairing import Setting, settings, standard_layouts
+from .gqd_core import GqdEstimate, _check_side, k_matrix
+from .pairing import settings, standard_layouts
 from .statekit import (
     TwoQubitState, _draw, _frozen, _is_int, _sampling_inputs, decompose, random_state
 )
@@ -242,60 +242,43 @@ def outcomes_exact(state: TwoQubitState) -> OutcomeVector:
     return OutcomeVector(c, "exact")
 
 
-# Per-pair outcome values (singlet, complement) of the moment observables on
-# side A: w_I I + w_S P^- is w_I + w_S on the singlet and w_I on its complement.
-PAIR_VALUES = {side: (float(i + s), float(i)) for side, (i, s) in PAIR_WEIGHTS.items()}
+# Side-B outcome relabeling: (c2, c5, c9) swap with (c3, c6, c10).
+_SIDE_B_ORDER = np.array([0, 2, 1, 3, 5, 4, 6, 7, 9, 8, 10])
 
 
-def moment_observable(dist: OutcomeDistribution, which: str = "A") -> np.ndarray:
-    """Value of the setting's moment observable on each outcome pattern.
+@lru_cache(maxsize=2)
+def _readoff(which: str) -> np.ndarray:
+    """(84, 14) integer map from the three settings' pattern counts to shots times c1..c11, M1..M3.
 
-    v[pattern] is the product over the setting's pairs of the PAIR_VALUES
-    entry for the pair's outcome, aligned with dist.patterns(). This is the
-    per-pair expansion that derive_moment_table sums, so for the setting of
-    order k, dist.vector() @ v = tr(K^k). Side B swaps the values between
-    the sides. Built once per (setting, side) and read-only.
+    Rows are the patterns of settings 1, 2, 3 in turn (4 + 16 + 64), each in pattern
+    order. Column j < 11 is 1 on the patterns of a setting covering layout P_j where
+    every singlet-designated pair shows the singlet; side B places it at the relabeled
+    outcome. Column 11 + k - 1 is setting k's moment observable, the product over its
+    pairs of w_I (complement) or w_I + w_S (singlet) from PAIR_WEIGHTS, sides swapped for
+    B: the per-pair expansion derive_moment_table sums, so on exact distributions it
+    reads tr(K^k). Cached, read-only.
     """
-    if which not in ("A", "B"):
-        raise ValueError(f"which must be 'A' or 'B', got {which!r}")
-    return _observable(dist.setting, which)
-
-
-@lru_cache(maxsize=32)
-def _observable(setting: Setting, which: str) -> np.ndarray:
     sides = {"a": "a", "b": "b"} if which == "A" else {"a": "b", "b": "a"}
-    return _frozen(pattern_product([PAIR_VALUES[sides[p.side]][::-1] for p in setting.pairs]))
+    blocks = []
+    for k, setting in enumerate(settings()):
+        block = np.zeros((2 ** len(setting.pairs), N_OUTCOMES + len(MOMENT_ORDERS)), dtype=np.int64)
+        for i, lay in enumerate(standard_layouts()):
+            if lay.label in setting.covered:  # a covered layout stores its pairs in setting order
+                hits = [(0, 1) if p.kind == "singlet" else (1, 1) for p in lay.pairs]
+                block[:, i] = pattern_product(hits)
+        weights = [PAIR_WEIGHTS[sides[p.side]] for p in setting.pairs]
+        block[:, N_OUTCOMES + k] = pattern_product([(w_i, w_i + w_s) for w_i, w_s in weights])
+        blocks.append(block)
+    readoff = np.concatenate(blocks)
+    if which == "B":
+        readoff[:, :N_OUTCOMES] = readoff[:, _SIDE_B_ORDER]
+    return _frozen(readoff)
 
 
-@lru_cache(maxsize=32)
-def _hit_matrix(setting: Setting) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome indices a setting covers and a 0/1 pattern-by-outcome matrix.
-
-    Entry (pattern, j) is 1 when every singlet-designated pair of the j-th
-    covered layout shows the singlet outcome in that pattern. Cached, read-only.
-    """
-    covered = [(i, lay) for i, lay in enumerate(standard_layouts()) if lay.label in setting.covered]
-    # a covered layout stores its pairs in the setting's pair order
-    columns = [
-        pattern_product([(0, 1) if p.kind == "singlet" else (1, 1) for p in lay.pairs])
-        for _, lay in covered
-    ]
-    return _frozen([i for i, _ in covered]), _frozen(np.array(columns, dtype=np.int64).T)
-
-
-def _frequencies(counts: list[np.ndarray], shots: int) -> np.ndarray:
-    """The c's of every draw, one row each, from each setting's (draws, patterns) counts."""
-    c = np.zeros((len(counts[0]), N_OUTCOMES))
-    for n, (indices, hit) in zip(counts, map(_hit_matrix, settings())):
-        c[:, indices] = (n @ hit) / shots
-    return c
-
-
-def _setting_counts(state: TwoQubitState, key: tuple, shape: tuple, shots: int) -> list[np.ndarray]:
-    """Setting k's counts, one (draws, patterns) array, from its raw p keyed (*key, *idx, k)."""
-    dists = [joint_distribution(s, state) for s in settings()]
-    draws = _draw(key, (*shape, len(dists)), [d.p for d in dists], shots)
-    return [np.array(draws[k :: len(dists)]) for k in range(len(dists))]
+def _sampled(state: TwoQubitState, key: tuple, shape: tuple, shots: int, which: str) -> np.ndarray:
+    """c1..c11 (side `which`) and M1..M3 of each draw idx, its setting k keyed (*key, *idx, k)."""
+    p, readoff = [joint_distribution(s, state).p for s in settings()], _readoff(which)
+    return _draw(key, (*shape, len(p)), p, shots).reshape(-1, len(readoff)) @ readoff / shots
 
 
 def outcomes_sampled(state: TwoQubitState, shots_per_setting: int, seed) -> OutcomeVector:
@@ -307,12 +290,8 @@ def outcomes_sampled(state: TwoQubitState, shots_per_setting: int, seed) -> Outc
     singlet outcome, identity-designated pairs unconstrained.
     """
     shots, key = _sampling_inputs(shots_per_setting, seed, "outcomes_sampled")
-    c = _frequencies(_setting_counts(state, key, (), shots), shots)[0]
+    c = _sampled(state, key, (), shots, "A")[0, :N_OUTCOMES]
     return OutcomeVector(c, "sampled", shots=shots, seed=key)
-
-
-# Side-B outcome relabeling: (c2, c5, c9) swap with (c3, c6, c10).
-_SIDE_B_ORDER = np.array([0, 2, 1, 3, 5, 4, 6, 7, 9, 8, 10])
 
 
 def permute_outcomes(c: OutcomeVector) -> OutcomeVector:
@@ -421,19 +400,17 @@ def estimate_gqd(
     repeats the sampled pipeline `repeats` times (repeat r, setting k draws
     from the stream keyed by (seed, r, k), unchanged per key; statekit._draw
     makes every draw) and reports the mean value with the sample
-    standard deviation across repeats as std_err. Setting k's counts
-    of all repeats are one (repeats, patterns) array: the c's are
-    counts_k @ hit_k / shots and moment M_k is counts_k @ moment_observable /
-    shots (side B swaps the per-side pair values), exact integer sums, and
-    the cubic of each repeat goes through the same _spectrum_roots as
+    standard deviation across repeats as std_err. The counts are one
+    (repeats, 84) integer array, and counts @ _readoff(which) / shots gives
+    every repeat's c's and M1..M3 in one product of exact integer sums; each
+    repeat's cubic goes through the same _spectrum_roots as
     eigenvalues_from_moments, so the results equal a per-repeat loop's.
+    A side other than A or B raises StateValidationError before any work.
     The reported `outcomes` are the mean c frequencies across repeats
     (permuted for side B), the same frequencies as those drawn by
     outcomes_sampled; the sampled moments do not pass through them.
     """
-    if which not in ("A", "B"):
-        raise ValueError(f"which must be 'A' or 'B', got {which!r}")
-
+    _check_side(which)
     if mode == "scheme-exact":
         c = outcomes_exact(state)
         if which == "B":
@@ -451,12 +428,7 @@ def estimate_gqd(
     if repeats < 2:
         raise ValueError("scheme-sampled requires repeats >= 2")
 
-    counts = _setting_counts(state, base, (int(repeats),), shots)
-    cs = _frequencies(counts, shots)
-    if which == "B":
-        # take keeps C order, so the mean below adds the rows as a per-repeat array's does
-        cs = cs.take(_SIDE_B_ORDER, axis=1)
-    ms = np.column_stack([n @ _observable(s, which) for n, s in zip(counts, settings())]) / shots
+    cs, ms = np.split(_sampled(state, base, (int(repeats),), shots, which), [N_OUTCOMES], axis=1)
     roots = [_spectrum_roots(*m)[0] for m in ms.tolist()]
     lams = np.sort(np.maximum(roots, 0.0), axis=1)[:, ::-1]
     values = (lams[:, 1] + lams[:, 2]) / 4.0
@@ -545,8 +517,8 @@ def verify_moment_formulas(trials: int = 200, seed: int = 0) -> MomentAuditRepor
     validated against the oracle on as many fresh states, and its
     coefficient diff against the baseline is reported.
     """
-    if trials < 30:
-        raise ValueError("trials must be >= 30")
+    if not _is_int(trials) or trials < 30:
+        raise ValueError(f"trials must be an integer >= 30, got {trials!r}")
     baseline_dev = _max_dev(BASELINE_MOMENT_TABLE, _audit_states(seed, 0, trials))
     if all(v <= AUDIT_TOL for v in baseline_dev.values()):
         return MomentAuditReport(trials, seed, baseline_dev, None, None, [])

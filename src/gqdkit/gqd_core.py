@@ -48,7 +48,7 @@ _STEP_TOL = 1e-10
 
 def _check_side(which: str) -> str:
     if which not in SIDES:
-        raise StateValidationError(f"side marker must be one of {SIDES}, got {which!r}")
+        raise StateValidationError(f"side marker which must be one of {SIDES}, got {which!r}")
     return which
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gqd_core import GqdEstimate, gqd_exact
+from .gqd_core import GqdEstimate, _check_side, gqd_exact
 from .pairing import settings, standard_layouts
 from .statekit import TwoQubitState, _bloch_matrix, _draw, _sampling_inputs, decompose
 
@@ -47,8 +47,9 @@ def qst_estimate(
     the raw broadcast probabilities; x_i and y_j are averaged over the three
     settings containing them, t_ij comes from setting (i, j). The outcome sums run
     elementwise in the order of a per-setting loop, so the results equal that
-    loop's bit for bit.
+    loop's bit for bit. A side other than A or B raises StateValidationError before any work.
     """
+    _check_side(which)
     bloch = decompose(state)
     if shots_per_setting is None:
         x_hat, y_hat, t_hat = bloch.x, bloch.y, bloch.T
@@ -58,7 +59,7 @@ def qst_estimate(
         # probs[i, j, o]: outcome o of setting (i, j), handed to _draw as computed
         x, y, T = bloch.x[:, None, None], bloch.y[None, :, None], bloch.T[:, :, None]
         probs = (1.0 + s * x + t * y + s * t * T) / 4.0
-        freq = np.reshape(_draw(key, (9,), probs.reshape(9, 4), shots), (3, 3, 4)) / shots
+        freq = _draw(key, (9,), probs.reshape(9, 4), shots).reshape(3, 3, 4) / shots
         # [i, j]: <st>, <s>, <t> in setting (i, j), outcomes added in order as Python's sum does
         t_hat, marg_a, marg_b = (sum(w[o] * freq[..., o] for o in range(4)) for w in (s * t, s, t))
         x_hat = marg_a.mean(axis=1)

@@ -180,18 +180,23 @@ def _streams(prefix: tuple[int, ...], shape: tuple[int, ...]) -> list[np.random.
     return [np.random.Generator(np.random.PCG64(fixed(s))) for s in seeds]
 
 
-def _draw(key: tuple[int, ...], shape: tuple[int, ...], pvecs, shots: int) -> list[np.ndarray]:
-    """Multinomial counts of `shots` draws for each idx of np.ndindex(shape), in C order.
+def _draw(key: tuple[int, ...], shape: tuple[int, ...], pvecs, shots: int) -> np.ndarray:
+    """Multinomial counts of `shots` draws for each idx of np.ndindex(shape), in C order, as one
+    concatenated int64 array.
 
     idx draws from pvecs[idx[-1]], p, with the stream keyed (*key, *idx), one _streams call
     for all. It draws from q / q.sum(), q = rint(p * DRAW_GRID): an exact integer sum, so
     the draw hangs on q alone. NaN or p < -2**-33, a negative count, is an error.
     """
-    qs = [np.rint(np.asarray(p, dtype=float) * DRAW_GRID) + 0.0 for p in pvecs]  # no -0.0
-    if not all(q.min() >= 0.0 for q in qs):  # NaN fails too
+    sizes = [len(p) for p in pvecs]
+    q = np.rint(np.concatenate(pvecs, dtype=float) * DRAW_GRID) + 0.0  # no -0.0
+    if not q.min() >= 0.0:  # NaN fails too
         raise NumericalContractError("a draw probability is NaN or below -2**-33, half a step")
-    n, pvals = shape[-1], [q / q.sum() for q in qs]
-    return [rng.multinomial(shots, pvals[i % n]) for i, rng in enumerate(_streams(key, shape))]
+    starts = [0, *np.cumsum(sizes).tolist()]
+    p = q / np.repeat(np.add.reduceat(q, starts[:-1]), sizes)
+    pvals = [p[a:b] for a, b in zip(starts, starts[1:])]
+    n, rngs = shape[-1], _streams(key, shape)
+    return np.concatenate([rng.multinomial(shots, pvals[i % n]) for i, rng in enumerate(rngs)])
 
 
 @dataclass(frozen=True, eq=False)

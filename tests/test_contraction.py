@@ -27,7 +27,7 @@ from gqdkit.contraction import (
     pauli_exchange_sum,
 )
 from gqdkit.errors import NumericalContractError
-from gqdkit.estimator import _hit_matrix, outcomes_exact
+from gqdkit.estimator import _readoff, outcomes_exact, permute_outcomes
 from gqdkit.pairing import PairingLayout, PairOp, Setting, settings, standard_layouts
 from gqdkit.statekit import MAXIMALLY_MIXED, PAULI
 
@@ -358,14 +358,15 @@ STEP_FORM_STATES = [random_state(1560 + t, rank=1 + t % 4) for t in range(50)] +
 
 
 def test_outcome_leg_walks_agree_with_closed_walks():
-    # the c's a setting covers, read off its joint distribution (walked with outcome
-    # legs) against the same c's from expect_layout (walked with closed edges only)
+    # the c's read off the three joint distributions (walked with outcome legs) by the
+    # sampled route's read-off matrix, against the c's from expect_layout (walked with
+    # closed edges only); side B's columns sit at the relabeled outcomes
     for state in STEP_FORM_STATES:
-        c = outcomes_exact(state).c
-        for setting in settings():
-            indices, hit = _hit_matrix(setting)
-            read_off = joint_distribution(setting, state).vector() @ hit
-            assert np.max(np.abs(read_off - c[indices])) <= 1e-13
+        p = np.concatenate([joint_distribution(s, state).vector() for s in settings()])
+        c = outcomes_exact(state)
+        for which, expected in (("A", c), ("B", permute_outcomes(c))):
+            read_off = p @ _readoff(which)[:, :11]
+            assert np.max(np.abs(read_off - expected.c)) <= 1e-13
 
 
 def test_closed_edges_and_outcome_legs_mix_in_one_cycle():

@@ -30,9 +30,8 @@ from gqdkit.estimator import (
     REPEATED_ROOT_DISC,
     MomentTriple,
     OutcomeVector,
-    _hit_matrix,
+    _readoff,
     derive_moment_table,
-    moment_observable,
 )
 from gqdkit.statekit import MAXIMALLY_MIXED, _draw, _streams, stream_key
 
@@ -166,6 +165,12 @@ def test_verify_moment_formulas_is_deterministic():
 def test_verify_moment_formulas_rejects_tiny_trials():
     with pytest.raises(ValueError):
         verify_moment_formulas(trials=10, seed=0)
+
+
+@pytest.mark.parametrize("trials", [200.0, 30.5, "200"], ids=["float", "fraction", "string"])
+def test_verify_moment_formulas_rejects_trials_that_are_not_integers(trials):
+    with pytest.raises(ValueError, match="trials"):
+        verify_moment_formulas(trials=trials, seed=0)
 
 
 def test_eigenvalues_from_moment_examples():
@@ -370,17 +375,20 @@ def test_permuted_moments_give_side_b_spectrum():
 
 
 def test_moment_observable_reads_trace_powers_off_one_setting():
-    # the sampled route reads M_k off setting k's own counts; on exact
-    # distributions that read-off must be tr(K^k) and tr(K'^k)
+    # the sampled route reads M_k off setting k's own counts, read-off column 11 + k - 1;
+    # on exact distributions that read-off must be tr(K^k) and tr(K'^k)
     for trial in range(60):
         state = random_state(2300 + trial, rank=1 + trial % 4)
         dists = [joint_distribution(s, state) for s in settings()]
+        rows = np.repeat(np.arange(3), [len(d.p) for d in dists])
+        p = np.concatenate([d.vector() for d in dists])
         for which in ("A", "B"):
             k = k_matrix(decompose(state), which).entries
-            for order, dist in enumerate(dists, start=1):
-                read = dist.vector() @ moment_observable(dist, which)
+            for order in (1, 2, 3):
+                column = _readoff(which)[:, 10 + order]
+                assert not column[rows != order - 1].any()
                 oracle = np.trace(np.linalg.matrix_power(k, order)).real
-                assert abs(read - oracle) <= 1e-8
+                assert abs(p @ column - oracle) <= 1e-8
 
 def test_outcomes_sampled_is_deterministic():
     state = make_family("werner", [0.4])
@@ -723,6 +731,20 @@ def test_estimate_argument_validation():
         estimate_gqd(state, "monte-carlo")
 
 
+@pytest.mark.parametrize("route", ["scheme-exact", "scheme-sampled", "tomography"])
+def test_a_bad_side_is_rejected_before_any_draw(route, monkeypatch):
+    def no_draw(prefix, shape):
+        raise AssertionError(f"drew streams {prefix} before checking the side")
+
+    state = make_family("werner", [0.5])
+    monkeypatch.setattr(statekit, "_streams", no_draw)
+    with pytest.raises(StateValidationError, match="which"):
+        if route == "tomography":
+            qst_estimate(state, shots_per_setting=100, seed=1, which="C")
+        else:
+            estimate_gqd(state, route, which="C", shots=100, repeats=2, seed=1)
+
+
 def test_estimate_json_schema():
     state = make_family("werner", [0.6])
     exact = estimate_gqd(state, "scheme-exact").to_dict()
@@ -751,13 +773,11 @@ def test_outcome_vector_validation():
 
 
 def test_cached_hit_and_observable_arrays_are_read_only():
-    state = random_state(2400, rank=4)
-    for setting in settings():
-        dist = joint_distribution(setting, state)
-        indices, hit = _hit_matrix(setting)
-        observables = [moment_observable(dist, which) for which in ("A", "B")]
-        assert _hit_matrix(setting)[1] is hit
-        assert all(moment_observable(dist, w) is v for w, v in zip(("A", "B"), observables))
-        for array in (indices, hit, *observables):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 7
+    # one (84, 14) integer read-off per side: 0/1 hit columns, then the moment observables
+    for which in ("A", "B"):
+        readoff = _readoff(which)
+        assert _readoff(which) is readoff
+        assert readoff.shape == (84, 14) and readoff.dtype == np.int64
+        assert set(np.unique(readoff[:, :11])) == {0, 1}
+        with pytest.raises(ValueError, match="read-only"):
+            readoff[0, 0] = 7
