@@ -275,22 +275,25 @@ def _readoff(which: str) -> np.ndarray:
     return _frozen(readoff)
 
 
-def _sampled(state: TwoQubitState, key: tuple, shape: tuple, shots: int, which: str) -> np.ndarray:
-    """c1..c11 (side `which`) and M1..M3 of each draw idx, its setting k keyed (*key, *idx, k)."""
+def _sampled(
+    state: TwoQubitState, key: tuple, repeats: int | None, shots: int, which: str
+) -> np.ndarray:
+    """c1..c11 (side `which`) and M1..M3, one row per repeat (one row for repeats=None)."""
     p, readoff = [joint_distribution(s, state).p for s in settings()], _readoff(which)
-    return _draw(key, (*shape, len(p)), p, shots).reshape(-1, len(readoff)) @ readoff / shots
+    return _draw(key, p, shots, repeats).reshape(-1, len(readoff)) @ readoff / shots
 
 
 def outcomes_sampled(state: TwoQubitState, shots_per_setting: int, seed) -> OutcomeVector:
     """Empirical outcome frequencies from multinomial sampling.
 
     Each of the three settings draws `shots_per_setting` samples from its
-    exact joint distribution; setting k uses the stream keyed by (seed, k).
+    exact joint distribution; setting k uses the stream keyed by (seed, k + 1),
+    so the counts are scheme-sampled's repeat 0 at the same seed.
     c_i is the frequency of all singlet-designated pairs of P_i showing the
     singlet outcome, identity-designated pairs unconstrained.
     """
     shots, key = _sampling_inputs(shots_per_setting, seed, "outcomes_sampled")
-    c = _sampled(state, key, (), shots, "A")[0, :N_OUTCOMES]
+    c = _sampled(state, key, None, shots, "A")[0, :N_OUTCOMES]
     return OutcomeVector(c, "sampled", shots=shots, seed=key)
 
 
@@ -397,10 +400,10 @@ def estimate_gqd(
 
     scheme-exact uses exact outcome probabilities; side B is obtained by
     permuting the outcome vector before moment evaluation. scheme-sampled
-    repeats the sampled pipeline `repeats` times (repeat r, setting k draws
-    from the stream keyed by (seed, r, k), unchanged per key; statekit._draw
-    makes every draw) and reports the mean value with the sample
-    standard deviation across repeats as std_err. The counts are one
+    repeats the sampled pipeline `repeats` times (repeat r of setting k is
+    row r of the stream keyed by (seed, k + 1), so it does not move with
+    `repeats`; statekit._draw makes every draw) and reports the mean value
+    with the sample standard deviation across repeats as std_err. The counts are one
     (repeats, 84) integer array, and counts @ _readoff(which) / shots gives
     every repeat's c's and M1..M3 in one product of exact integer sums; each
     repeat's cubic goes through the same _spectrum_roots as
@@ -428,7 +431,7 @@ def estimate_gqd(
     if repeats < 2:
         raise ValueError("scheme-sampled requires repeats >= 2")
 
-    cs, ms = np.split(_sampled(state, base, (int(repeats),), shots, which), [N_OUTCOMES], axis=1)
+    cs, ms = np.split(_sampled(state, base, int(repeats), shots, which), [N_OUTCOMES], axis=1)
     roots = [_spectrum_roots(*m)[0] for m in ms.tolist()]
     lams = np.sort(np.maximum(roots, 0.0), axis=1)[:, ::-1]
     values = (lams[:, 1] + lams[:, 2]) / 4.0
@@ -520,6 +523,7 @@ def verify_moment_formulas(trials: int = 200, seed: int = 0) -> MomentAuditRepor
     if not _is_int(trials) or trials < 30:
         raise ValueError(f"trials must be an integer >= 30, got {trials!r}")
     baseline_dev = _max_dev(BASELINE_MOMENT_TABLE, _audit_states(seed, 0, trials))
+    trials, seed = int(trials), int(seed)  # random_state accepted seed; report JSON ints
     if all(v <= AUDIT_TOL for v in baseline_dev.values()):
         return MomentAuditReport(trials, seed, baseline_dev, None, None, [])
 

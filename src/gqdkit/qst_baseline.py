@@ -43,7 +43,7 @@ def qst_estimate(
     With shots_per_setting=None the analytic outcome probabilities are used
     (infinite-shot limit) and the reconstruction is exact. Otherwise each of
     the nine settings draws a multinomial sample from the stream keyed by
-    (seed, setting index 3i + j), all nine drawn by one statekit._draw call from
+    (seed, 3i + j + 1), all nine drawn by one statekit._draw call from
     the raw broadcast probabilities; x_i and y_j are averaged over the three
     settings containing them, t_ij comes from setting (i, j). The outcome sums run
     elementwise in the order of a per-setting loop, so the results equal that
@@ -59,7 +59,7 @@ def qst_estimate(
         # probs[i, j, o]: outcome o of setting (i, j), handed to _draw as computed
         x, y, T = bloch.x[:, None, None], bloch.y[None, :, None], bloch.T[:, :, None]
         probs = (1.0 + s * x + t * y + s * t * T) / 4.0
-        freq = _draw(key, (9,), probs.reshape(9, 4), shots).reshape(3, 3, 4) / shots
+        freq = _draw(key, probs.reshape(9, 4), shots).reshape(3, 3, 4) / shots
         # [i, j]: <st>, <s>, <t> in setting (i, j), outcomes added in order as Python's sum does
         t_hat, marg_a, marg_b = (sum(w[o] * freq[..., o] for o in range(4)) for w in (s * t, s, t))
         x_hat = marg_a.mean(axis=1)

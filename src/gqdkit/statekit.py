@@ -9,15 +9,13 @@ satisfies the module invariants.
 
 Every random draw is made here: a seed is a stream key (stream_key), a sampled
 route's inputs pass one rule (_sampling_inputs), and _draw draws its counts on one
-grid (DRAW_GRID) from one stream per key (_streams), each np.random.default_rng(list(key)).
+grid (DRAW_GRID), every repeat of vector k from one stream, np.random.default_rng([*key, k + 1]).
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -99,94 +97,14 @@ def _sampling_inputs(shots, seed, route: str) -> tuple[int, tuple[int, ...]]:
     return int(shots), stream_key(seed)
 
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx), all arithmetic mod 2**32. Each of
-# the 4 pool words is the hash of an entropy word (of 0 past the last one); hash call j xors
-# with constant j and multiplies by constant j + 1 of a fixed sequence. Each pool word is
-# then mixed with the hash of every other, and each entropy word past the pool with every
-# pool word. The PCG64 seed, generate_state(4, uint64), is the pool read twice, each word
-# hashed with _HASH_B, low words first.
-_POOL_SIZE = 4
-_MIX_MULT_L, _MIX_MULT_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
-_OTHERS = tuple([d for d in range(_POOL_SIZE) if d != s] for s in range(_POOL_SIZE))
-_STATE_WORDS = list(range(_POOL_SIZE)) * 2
+def _draw(key: tuple[int, ...], pvecs, shots: int, repeats: int | None = None) -> np.ndarray:
+    """Multinomial counts of `shots` draws from each vector of pvecs, concatenated on the
+    last axis as one int64 array: shape (sum of lengths,), or (repeats, sum) by rows.
 
-
-@lru_cache(maxsize=8)
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """init * mult**j mod 2**32 for j < count, as a read-only uint32 column."""
-    consts = [init]
-    for _ in range(count - 1):
-        consts.append(consts[-1] * mult & 0xFFFFFFFF)
-    return _frozen(np.array(consts, dtype=np.uint32)[:, None])
-
-
-_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 2 * _POOL_SIZE + 1)
-
-
-@lru_cache(maxsize=1)
-def _fixed_seed() -> type:
-    """An ISeedSequence handing PCG64 the seed state _streams generated, where SeedSequence
-    would generate it. Made on first use: numpy 2 imports numpy.random only when asked, and
-    importing gqdkit, as every gqd command does, should not ask."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class FixedSeed(ISeedSequence):
-        def __init__(self, state: np.ndarray) -> None:
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-            return self.state
-
-    return FixedSeed
-
-
-def _streams(prefix: tuple[int, ...], shape: tuple[int, ...]) -> list[np.random.Generator]:
-    """np.random.default_rng([*prefix, *idx]) for each idx in np.ndindex(shape), in C order.
-
-    A key's entropy is the uint32 words numpy's seed coercion makes of its
-    entries (one per 32 bits, low word first, [0] for 0; an index is one
-    word), so every key has the same word count. SeedSequence's mixing and
-    generate_state run on all keys at once, one uint32 row per pool word, and
-    each key's seed goes straight into its own PCG64: state and draws equal
-    default_rng's.
-    """
-    head = [w for k in prefix for w in ((k & 0xFFFFFFFF, k >> 32) if k >> 32 else (k,))]
-    n = math.prod(shape)
-    words = np.zeros((max(len(head) + len(shape), _POOL_SIZE), n), dtype=np.uint32)
-    words[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
-    words[len(head) : len(head) + len(shape)] = np.indices(shape).reshape(len(shape), n)
-    # 4 hash calls per row of words: 16 fill and cross-mix the pool, 4 mix in each row past it
-    consts, used = _hash_consts(0x43B0D7E5, 0x931E8875, _POOL_SIZE * len(words) + 1), 0
-
-    def hashmix(v: np.ndarray, calls: int) -> np.ndarray:
-        nonlocal used
-        v = (v ^ consts[used : used + calls]) * consts[used + 1 : used + calls + 1]
-        used += calls
-        return v ^ (v >> _XSHIFT)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        r = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return r ^ (r >> _XSHIFT)
-
-    pool = hashmix(words[:_POOL_SIZE], _POOL_SIZE)
-    for src, dst in enumerate(_OTHERS):
-        pool[dst] = mix(pool[dst], hashmix(pool[src], len(dst)))
-    for word in words[_POOL_SIZE:]:
-        pool = mix(pool, hashmix(word, _POOL_SIZE))
-    out = (pool[_STATE_WORDS] ^ _HASH_B[:-1]) * _HASH_B[1:]
-    out = (out ^ (out >> _XSHIFT)).astype(np.uint64)
-    seeds = (out[0::2] | out[1::2] << np.uint64(32)).T.copy()
-    fixed = _fixed_seed()
-    return [np.random.Generator(np.random.PCG64(fixed(s))) for s in seeds]
-
-
-def _draw(key: tuple[int, ...], shape: tuple[int, ...], pvecs, shots: int) -> np.ndarray:
-    """Multinomial counts of `shots` draws for each idx of np.ndindex(shape), in C order, as one
-    concatenated int64 array.
-
-    idx draws from pvecs[idx[-1]], p, with the stream keyed (*key, *idx), one _streams call
-    for all. It draws from q / q.sum(), q = rint(p * DRAW_GRID): an exact integer sum, so
-    the draw hangs on q alone. NaN or p < -2**-33, a negative count, is an error.
+    Vector k, p, draws every row from one stream, np.random.default_rng([*key, k + 1]), so
+    row r does not depend on how many rows follow it and repeats=None is row 0. It draws
+    from q / q.sum(), q = rint(p * DRAW_GRID): an exact integer sum, so the draw hangs on q
+    alone. NaN or p < -2**-33, a negative count, is an error.
     """
     sizes = [len(p) for p in pvecs]
     q = np.rint(np.concatenate(pvecs, dtype=float) * DRAW_GRID) + 0.0  # no -0.0
@@ -194,9 +112,14 @@ def _draw(key: tuple[int, ...], shape: tuple[int, ...], pvecs, shots: int) -> np
         raise NumericalContractError("a draw probability is NaN or below -2**-33, half a step")
     starts = [0, *np.cumsum(sizes).tolist()]
     p = q / np.repeat(np.add.reduceat(q, starts[:-1]), sizes)
-    pvals = [p[a:b] for a, b in zip(starts, starts[1:])]
-    n, rngs = shape[-1], _streams(key, shape)
-    return np.concatenate([rng.multinomial(shots, pvals[i % n]) for i, rng in enumerate(rngs)])
+    # k + 1, never 0: numpy pads keys of up to 4 words with zeros, so [*key, 0] is [*key]'s stream
+    return np.concatenate(
+        [
+            np.random.default_rng([*key, k + 1]).multinomial(shots, p[a:b], size=repeats)
+            for k, (a, b) in enumerate(zip(starts, starts[1:]))
+        ],
+        axis=-1,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,7 +316,7 @@ def random_state(seed, rank: int = 4) -> TwoQubitState:
     """
     if not _is_int(rank) or rank not in (1, 2, 3, 4):
         raise StateValidationError(f"rank must be 1..4, got {rank}")
-    rng = _streams(stream_key(seed), ())[0]  # np.random.default_rng(seed)'s stream
+    rng = np.random.default_rng(list(stream_key(seed)))
     g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
     m = g @ g.conj().T
     return TwoQubitState(m / np.trace(m))

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from gqdkit import estimator, statekit
+from gqdkit import cli, estimator, statekit
 from gqdkit import (
     NumericalContractError,
     StateValidationError,
@@ -33,7 +35,7 @@ from gqdkit.estimator import (
     _readoff,
     derive_moment_table,
 )
-from gqdkit.statekit import MAXIMALLY_MIXED, _draw, _streams, stream_key
+from gqdkit.statekit import MAXIMALLY_MIXED, _draw, stream_key
 
 MM_OUTCOMES = np.array(
     [
@@ -160,6 +162,11 @@ def test_verify_moment_formulas_is_deterministic():
     a = verify_moment_formulas(trials=40, seed=9)
     b = verify_moment_formulas(trials=40, seed=9)
     assert a.to_dict() == b.to_dict()
+
+
+def test_verify_moment_formulas_reports_numpy_integers_as_json_ints():
+    report = verify_moment_formulas(trials=np.int64(30), seed=np.int64(1))
+    assert json.loads(json.dumps(report.to_dict())) == verify_moment_formulas(30, 1).to_dict()
 
 
 def test_verify_moment_formulas_rejects_tiny_trials():
@@ -414,7 +421,7 @@ def test_outcomes_sampled_converges_to_exact():
 
 
 def test_scheme_sampled_follows_streams_and_pattern_loop_reference():
-    # repeat r, setting k draws from stream (seed, r, k); c_i counts the
+    # repeat r, setting k is row r of stream (seed, k + 1); c_i counts the
     # patterns with every singlet pair of P_i singlet, M_k is the mean pair
     # value product; side B swaps the pair values and permutes the c's
     state = random_state(2600, rank=3)
@@ -426,13 +433,14 @@ def test_scheme_sampled_follows_streams_and_pattern_loop_reference():
     shots, seed, repeats = 5000, 41, 9
     for which in ("A", "B"):
         cs, ms = [], []
+        rngs = [np.random.default_rng([seed, k + 1]) for k in range(3)]
         for rep in range(repeats):
             c, m = np.zeros(11), []
             for k, setting in enumerate(settings()):
                 dist = joint_distribution(setting, state)
                 # the draw rule: raw p on the grid 2**-32, drawn from q / q.sum()
                 q = np.rint(dist.vector() * 2**32)
-                counts = np.random.default_rng([seed, rep, k]).multinomial(shots, q / q.sum())
+                counts = rngs[k].multinomial(shots, q / q.sum())
                 patterns = dist.patterns()
                 for label in setting.covered:
                     kinds = {(p.side, p.copies): p.kind for p in layouts[label].pairs}
@@ -477,14 +485,15 @@ def test_scheme_sampled_follows_streams_and_pattern_loop_reference():
     ids=["zero", "small", "one-word-max", "two-words", "int64-max", "mixed"],
 )
 def test_stream_draws_equal_default_rng(key):
-    (ours,), numpy_rng = _streams(key, ()), np.random.default_rng(list(key))
-    assert np.array_equal(ours.integers(0, 2**62, 16), numpy_rng.integers(0, 2**62, 16))
-    pvals = [0.1, 0.2, 0.3, 0.4]
-    assert np.array_equal(ours.multinomial(10**5, pvals), numpy_rng.multinomial(10**5, pvals))
+    # random_state draws from the seed's own stream (_draw's streams: the key-by-key test)
+    numpy_rng = np.random.default_rng(list(key))
+    g = numpy_rng.normal(size=(4, 2)) + 1j * numpy_rng.normal(size=(4, 2))
+    m = g @ g.conj().T
+    assert np.array_equal(random_state(key, rank=2).matrix, m / np.trace(m))
 
 
-# prefixes of 1 to 7 uint32 words; with up to two index words, keys of 1 to 9 words,
-# so both sides of the 4-word pool
+# prefixes of 1 to 7 uint32 words; with the vector's word, keys of 2 to 8 words,
+# so both sides of numpy's 4-word pool
 STREAM_PREFIXES = [
     (0,),
     (2**32 - 1,),
@@ -497,36 +506,81 @@ STREAM_PREFIXES = [
 ]
 
 
-@pytest.mark.parametrize("shape", [(), (3,), (9,), (20, 3)], ids=["one", "3", "9", "20x3"])
+def _stream_state(key) -> tuple[int, int]:
+    state = np.random.default_rng(list(key)).bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+@pytest.mark.parametrize(
+    "repeats, n", [(None, 1), (None, 3), (None, 9), (20, 3)], ids=["one", "3", "9", "20x3"]
+)
 @pytest.mark.parametrize("prefix", STREAM_PREFIXES, ids=[f"p{i}" for i in range(8)])
-def test_streams_equal_default_rng_key_by_key(prefix, shape):
-    rngs = _streams(prefix, shape)
-    keys = [(*prefix, *idx) for idx in np.ndindex(shape)]
-    assert len(rngs) == len(keys)
-    for rng, key in zip(rngs, keys):
-        numpy_rng = np.random.default_rng(list(key))
-        assert rng.bit_generator.state == numpy_rng.bit_generator.state
-        assert np.array_equal(rng.integers(0, 2**62, 16), numpy_rng.integers(0, 2**62, 16))
+def test_streams_equal_default_rng_key_by_key(prefix, repeats, n):
+    pvecs = [np.arange(1.0, 5 + k) / np.arange(1.0, 5 + k).sum() for k in range(n)]
+    expected = []
+    for k, p in enumerate(pvecs):
+        q = np.rint(p * 2**32)
+        numpy_rng = np.random.default_rng([*prefix, k + 1])
+        expected.append(numpy_rng.multinomial(1000, q / q.sum(), size=repeats))
+    assert np.array_equal(_draw(prefix, pvecs, 1000, repeats), np.concatenate(expected, axis=-1))
+    # a last key word that is never 0: no stream is the prefix's own, zero-padded or not
+    drawn = {_stream_state((*prefix, k + 1)) for k in range(n)}
+    assert len(drawn) == n
+    assert not drawn & {_stream_state(prefix), _stream_state((*prefix, 0))}
+
+
+def _recording_generators(monkeypatch) -> list[tuple[int, ...]]:
+    """The keys statekit seeds generators with from now on, in call order."""
+    drawn, default_rng = [], np.random.default_rng
+
+    def recording(key):
+        drawn.append(tuple(key))
+        return default_rng(key)
+
+    monkeypatch.setattr(statekit.np.random, "default_rng", recording)
+    return drawn
 
 
 def test_sampled_routes_draw_the_documented_stream_keys(monkeypatch):
-    drawn = []
-
-    def recording(prefix, shape):
-        keys = [(*prefix, *idx) for idx in np.ndindex(shape)]
-        drawn.extend(keys)
-        return [np.random.default_rng(list(key)) for key in keys]
-
     state = random_state(2700, rank=2)  # before the patch: random_state draws a stream too
-    monkeypatch.setattr(statekit, "_streams", recording)
+    drawn = _recording_generators(monkeypatch)
     estimate_gqd(state, "scheme-sampled", shots=100, repeats=4, seed=(9, 3))
-    assert drawn == [(9, 3, r, k) for r in range(4) for k in range(3)]
+    assert drawn == [(9, 3, k + 1) for k in range(3)]
     drawn.clear()
     qst_estimate(state, shots_per_setting=100, seed=6)
-    assert drawn == [(6, 3 * i + j) for i in range(3) for j in range(3)]
+    assert drawn == [(6, 3 * i + j + 1) for i in range(3) for j in range(3)]
     drawn.clear()
     outcomes_sampled(state, 100, seed=11)
-    assert drawn == [(11, k) for k in range(3)]
+    assert drawn == [(11, k + 1) for k in range(3)]
+
+
+def test_compare_draws_scheme_and_tomography_from_distinct_streams(monkeypatch, capsys):
+    # gqd compare draws the scheme at seed s and tomography at (s, 1); numpy pads a key
+    # of up to 4 words with zeros, so equal states would mean two routes share draws
+    drawn = _recording_generators(monkeypatch)
+    for s in (0, 7, 2**40):
+        argv = ["compare", "--family", "werner", "--params", "0.5", "--shots", "100"]
+        assert cli.main([*argv, "--repeats", "3", "--seed", str(s)]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()  # seed the generators below unrecorded
+    assert len(drawn) == 3 * (3 + 9)
+    assert len(set(map(_stream_state, drawn))) == len(drawn)
+
+
+def test_draw_rows_do_not_depend_on_the_repeat_count():
+    state = random_state(2750, rank=3)
+    pvecs = [joint_distribution(s, state).vector() for s in settings()]
+    ten, twenty, one = (_draw((5, 2), pvecs, 1000, r) for r in (10, 20, None))
+    assert ten.shape == (10, 84) and twenty.shape == (20, 84) and one.shape == (84,)
+    assert np.array_equal(ten, twenty[:10])
+    assert np.array_equal(one, twenty[0])
+
+
+@pytest.mark.parametrize("seed", [0, 31, (4, 2**40)], ids=["zero", "small", "pair"])
+def test_outcomes_sampled_is_repeat_zero_of_the_scheme(seed):
+    state = random_state(2760, rank=2)
+    c = outcomes_sampled(state, 2000, seed=seed).c
+    assert np.array_equal(c, estimator._sampled(state, stream_key(seed), 1, 2000, "A")[0, :11])
 
 
 # werner(0.5), which has no zero pattern, werner(1.0), 20 rank-1 states, ranks 1-4
@@ -549,19 +603,19 @@ def test_draws_do_not_move_with_the_last_bits_of_the_probabilities(ulps):
         pvecs = [joint_distribution(s, state).vector() for s in settings()]
         nudged = [_nudged(p, ulps) for p in pvecs]
         assert all((a != b).sum() == (a != 0).sum() for a, b in zip(pvecs, nudged))
-        draws = [_draw((n, 7), (4, 3), vecs, 10**5) for vecs in (pvecs, nudged)]
+        draws = [_draw((n, 7), vecs, 10**5, 4) for vecs in (pvecs, nudged)]
         assert all(map(np.array_equal, *draws))
 
 
 def test_draw_takes_a_rounding_level_negative_as_zero():
     p, zeroed = [0.5, -1e-17, 0.25, 0.25], [0.5, 0.0, 0.25, 0.25]
-    assert np.array_equal(_draw((3,), (1,), [p], 1000), _draw((3,), (1,), [zeroed], 1000))
+    assert np.array_equal(_draw((3,), [p], 1000), _draw((3,), [zeroed], 1000))
 
 
 @pytest.mark.parametrize("bad", [np.nan, -1e-9], ids=["nan", "negative"])
 def test_draw_rejects_nan_and_negative_probabilities(bad):
     with pytest.raises(NumericalContractError, match="NaN or below -2"):
-        _draw((3,), (1,), [[0.5, bad, 0.25, 0.25]], 1000)
+        _draw((3,), [[0.5, bad, 0.25, 0.25]], 1000)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**63, 2**64, (3, -2)], ids=["neg", "2^63", "2^64", "pair"])
@@ -733,11 +787,11 @@ def test_estimate_argument_validation():
 
 @pytest.mark.parametrize("route", ["scheme-exact", "scheme-sampled", "tomography"])
 def test_a_bad_side_is_rejected_before_any_draw(route, monkeypatch):
-    def no_draw(prefix, shape):
-        raise AssertionError(f"drew streams {prefix} before checking the side")
+    def no_draw(key):
+        raise AssertionError(f"drew stream {key} before checking the side")
 
     state = make_family("werner", [0.5])
-    monkeypatch.setattr(statekit, "_streams", no_draw)
+    monkeypatch.setattr(statekit.np.random, "default_rng", no_draw)
     with pytest.raises(StateValidationError, match="which"):
         if route == "tomography":
             qst_estimate(state, shots_per_setting=100, seed=1, which="C")

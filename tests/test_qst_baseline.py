@@ -66,7 +66,7 @@ def test_qst_determinism():
 
 
 def test_sampled_tomography_follows_the_setting_loop_reference():
-    # setting (i, j) draws from stream (seed, 3i + j); t_ij, <s> and <t> are
+    # setting (i, j) draws from stream (seed, 3i + j + 1); t_ij, <s> and <t> are
     # Python sums over the four outcomes; x_i, y_j average three settings
     signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
     for trial, shots in enumerate((1, 100, 100_000)):
@@ -82,7 +82,7 @@ def test_sampled_tomography_follows_the_setting_loop_reference():
                         for s, t in signs
                     ]
                 )
-                rng = np.random.default_rng([*seed, 3 * i + j])
+                rng = np.random.default_rng([*seed, 3 * i + j + 1])
                 q = np.rint(probs * 2**32)  # the draw rule: p on the grid 2**-32, q / q.sum()
                 freq = rng.multinomial(shots, q / q.sum()) / shots
                 t_hat[i, j] = sum(s * t * f for (s, t), f in zip(signs, freq))
