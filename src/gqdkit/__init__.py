@@ -32,7 +32,6 @@ from .gqd_core import GqdEstimate, KMatrix, gqd_by_minimization, gqd_exact, k_ma
 from .pairing import (
     PairingLayout,
     PairOp,
-    QubitSlot,
     Setting,
     render_layout,
     settings,
@@ -65,7 +64,6 @@ __all__ = [
     "OutcomeVector",
     "PairOp",
     "PairingLayout",
-    "QubitSlot",
     "ResourceReport",
     "Setting",
     "StateValidationError",

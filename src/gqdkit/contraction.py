@@ -193,8 +193,8 @@ def expect_layout_dense_oracle(layout: PairingLayout, state: TwoQubitState) -> f
 def pattern_product(per_pair) -> np.ndarray:
     """Per-pattern product of one (complement, singlet) value pair per pair.
 
-    Pattern order, here and in OutcomeDistribution keys: index sum_i bit_i 2^i,
-    bit i (1: singlet, 0: complement) belonging to the setting's pair i. The
+    The package's one pattern order: pattern j = sum_i bit_i 2^i, bit i the outcome
+    of the setting's pair i, 1 for the singlet and 0 for its complement. The
     Kronecker product therefore runs from the last pair to the first.
     """
     return reduce(np.kron, [np.asarray(v) for v in reversed(per_pair)], np.ones(1, dtype=int))
@@ -204,10 +204,8 @@ def pattern_product(per_pair) -> np.ndarray:
 class OutcomeDistribution:
     """Joint outcome probabilities for one measurement setting.
 
-    `p` holds one probability per pattern, in pattern order (see pattern_product),
-    read-only; `probs` keys the same values by bit tuples aligned with
-    `setting.pairs`, bit 1 meaning the pair projected onto the singlet, bit 0
-    onto its complement.
+    `p` holds one probability per pattern of `setting.pairs`, in pattern order (see
+    pattern_product), read-only.
     """
 
     setting: Setting
@@ -227,25 +225,6 @@ class OutcomeDistribution:
                 f"probabilities sum to {total:.12g}, off from 1 by more than {PROB_SUM_TOL}"
             )
         object.__setattr__(self, "p", _frozen(p))
-
-    @property
-    def probs(self) -> dict[tuple[int, ...], float]:
-        return dict(zip(self.patterns(), self.p.tolist()))
-
-    def patterns(self) -> list[tuple[int, ...]]:
-        return list(_pattern_keys(len(self.setting.pairs)))
-
-    def vector(self) -> np.ndarray:
-        return self.p.copy()
-
-    def marginal_singlet(self, pair_index: int) -> float:
-        return sum(v for pat, v in self.probs.items() if pat[pair_index] == 1)
-
-
-@lru_cache(maxsize=8)
-def _pattern_keys(n_pairs: int) -> tuple[tuple[int, ...], ...]:
-    """Bit tuples of the 2^n patterns of n pairs, in pattern order (see pattern_product)."""
-    return tuple(tuple((j >> i) & 1 for i in range(n_pairs)) for j in range(2**n_pairs))
 
 
 def joint_distribution(setting: Setting, state: TwoQubitState) -> OutcomeDistribution:

@@ -65,6 +65,8 @@ class KMatrix:
         k = np.asarray(self.entries, dtype=float)
         if k.shape != (3, 3):
             raise StateValidationError(f"K must be 3x3, got shape {k.shape}")
+        if not np.isfinite(k).all():
+            raise StateValidationError("K entries must be finite: the matrix holds NaN or infinity")
         asym = float(np.max(np.abs(k - k.T)))
         if asym > K_SYMMETRY_TOL:
             raise StateValidationError(f"K not symmetric: asymmetry {asym:.3e}")

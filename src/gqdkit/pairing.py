@@ -20,18 +20,6 @@ COPY_COUNTS = (2, 4, 6)
 
 
 @dataclass(frozen=True)
-class QubitSlot:
-    copy: int
-    side: str
-
-    def __post_init__(self) -> None:
-        if self.side not in SIDES:
-            raise ValueError(f"side must be 'a' or 'b', got {self.side!r}")
-        if self.copy < 1:
-            raise ValueError(f"copy index must be >= 1, got {self.copy}")
-
-
-@dataclass(frozen=True)
 class PairOp:
     """A singlet or identity operator on two same-side slots."""
 
@@ -53,10 +41,6 @@ class PairOp:
         if lo < 1:
             raise ValueError(f"copy indices must be >= 1, got {self.copies}")
         object.__setattr__(self, "copies", (lo, hi))
-
-    @property
-    def slots(self) -> tuple[QubitSlot, QubitSlot]:
-        return (QubitSlot(self.copies[0], self.side), QubitSlot(self.copies[1], self.side))
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,9 +77,6 @@ class PairingLayout:
                     if c in seen:
                         raise ValueError(f"copy {c} used twice on side {side!r}")
                     seen.add(c)
-
-    def matching(self) -> frozenset[tuple[str, tuple[int, int]]]:
-        return frozenset((p.side, p.copies) for p in self.pairs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PairingLayout):

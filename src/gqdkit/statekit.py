@@ -28,6 +28,9 @@ POSITIVITY_TOL = 1e-10
 BLOCH_ENTRY_TOL = 1e-12
 IMAG_TRACE_TOL = 1e-10
 DRAW_GRID = 2.0**32  # _draw's grid: p moves a count only by moving half a step, 1.2e-10
+# the most shots a sampled route takes: every count is exact as a float, and counts times
+# the sampled read-off's largest entry, 216, stay below 2**61, inside int64
+MAX_SHOTS = 2**53
 
 PAULI = np.array(
     [
@@ -89,11 +92,11 @@ def stream_key(seed) -> tuple[int, ...]:
 
 
 def _sampling_inputs(shots, seed, route: str) -> tuple[int, tuple[int, ...]]:
-    """A sampled route's shot count (an integer >= 1) as an int and its seed as a stream key."""
-    if not _is_int(shots) or shots < 1:
-        raise ValueError(f"{route} shots must be an integer >= 1, got {shots!r}")
+    """A sampled route's shot count (an integer in [1, MAX_SHOTS]) as an int, its seed as a stream key."""
+    if not _is_int(shots) or not 1 <= shots <= MAX_SHOTS:
+        raise StateValidationError(f"{route} shots must be an integer in [1, 2**53], got {shots!r}")
     if seed is None:
-        raise ValueError(f"{route} requires a seed")
+        raise StateValidationError(f"{route} requires a seed")
     return int(shots), stream_key(seed)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -432,6 +433,34 @@ def test_seed_outside_the_stream_key_range_exits_two(capsys, argv, seed):
     assert code == 2
     assert out == ""
     assert f"--seed must be in [0, 2**63), got {seed}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scheme", "--family", "product", "--params", "0,0,1,0,0,1", "--shots", str(2**60)),
+        ("compare", *WERNER, "--shots", str(2**63)),
+        ("scheme", *WERNER, "--shots", str(2**53 + 1)),
+        ("sweep", *SWEEP, "--shots", str(2**53 + 1)),
+        ("compare", *WERNER, "--shots", str(2**53 + 1)),
+    ],
+    ids=["scheme-2^60", "compare-2^63", "scheme", "sweep", "compare"],
+)
+def test_shots_above_the_bound_exit_two(capsys, argv):
+    # past 2**53 shots the sampled read-off can leave int64, where numpy wraps or raises
+    code, out, err = run_cli(capsys, *argv, "--repeats", "2", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "shots must be an integer in [1, 2**53]" in err
+
+
+def test_compare_takes_a_single_shot(capsys):
+    code, out, _ = run_cli(capsys, "compare", *WERNER, "--shots", "1", "--seed", "1")
+    assert code == 0
+    payload = json.loads(out)
+    for route in ("scheme", "qst"):
+        assert all(map(math.isfinite, [payload[route]["value"], *payload[route]["eigenvalues"]]))
+    assert all(map(math.isfinite, payload["scheme"]["moments"].values()))
 
 
 @pytest.mark.parametrize("kind", ["directory", "not-utf8", "no-permission"])

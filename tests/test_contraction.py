@@ -151,21 +151,16 @@ def test_expectation_is_pair_order_insensitive():
 def test_joint_distribution_on_maximally_mixed():
     mm = TwoQubitState(MAXIMALLY_MIXED)
     dist = joint_distribution(settings()[0], mm)
-    expected = {
-        (1, 1): 1 / 16,
-        (0, 1): 3 / 16,
-        (1, 0): 3 / 16,
-        (0, 0): 9 / 16,
-    }
-    for pattern, prob in expected.items():
-        assert abs(dist.probs[pattern] - prob) <= 1e-12
+    # patterns 0..3 are (pair 0, pair 1) = 00, 10, 01, 11, a 1 for the singlet
+    expected = [9 / 16, 3 / 16, 3 / 16, 1 / 16]
+    assert np.max(np.abs(dist.p - expected)) <= 1e-12
 
 
 def test_joint_distribution_sums_to_one():
     for trial in range(5):
         state = random_state(1100 + trial, rank=1 + trial % 4)
         for setting in settings():
-            assert abs(sum(joint_distribution(setting, state).probs.values()) - 1.0) <= 1e-9
+            assert abs(joint_distribution(setting, state).p.sum() - 1.0) <= 1e-9
 
 
 def _two_pair_vector(p00, p10, p01, p11):
@@ -198,13 +193,9 @@ def test_joint_distribution_rejects_a_nan_walk(monkeypatch):
 
 def test_outcome_distribution_holds_one_read_only_vector():
     dist = joint_distribution(settings()[1], random_state(1160, rank=3))
-    assert list(dist.probs) == dist.patterns()
-    assert list(dist.probs.values()) == dist.p.tolist()
+    assert dist.p.shape == (16,) and dist.p.dtype == float
     with pytest.raises(ValueError, match="read-only"):
         dist.p[0] = 0.5
-    copy = dist.vector()
-    copy[0] = 0.5  # a writable copy: the distribution keeps its own values
-    assert dist.p[0] != 0.5
 
 
 def _relabel(setting, kinds):
@@ -220,7 +211,9 @@ def test_marginals_match_single_singlet_layouts():
         for k in range(n):
             kinds = ["singlet" if i == k else "identity" for i in range(n)]
             single = expect_layout(_relabel(setting, kinds), state)
-            assert abs(dist.marginal_singlet(k) - single) <= 1e-10
+            # bit k of pattern j is pair k's outcome, 1 for the singlet (see pattern_product)
+            marginal = dist.p[(np.arange(2**n) >> k) & 1 == 1].sum()
+            assert abs(marginal - single) <= 1e-10
 
 
 def _inclusion_exclusion(setting, state, expect):
@@ -252,14 +245,13 @@ REFERENCE_STATES = [random_state(1300 + t, rank=1 + t % 4) for t in range(12)] +
 def test_joint_distribution_matches_inclusion_exclusion(index):
     setting = settings()[index]
     n = len(setting.pairs)
-    expected_keys = [tuple((j >> i) & 1 for i in range(n)) for j in range(2**n)]
     oracles = [expect_layout] + ([expect_layout_dense_oracle] if setting.n_copies <= 4 else [])
     for state in REFERENCE_STATES:
         dist = joint_distribution(setting, state)
-        assert list(dist.probs) == expected_keys
+        assert dist.p.shape == (2**n,)
         for expect in oracles:
             reference = _inclusion_exclusion(setting, state, expect)
-            assert np.max(np.abs(dist.vector() - reference)) <= 1e-12
+            assert np.max(np.abs(dist.p - reference)) <= 1e-12
 
 
 def test_all_singlet_probability_vanishes_for_pure_product():
@@ -267,7 +259,7 @@ def test_all_singlet_probability_vanishes_for_pure_product():
     ket[0] = 1.0
     state = TwoQubitState(np.outer(ket, ket))
     dist = joint_distribution(settings()[2], state)
-    assert dist.probs[(1,) * 6] <= 1e-12
+    assert dist.p[2**6 - 1] <= 1e-12  # every bit 1: all six pairs singlet
 
 
 @pytest.mark.parametrize(
@@ -317,11 +309,11 @@ def test_cached_walk_plans_give_bit_identical_results():
     dist_misses = []
     for setting in setups:
         _walk_plan.cache_clear()
-        dist_misses.append(joint_distribution(setting, state).probs)
+        dist_misses.append(joint_distribution(setting, state).p.tolist())
     for _ in range(2):  # the first pass fills the cache, the second only hits
         hits = _walk_plan.cache_info().hits
         assert [expect_layout(lay, state) for lay in layouts] == misses
-        assert [joint_distribution(s, state).probs for s in setups] == dist_misses
+        assert [joint_distribution(s, state).p.tolist() for s in setups] == dist_misses
     assert _walk_plan.cache_info().hits - hits == len(layouts) + len(setups)
 
 
@@ -362,7 +354,7 @@ def test_outcome_leg_walks_agree_with_closed_walks():
     # sampled route's read-off matrix, against the c's from expect_layout (walked with
     # closed edges only); side B's columns sit at the relabeled outcomes
     for state in STEP_FORM_STATES:
-        p = np.concatenate([joint_distribution(s, state).vector() for s in settings()])
+        p = np.concatenate([joint_distribution(s, state).p for s in settings()])
         c = outcomes_exact(state)
         for which, expected in (("A", c), ("B", permute_outcomes(c))):
             read_off = p @ _readoff(which)[:, :11]

@@ -388,7 +388,7 @@ def test_moment_observable_reads_trace_powers_off_one_setting():
         state = random_state(2300 + trial, rank=1 + trial % 4)
         dists = [joint_distribution(s, state) for s in settings()]
         rows = np.repeat(np.arange(3), [len(d.p) for d in dists])
-        p = np.concatenate([d.vector() for d in dists])
+        p = np.concatenate([d.p for d in dists])
         for which in ("A", "B"):
             k = k_matrix(decompose(state), which).entries
             for order in (1, 2, 3):
@@ -408,6 +408,26 @@ def test_outcomes_sampled_is_deterministic():
 def test_outcomes_sampled_single_shot_values():
     c = outcomes_sampled(random_state(3), 1, seed=0).c
     assert set(np.unique(c)) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("route", ["scheme-A", "scheme-B", "tomography"])
+def test_a_single_shot_gives_finite_values_on_every_sampled_route(route):
+    for t in range(8):
+        state = random_state([9, t], rank=1 + t % 4)
+        if route == "tomography":
+            est = qst_estimate(state, shots_per_setting=1, seed=t)[1]
+        else:
+            est = estimate_gqd(state, "scheme-sampled", which=route[-1], shots=1, repeats=2, seed=t)
+            assert np.isfinite(est.outcomes.c).all()
+            assert np.isfinite(list(est.moments.as_dict().values())).all()
+        assert np.isfinite([est.value, est.std_err, *est.eigenvalues]).all()
+
+
+def test_a_single_shot_estimate_is_not_clamped_to_the_discord_range():
+    # D lies in [0, 1/2], and an honest estimate from two single-shot repeats may leave it
+    state = random_state([9, 12], rank=1)
+    est = estimate_gqd(state, "scheme-sampled", shots=1, repeats=2, seed=2)
+    assert (est.value, est.std_err) == (0.7500000000000001, 0.3535533905932736)
 
 
 def test_outcomes_sampled_converges_to_exact():
@@ -439,9 +459,10 @@ def test_scheme_sampled_follows_streams_and_pattern_loop_reference():
             for k, setting in enumerate(settings()):
                 dist = joint_distribution(setting, state)
                 # the draw rule: raw p on the grid 2**-32, drawn from q / q.sum()
-                q = np.rint(dist.vector() * 2**32)
+                q = np.rint(dist.p * 2**32)
                 counts = rngs[k].multinomial(shots, q / q.sum())
-                patterns = dist.patterns()
+                # pattern j's bit i is pair i's outcome, 1 for the singlet (see pattern_product)
+                patterns = [[(j >> i) & 1 for i in range(len(setting.pairs))] for j in range(len(q))]
                 for label in setting.covered:
                     kinds = {(p.side, p.copies): p.kind for p in layouts[label].pairs}
                     singlets = [
@@ -569,7 +590,7 @@ def test_compare_draws_scheme_and_tomography_from_distinct_streams(monkeypatch, 
 
 def test_draw_rows_do_not_depend_on_the_repeat_count():
     state = random_state(2750, rank=3)
-    pvecs = [joint_distribution(s, state).vector() for s in settings()]
+    pvecs = [joint_distribution(s, state).p for s in settings()]
     ten, twenty, one = (_draw((5, 2), pvecs, 1000, r) for r in (10, 20, None))
     assert ten.shape == (10, 84) and twenty.shape == (20, 84) and one.shape == (84,)
     assert np.array_equal(ten, twenty[:10])
@@ -600,7 +621,7 @@ def _nudged(p, ulps):
 @pytest.mark.parametrize("ulps", [1, 3, -2], ids=["up-1", "up-3", "down-2"])
 def test_draws_do_not_move_with_the_last_bits_of_the_probabilities(ulps):
     for n, state in enumerate(ULP_PANEL):
-        pvecs = [joint_distribution(s, state).vector() for s in settings()]
+        pvecs = [joint_distribution(s, state).p for s in settings()]
         nudged = [_nudged(p, ulps) for p in pvecs]
         assert all((a != b).sum() == (a != 0).sum() for a, b in zip(pvecs, nudged))
         draws = [_draw((n, 7), vecs, 10**5, 4) for vecs in (pvecs, nudged)]
@@ -686,6 +707,27 @@ def test_sampled_entry_points_require_a_seed(entry):
 def test_sampled_entry_points_reject_a_non_integer_shot_count(entry, shots):
     with pytest.raises(ValueError, match="shots"):
         SAMPLED_ENTRY_POINTS[entry](make_family("werner", [0.5]), shots)
+
+
+def test_the_shot_bound_keeps_the_read_off_inside_int64():
+    largest = max(int(np.abs(_readoff(which)).max()) for which in ("A", "B"))
+    assert largest == 216 and largest * statekit.MAX_SHOTS < 2**61
+
+
+@pytest.mark.parametrize("entry", sorted(SAMPLED_ENTRY_POINTS))
+def test_sampled_entry_points_take_at_most_2_to_the_53_shots(entry):
+    state = make_family("product", [0, 0, 1, 0, 0, 1])
+    with pytest.raises(StateValidationError, match=r"integer in \[1, 2\*\*53\], got 9007199254740993"):
+        SAMPLED_ENTRY_POINTS[entry](state, 2**53 + 1)
+    SAMPLED_ENTRY_POINTS[entry](state, 2**53)
+
+
+def test_the_product_state_reads_exact_moments_at_2_to_the_53_shots():
+    # the bound's reason: at 2**60 shots, 216 * counts wraps past 2**63 (D 0.409, M3 -8)
+    state = make_family("product", [0, 0, 1, 0, 0, 1])
+    est = estimate_gqd(state, "scheme-sampled", shots=2**53, repeats=2, seed=1)
+    assert est.value == 0.0 and est.std_err == 0.0
+    assert est.moments.as_dict() == {"M1": 2.0, "M2": 4.0, "M3": 8.0}
 
 
 @pytest.mark.parametrize("entry", sorted(SAMPLED_ENTRY_POINTS))

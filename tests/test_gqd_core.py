@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,18 @@ def test_k_matrix_rejects_bad_input():
         KMatrix(np.array([[1, 2, 0], [0, 1, 0], [0, 0, 1.0]]), "A")
     with pytest.raises(StateValidationError, match="positive"):
         KMatrix(-np.eye(3), "A")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_k_matrix_rejects_non_finite_entries_without_a_warning(bad):
+    # checked before the symmetry test and LAPACK: inf - inf warns, and eigvalsh fails on NaN
+    one_entry = np.eye(3)
+    one_entry[1, 1] = bad
+    for entries in (np.full((3, 3), bad), one_entry):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StateValidationError, match="K entries must be finite"):
+                KMatrix(entries, "A")
 
 
 def test_exact_spectrum_matches_k_invariants():

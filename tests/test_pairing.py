@@ -4,7 +4,6 @@ import pytest
 from gqdkit.pairing import (
     PairingLayout,
     PairOp,
-    QubitSlot,
     layout_from_dict,
     layout_from_json,
     layout_to_dict,
@@ -24,7 +23,7 @@ def test_eleven_layouts_with_expected_labels():
 def test_p1_structure():
     p1 = standard_layouts()[0]
     assert all(p.kind == "singlet" for p in p1.pairs)
-    assert p1.matching() == frozenset({("a", (1, 2)), ("b", (1, 2))})
+    assert {(p.side, p.copies) for p in p1.pairs} == {("a", (1, 2)), ("b", (1, 2))}
 
 
 def test_p7_structure():
@@ -56,7 +55,7 @@ def test_pair_op_is_slot_order_insensitive():
     b = PairOp("a", (1, 4), "singlet")
     assert a == b
     assert a.copies == (1, 4)
-    assert a.slots == (QubitSlot(1, "a"), QubitSlot(4, "a"))
+    assert (a.side, a.copies) == ("a", (1, 4))
 
 
 def test_layout_equality_ignores_order_and_label():
@@ -159,7 +158,7 @@ def test_setting_covered_layouts_share_the_matching():
     by_label = {lay.label: lay for lay in standard_layouts()}
     for s in settings():
         for label in s.covered:
-            assert by_label[label].matching() == {
+            assert {(p.side, p.copies) for p in by_label[label].pairs} == {
                 (p.side, p.copies) for p in s.pairs
             }
 
