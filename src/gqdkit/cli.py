@@ -18,7 +18,7 @@ from .estimator import estimate_gqd
 from .gqd_core import gqd_exact, gqd_from_k, k_matrix
 from .pairing import render_layout, standard_layouts
 from .qst_baseline import qst_estimate, resource_report
-from .statekit import TwoQubitState, decompose, make_family, state_from_json
+from .statekit import TwoQubitState, _sampling_inputs, decompose, make_family, state_from_json
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -119,6 +119,7 @@ def _check_sampling(args) -> None:
         raise StateValidationError("--seed is required when --shots is given")
     if not 0 <= args.seed < 2**63:
         raise StateValidationError(f"--seed must be in [0, 2**63), got {args.seed}")
+    _sampling_inputs(args.shots, args.seed, "scheme-sampled")  # the library's shot bound
 
 
 def _sampled_estimate(args, state: TwoQubitState, seed):

@@ -29,7 +29,6 @@ SIDES = ("A", "B")
 
 K_SYMMETRY_TOL = 1e-12
 K_POSITIVITY_TOL = 1e-10
-GQD_CLAMP = 1e-12
 
 # Minimization oracle: size of the global Fibonacci grid, the 5x5 local grid in
 # units of the step with the inverse of its biquartic interpolation matrix
@@ -135,10 +134,8 @@ def gqd_exact(state: TwoQubitState, which: str = "A") -> GqdEstimate:
 def gqd_from_k(k: KMatrix) -> GqdEstimate:
     """(lambda_2 + lambda_3) / 4 of K's spectrum, clamped and checked as gqd_exact reports it."""
     lam = k.spectrum
-    lam = np.where((lam < 0.0) & (lam > -K_POSITIVITY_TOL), 0.0, lam)
+    lam = np.maximum(lam, 0.0)  # KMatrix already refused any below -K_POSITIVITY_TOL
     value = (lam[1] + lam[2]) / 4.0
-    if -GQD_CLAMP < value < 0.0:
-        value = 0.0
     if not 0.0 <= value <= 0.5 + 1e-12:
         raise StateValidationError(f"discord value {value:.12g} outside [0, 1/2]")
     return GqdEstimate(float(value), 0.0, (float(lam[0]), float(lam[1]), float(lam[2])), "bloch-exact")

@@ -3,13 +3,12 @@
 A layout places two-qubit pair operators (singlet projector or identity)
 on disjoint slot pairs, one perfect matching per side, over n copies.
 The 11 standard layouts P1..P11 and the three measurement settings that
-realize them are built here from one table; rendering produces a
-row-per-copy diagram.
+realize them are built here, once, from one table; rendering produces a
+row-per-copy diagram. Layouts live in memory only and compare by identity.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .statekit import _is_int
@@ -47,8 +46,8 @@ class PairOp:
 class PairingLayout:
     """A full assignment of pair operators over n copies.
 
-    Identity is the (matching, kinds) content; `label` is advisory and the
-    stored pair order is preserved as given.
+    The stored pair order is preserved as given and `label` is advisory. Two
+    layouts are equal only if they are the same object.
     """
 
     n_copies: int
@@ -77,16 +76,6 @@ class PairingLayout:
                     if c in seen:
                         raise ValueError(f"copy {c} used twice on side {side!r}")
                     seen.add(c)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PairingLayout):
-            return NotImplemented
-        return self.n_copies == other.n_copies and frozenset(self.pairs) == frozenset(
-            other.pairs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n_copies, frozenset(self.pairs)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,39 +174,3 @@ def render_layout(layout: PairingLayout) -> str:
         lines.append(f"  {row:2d}  {row_text('a', row):<{a_width}}   {row_text('b', row)}")
     return "\n".join(line.rstrip() for line in lines)
 
-
-def layout_to_dict(layout: PairingLayout) -> dict:
-    """JSON-ready form; the advisory label is not part of the schema."""
-    return {
-        "n_copies": layout.n_copies,
-        "pairs": [
-            {"side": p.side, "copies": [p.copies[0], p.copies[1]], "kind": p.kind}
-            for p in layout.pairs
-        ],
-    }
-
-
-def layout_from_dict(data: dict) -> PairingLayout:
-    if not isinstance(data, dict) or set(data) != {"n_copies", "pairs"}:
-        raise ValueError('layout object must have exactly the fields "n_copies" and "pairs"')
-    if not isinstance(data["pairs"], list):
-        raise ValueError(f'"pairs" must be a list, got {data["pairs"]!r}')
-    pairs = []
-    for entry in data["pairs"]:
-        if not isinstance(entry, dict) or set(entry) != {"side", "copies", "kind"}:
-            raise ValueError(
-                'each pair must have exactly the fields "side", "copies", "kind"'
-            )
-        copies = entry["copies"]
-        if not isinstance(copies, list) or len(copies) != 2:
-            raise ValueError(f"pair copies must list two copy indices, got {copies!r}")
-        pairs.append(PairOp(entry["side"], tuple(copies), entry["kind"]))
-    return PairingLayout(data["n_copies"], tuple(pairs))
-
-
-def layout_to_json(layout: PairingLayout) -> str:
-    return json.dumps(layout_to_dict(layout))
-
-
-def layout_from_json(text: str) -> PairingLayout:
-    return layout_from_dict(json.loads(text))

@@ -532,5 +532,25 @@ def test_unwritable_output_is_rejected_before_any_estimate(tmp_path, capsys, mon
     assert missing in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("scheme", *WERNER), ("sweep", *SWEEP), ("compare", *WERNER)],
+    ids=["scheme", "sweep", "compare"],
+)
+def test_shots_above_the_bound_leave_no_output_file(tmp_path, capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an estimate was computed before the shot count was checked")
+
+    for name in ("estimate_gqd", "gqd_exact", "qst_estimate"):
+        monkeypatch.setattr(cli, name, refuse)
+    target = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, *argv, "--shots", str(2**53 + 1), "--seed", "1", "--output", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert "shots must be an integer in [1, 2**53]" in err
+    assert not target.exists()
+
+
 def test_unknown_command_exits_two(capsys):
     assert main(["frobnicate"]) == 2

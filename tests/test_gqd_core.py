@@ -88,6 +88,14 @@ def test_k_matrix_rejects_non_finite_entries_without_a_warning(bad):
                 KMatrix(entries, "A")
 
 
+def test_a_k_the_psd_check_admits_gives_a_non_negative_discord():
+    # -1e-10 is not below -K_POSITIVITY_TOL, so K passes; its lambda_3 reads as 0
+    k = KMatrix(np.diag([0.5, 0.0, -1e-10]), "A")
+    g = gqd_core.gqd_from_k(k)
+    assert g.value == 0.0
+    assert g.eigenvalues == (0.5, 0.0, 0.0)
+
+
 def test_exact_spectrum_matches_k_invariants():
     # trace, trace of the square and determinant of K fix its spectrum
     for trial in range(250):
