@@ -2,15 +2,16 @@
 
 Every copy has one a-side and one b-side pair attached, so copies and pairs
 form disjoint cycles that alternate sides. In the Bloch basis sigma_mu (x)
-sigma_nu (sigma_0 = I) a copy is its real correlation matrix R = [[1, y^T],
-[x, T]] and a pair operator is diagonal, so a cycle is the trace of a product of
-real 4x4 factors diag(d) R and diag(d) R^T. A measured pair's open leg, the
-factors (complement, singlet), makes one walk yield every outcome pattern, kept
-as one vector in pattern order. The walk plan is cached per edge structure;
-intermediates hold at most 2^n * 16 reals for n measured pairs. Only the dense
-oracle, capped at 4 copies, builds the 4^n operator: in the computational basis,
-real, realigned, once per layout, and traced as a bilinear form in n / 2
-factors of vec(rho^T).
+sigma_nu (sigma_0 = I) a copy is its state's real Bloch matrix R = [[1, y^T],
+[x, T]], TwoQubitState.R, and a pair operator is diagonal, so a cycle is the
+trace of a product of real 4x4 factors diag(d) R and diag(d) R^T; the walks
+never read rho. A measured pair's open leg, the factors (complement, singlet),
+makes one walk yield every outcome pattern, kept as one vector in pattern
+order. The walk plan is cached per edge structure and a layout's edges per
+layout object; intermediates hold at most 2^n * 16 reals for n measured
+pairs. Only the dense oracle, capped at 4 copies, builds the 4^n operator:
+in the computational basis, real, realigned, once per layout, and traced as a
+bilinear form in n / 2 factors of vec(rho^T).
 """
 
 from __future__ import annotations
@@ -74,17 +75,16 @@ _FACTOR_COLUMNS = {kind: slice(4 * k, 4 * k + 4) for k, kind in enumerate(_BLOCH
 _FACTOR_COLUMNS["outcome"] = slice(4, 12)
 
 
-def _factor_map() -> np.ndarray:
-    """(96, 16) map of rho's entries to the (2, 4, 12) factor stack: for C = R, then
-    C = R^T, the three factors diag(d) C side by side in _BLOCH_DIAGONALS order."""
-    # R_mu,nu = tr(rho sigma_mu (x) sigma_nu) = vec(rho) . vec((sigma_mu (x) sigma_nu)^T)
-    r_map = SIGMA.transpose(0, 1, 3, 2).reshape(4, 4, 16)
-    c_map = np.stack([r_map, r_map.transpose(1, 0, 2)])
-    d = np.array(list(_BLOCH_DIAGONALS.values()))
-    return _frozen((d.T[None, :, :, None, None] * c_map[:, :, None]).reshape(96, 16))
+# Entry (c, mu, 4k + nu) of the factor stack is d_k[mu] C[mu, nu], C = (R, R^T)[c]:
+# C[mu, nu] sits at _FACTOR_INDEX among R's raveled entries, d_k[mu] at _FACTOR_WEIGHT
+_FACTOR_INDEX = _frozen(np.tile([np.arange(16).reshape(4, 4), np.arange(16).reshape(4, 4).T], 3))
+_FACTOR_WEIGHT = _frozen(np.tile(np.array(list(_BLOCH_DIAGONALS.values())).T.repeat(4, 1), (2, 1, 1)))
 
 
-_FACTOR_MAP = _factor_map()
+def _factor_stack(r: np.ndarray) -> np.ndarray:
+    """The (2, 4, 12) factor stack of a Bloch matrix r = R by one gather and one real product:
+    for C = R, then C = R^T, the three factors diag(d) C side by side in _BLOCH_DIAGONALS order."""
+    return r.take(_FACTOR_INDEX) * _FACTOR_WEIGHT
 
 
 @lru_cache(maxsize=256)
@@ -127,22 +127,18 @@ def _walk_plan(edges: tuple[tuple[str, int, int, str], ...]):
     return tuple(cycles), shape, tuple(sorted(range(len(order)), key=order.__getitem__))
 
 
-def _contract(edges: tuple[tuple[str, int, int, str], ...], rho: np.ndarray) -> np.ndarray:
-    """tr[(tensor of pair ops)(rho^(x) n)] for edges (side, lo, hi, kind | "outcome").
+def _contract(edges: tuple[tuple[str, int, int, str], ...], r: np.ndarray) -> np.ndarray:
+    """tr[(tensor of pair ops)(rho^(x) n)] for edges (side, lo, hi, kind | "outcome"), given
+    rho's real Bloch matrix r = R (TwoQubitState.R, whose constructor checked it is real).
 
-    An "outcome" edge carries the stack (complement, singlet); one result axis
-    per edge, in edge order, picks its operator. Per call one (96, 16) product
-    forms the six factors diag(d) R and diag(d) R^T, real to IMAG_TOL. The
-    running stack holds row r of partial product k at row (r, k); a step
-    multiplies it, as (4K, 4), by a (4, 4) factor or a leg's (4, 8) pair, read
+    An "outcome" edge carries the stack (complement, singlet); one result axis per
+    edge, in edge order, picks its operator. Per call _factor_stack forms the six
+    factors. The running stack holds row i of partial product k at row (i, k); a
+    step multiplies it, as (4K, 4), by a (4, 4) factor or a leg's (4, 8) pair, read
     back as (8K, 4): k -> 2k + bit. A cycle closes with a trace per product.
     """
     cycles, shape, axes = _walk_plan(edges)
-    factors = _FACTOR_MAP @ np.asarray(rho, dtype=complex).reshape(16)
-    residue = float(abs(factors.imag).max())
-    if residue > IMAG_TOL:
-        raise NumericalContractError(f"layout expectation has imaginary residue {residue:.3e}")
-    factors = np.ascontiguousarray(factors.real).reshape(2, 4, 12)
+    factors = _factor_stack(r)
     parts = []
     for first, steps in cycles:
         prod = factors[first]
@@ -153,9 +149,15 @@ def _contract(edges: tuple[tuple[str, int, int, str], ...], rho: np.ndarray) -> 
     return reduce(np.multiply.outer, parts).reshape(shape).transpose(axes)
 
 
+@lru_cache(maxsize=256)
+def _layout_edges(layout: PairingLayout) -> tuple[tuple[str, int, int, str], ...]:
+    """A layout's walk edges, keyed by the layout object (a layout compares by identity)."""
+    return tuple((p.side, *p.copies, p.kind) for p in layout.pairs)
+
+
 def expect_layout(layout: PairingLayout, state: TwoQubitState) -> float:
     """tr[(pair operators of the layout)(state^(x) n_copies)]."""
-    return _contract(tuple((p.side, *p.copies, p.kind) for p in layout.pairs), state.matrix).item()
+    return _contract(_layout_edges(layout), state.R).item()
 
 
 @lru_cache(maxsize=16)
@@ -235,7 +237,7 @@ def joint_distribution(setting: Setting, state: TwoQubitState) -> OutcomeDistrib
     """
     edges = tuple((p.side, *p.copies, "outcome") for p in setting.pairs)
     # pattern order (see pattern_product): reversed axes put pair 0's bit lowest
-    flat = _contract(edges, state.matrix).T.reshape(-1)
+    flat = _contract(edges, state.R).T.reshape(-1)
     if flat.min() < -NEG_PROB_TOL:
         raise NumericalContractError(f"pattern probability {flat.min():.3e} below -{NEG_PROB_TOL}")
     return OutcomeDistribution(setting, np.maximum(flat, 0.0))

@@ -5,7 +5,8 @@ tensor factor is subsystem a, the second subsystem b, and the Pauli axes
 are ordered (sigma^1, sigma^2, sigma^3) = (X, Y, Z). SIGMA holds the Bloch
 basis sigma_mu (x) sigma_nu, sigma_0 = I, once for the package. Constructors
 validate their output, so any TwoQubitState or BlochForm in circulation
-satisfies the module invariants.
+satisfies the module invariants. A TwoQubitState maps rho to its real Bloch
+matrix R once, at validation; decompose and the contraction walks read R.
 
 Every random draw is made here: a seed is a stream key (stream_key), a sampled
 route's inputs pass one rule (_sampling_inputs), and _draw draws its counts on one
@@ -15,7 +16,7 @@ grid (DRAW_GRID), every repeat of vector k from one stream, np.random.default_rn
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -127,9 +128,11 @@ def _draw(key: tuple[int, ...], pvecs, shots: int, repeats: int | None = None) -
 
 @dataclass(frozen=True, eq=False)
 class TwoQubitState:
-    """A validated 4x4 density matrix (Hermitian, unit trace, PSD), kept C-ordered."""
+    """A validated 4x4 density matrix (Hermitian, unit trace, PSD), kept C-ordered, and its
+    real Bloch matrix R_mu,nu = tr(rho SIGMA[mu, nu]), real to IMAG_TRACE_TOL, read-only."""
 
     matrix: np.ndarray
+    R: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex, order="C")  # the oracle reads it as 32 floats
@@ -153,7 +156,14 @@ class TwoQubitState:
                 f"not positive semidefinite: smallest eigenvalue {lowest:.3e} "
                 f"below -{POSITIVITY_TOL}"
             )
+        r = np.einsum("mnab,ba->mn", SIGMA, m)
+        residue = float(np.max(np.abs(r.imag)))
+        if residue > IMAG_TRACE_TOL:
+            raise StateValidationError(
+                f"Pauli expectation values have imaginary residue {residue:.3e} above {IMAG_TRACE_TOL}"
+            )
         object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "R", _frozen(r.real))
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
@@ -187,14 +197,9 @@ class BlochForm:
 
 
 def decompose(state: TwoQubitState) -> BlochForm:
-    """Bloch form of a state: x_i, y_i, and t_ij as Pauli expectation values."""
-    r = np.einsum("mnab,ba->mn", SIGMA, state.matrix)
-    residue = float(np.max(np.abs(r.imag)))
-    if residue > IMAG_TRACE_TOL:
-        raise NumericalContractError(
-            f"Pauli expectation values have imaginary residue {residue:.3e}"
-        )
-    return BlochForm(r.real[1:, 0], r.real[0, 1:], r.real[1:, 1:])
+    """Bloch form of a state: x_i, y_i, and t_ij, the blocks of its Bloch matrix R."""
+    r = state.R
+    return BlochForm(r[1:, 0], r[0, 1:], r[1:, 1:])
 
 
 def _bloch_matrix(x: np.ndarray, y: np.ndarray, T: np.ndarray) -> np.ndarray:

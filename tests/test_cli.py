@@ -50,6 +50,20 @@ def test_exact_rejects_bad_file(tmp_path, capsys):
     assert "Hermitian" in err or "trace" in err or "positive" in err
 
 
+def test_a_near_hermitian_state_file_exits_two_and_writes_nothing(tmp_path, capsys):
+    # Hermitian to 9e-11, inside the tolerance, but its Pauli expectations carry an
+    # imaginary residue of 1.8e-10: bad input, not a broken internal contract
+    m = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    m[0][1] = m[2][3] = [9e-11, 0.0]
+    path, target = tmp_path / "state.json", tmp_path / "out.json"
+    path.write_text(json.dumps({"matrix": m}))
+    code, out, err = run_cli(capsys, "exact", "--file", str(path), "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert "imaginary residue 1.800e-10" in err
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("entry", [[1.0, 0.0, 5.0], [True, False]], ids=["three-values", "booleans"])
 def test_exact_rejects_an_entry_that_is_not_two_numbers(tmp_path, capsys, entry):
     # a valid |00><00| but for the form of its one nonzero entry

@@ -52,12 +52,11 @@ def test_pair_operators_are_diagonal_in_the_bloch_basis():
 
 
 def test_factor_stack_holds_the_correlation_matrix():
-    # against R = [[1, y^T], [x, T]] from decompose, a separate code path
+    # against R computed here entry by entry, not by the state's constructor
     for trial in range(12):
         state = random_state(1950 + trial, rank=1 + trial % 4)
-        b = decompose(state)
-        r = np.block([[np.ones((1, 1)), b.y[None]], [b.x[:, None], b.T]])
-        factors = (contraction._FACTOR_MAP @ state.matrix.reshape(16)).reshape(2, 4, 12)
+        r = 4 * pauli_coefficients(state.matrix).real  # R_mu,nu = tr(rho sigma_mu (x) sigma_nu)
+        factors = contraction._factor_stack(state.R)
         for t, c in enumerate((r, r.T)):
             for kind, d in contraction._BLOCH_DIAGONALS.items():
                 block = factors[t][:, contraction._FACTOR_COLUMNS[kind]]
@@ -186,7 +185,7 @@ def test_outcome_distribution_rejects_a_bad_vector(p, message):
 
 def test_joint_distribution_rejects_a_nan_walk(monkeypatch):
     # a NaN pattern survives the clamp; OutcomeDistribution's own check catches it
-    monkeypatch.setattr(contraction, "_contract", lambda edges, rho: np.full((2, 2), np.nan))
+    monkeypatch.setattr(contraction, "_contract", lambda edges, r: np.full((2, 2), np.nan))
     with pytest.raises(NumericalContractError, match="finite and nonnegative"):
         joint_distribution(settings()[0], random_state(1150))
 
@@ -277,10 +276,10 @@ def test_all_singlet_probability_vanishes_for_pure_product():
     ids=["slot-used-twice", "uncovered-copy"],
 )
 def test_bad_edges_raise_on_every_call(edges, message):
-    rho = random_state(1400).matrix
+    r = random_state(1400).R
     for _ in range(2):
         with pytest.raises(ValueError, match=message):
-            _contract(edges, rho)
+            _contract(edges, r)
 
 
 def random_matching(rng, n_copies, kinds=("singlet", "identity")):
@@ -368,7 +367,7 @@ def test_closed_edges_and_outcome_legs_mix_in_one_cycle():
     state = random_state(1590, rank=3)
     for setting in settings():
         edges = [(p.side, *p.copies, "outcome") for p in setting.pairs]
-        full = _contract(tuple(edges), state.matrix)
+        full = _contract(tuple(edges), state.R)
         for _ in range(6):
             kinds = rng.choice(["outcome", "complement", "singlet", "identity"], len(edges)).tolist()
             expected = full
@@ -378,7 +377,7 @@ def test_closed_edges_and_outcome_legs_mix_in_one_cycle():
                 elif kind != "outcome":
                     expected = expected.take([kind == "singlet"], axis=axis)
             mixed = tuple(edge[:3] + (kind,) for edge, kind in zip(edges, kinds))
-            assert np.max(np.abs(_contract(mixed, state.matrix) - expected)) <= 1e-13
+            assert np.max(np.abs(_contract(mixed, state.R) - expected)) <= 1e-13
 
 
 def random_unitary(rng):
@@ -456,19 +455,6 @@ def test_dense_oracle_checks_the_imaginary_residue(monkeypatch):
     for lay in (standard_layouts()[0], standard_layouts()[3]):
         with pytest.raises(NumericalContractError, match="imaginary residue"):
             expect_layout_dense_oracle(lay, random_state(1800, rank=3))
-
-
-def test_walk_checks_the_imaginary_residue():
-    # a non-Hermitian rho has complex Pauli expectations: rho_01 = 1e-3 puts 1e-3 i in
-    # R's (0, y) entry, so the factors built from rho carry an imaginary part
-    rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-    rho[0, 1] = 1e-3
-    closed = tuple((p.side, *p.copies, p.kind) for p in standard_layouts()[0].pairs)
-    legs = tuple((p.side, *p.copies, "outcome") for p in settings()[1].pairs)
-    for edges in (closed, legs):
-        with pytest.raises(NumericalContractError, match="imaginary residue"):
-            _contract(edges, rho)
-        _contract(edges, (rho + rho.conj().T) / 2)  # its Hermitian part passes
 
 
 def test_dense_oracle_never_forms_the_copies_product():

@@ -771,6 +771,29 @@ def test_scheme_sampled_accepts_a_numpy_integer_repeat_count():
     assert plain.to_dict() == numpy_int.to_dict()
 
 
+@pytest.mark.parametrize(
+    "route, kwargs, expected",
+    [
+        ("scheme-exact", {}, {"expect_layout": 11, "joint_distribution": 0}),
+        ("scheme-sampled", {"shots": 1000, "repeats": 3, "seed": 1}, {"expect_layout": 0, "joint_distribution": 3}),
+    ],
+    ids=["exact", "sampled"],
+)
+@pytest.mark.parametrize("which", ["A", "B"])
+def test_each_scheme_route_makes_its_fixed_number_of_walks(monkeypatch, route, kwargs, expected, which):
+    # one walk per standard layout on the exact route, one distribution per setting on
+    # the sampled one, on either side; a benchmark pins these per-op counts too
+    calls = {name: 0 for name in expected}
+    for name in expected:
+        def counting(*args, _name=name, _original=getattr(estimator, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(estimator, name, counting)
+    estimate_gqd(random_state(2700, rank=3), route, which=which, **kwargs)
+    assert calls == expected
+
+
 def test_scheme_exact_matches_closed_form():
     for trial in range(50):
         state = random_state(2500 + trial, rank=1 + trial % 4)

@@ -121,6 +121,42 @@ def test_invalid_matrices_name_the_violated_invariant(matrix, fragment):
         TwoQubitState(matrix)
 
 
+def test_constructor_checks_the_imaginary_residue():
+    # Hermitian to 9e-11, inside HERMITICITY_TOL, but rho_01 and rho_23 each put 9e-11 i
+    # into tr(rho I (x) Y): its Pauli expectations carry an imaginary residue of 1.8e-10
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 1] = rho[2, 3] = 9e-11
+    with pytest.raises(StateValidationError, match="imaginary residue 1.800e-10"):
+        TwoQubitState(rho)
+    state = TwoQubitState((rho + rho.conj().T) / 2)  # its Hermitian part passes
+    assert state.R.dtype == float
+
+
+def bloch_reference(rho):
+    # R_mu,nu = tr(rho sigma_mu (x) sigma_nu), entry by entry
+    sigma = np.concatenate([np.eye(2)[None], PAULI])
+    return np.array([[np.trace(rho @ np.kron(sm, sn)) for sn in sigma] for sm in sigma])
+
+
+def test_the_bloch_matrix_is_read_only_and_matches_the_pauli_expectations():
+    states = [random_state(2100 + seed, rank=1 + seed % 4) for seed in range(200)]
+    states += [
+        make_family("werner", [0.3]),
+        make_family("bell_diagonal", [0.2, -0.3, 0.4]),
+        make_family("pure", [0.1, 0.2, -0.3, 0.4, 0.5, -0.6, 0.7, 0.8]),
+        make_family("product", [0.1, 0.2, 0.3, -0.4, 0.5, 0.1]),
+        make_family("classical_AB", [0.3, 0.4, 1.1, 0.1, 0.2, 0.3, -0.2, 0.1, 0.5]),
+    ]
+    for state in states:
+        assert state.R.shape == (4, 4) and state.R.dtype == float
+        with pytest.raises(ValueError):
+            state.R[0, 0] = 2.0
+        assert np.max(np.abs(state.R - bloch_reference(state.matrix))) <= 1e-15
+        b = decompose(state)
+        for block, expected in ((b.x, state.R[1:, 0]), (b.y, state.R[0, 1:]), (b.T, state.R[1:, 1:])):
+            assert np.array_equal(block, expected)
+
+
 def test_reconstruct_rejects_nonphysical_bloch_data():
     bad = BlochForm(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.eye(3))
     with pytest.raises(StateValidationError, match="not physical"):
