@@ -5,13 +5,15 @@ form disjoint cycles that alternate sides. In the Bloch basis sigma_mu (x)
 sigma_nu (sigma_0 = I) a copy is its state's real Bloch matrix R = [[1, y^T],
 [x, T]], TwoQubitState.R, and a pair operator is diagonal, so a cycle is the
 trace of a product of real 4x4 factors diag(d) R and diag(d) R^T; the walks
-never read rho. A measured pair's open leg, the factors (complement, singlet),
-makes one walk yield every outcome pattern, kept as one vector in pattern
-order. The walk plan is cached per edge structure and a layout's edges per
-layout object; intermediates hold at most 2^n * 16 reals for n measured
-pairs. Only the dense oracle, capped at 4 copies, builds the 4^n operator:
-in the computational basis, real, realigned, once per layout, and traced as a
-bilinear form in n / 2 factors of vec(rho^T).
+never read rho. There is one walk per edge type, both ordered by _walk_plan.
+expect_layout walks a layout's closed edges as one chain of 4x4 products per
+cycle, its plan cached per layout object. _walk_legs walks a setting with a
+measured pair's open leg, the factors (complement, singlet), on every pair, so
+one walk yields every outcome pattern, kept as one vector in pattern order; its
+plan is cached per setting object, and its intermediates hold at most
+2^n * 16 reals for n pairs. Only the dense oracle, capped at 4 copies, builds
+the 4^n operator: in the computational basis, real, realigned, once per
+layout, and traced as a bilinear form in n / 2 factors of vec(rho^T).
 """
 
 from __future__ import annotations
@@ -69,95 +71,75 @@ _BLOCH_DIAGONALS = {
     "complement": (0.75, 0.25, 0.25, 0.25),
     "singlet": (0.25, -0.25, -0.25, -0.25),
 }
-# Each kind's columns in a (4, 12) block of the factor stack; an outcome leg takes the
-# adjacent (complement, singlet)
-_FACTOR_COLUMNS = {kind: slice(4 * k, 4 * k + 4) for k, kind in enumerate(_BLOCH_DIAGONALS)}
-_FACTOR_COLUMNS["outcome"] = slice(4, 12)
+
+# Entry (2k + c, mu, nu) of the closed stack is d_k[mu] C[mu, nu], C = (R, R^T)[c], k in
+# _BLOCH_DIAGONALS order: C[mu, nu] sits at _CLOSED_INDEX among R's raveled entries, d_k[mu]
+# at _CLOSED_WEIGHT. Entry (c, mu, 4j + nu) of the leg stack is the closed stack's
+# (2 + 2j + c, mu, nu): an outcome leg's factors (complement, singlet) side by side.
+_CLOSED_INDEX = _frozen(np.tile([np.arange(16).reshape(4, 4), np.arange(16).reshape(4, 4).T], (3, 1, 1)))
+_CLOSED_WEIGHT = _frozen(np.array(list(_BLOCH_DIAGONALS.values())).repeat(2, 0)[:, :, None].repeat(4, 2))
+_LEG_INDEX, _LEG_WEIGHT = (
+    _frozen(a[2:].reshape(2, 2, 4, 4).transpose(1, 2, 0, 3).reshape(2, 4, 8))
+    for a in (_CLOSED_INDEX, _CLOSED_WEIGHT)
+)
 
 
-# Entry (c, mu, 4k + nu) of the factor stack is d_k[mu] C[mu, nu], C = (R, R^T)[c]:
-# C[mu, nu] sits at _FACTOR_INDEX among R's raveled entries, d_k[mu] at _FACTOR_WEIGHT
-_FACTOR_INDEX = _frozen(np.tile([np.arange(16).reshape(4, 4), np.arange(16).reshape(4, 4).T], 3))
-_FACTOR_WEIGHT = _frozen(np.tile(np.array(list(_BLOCH_DIAGONALS.values())).T.repeat(4, 1), (2, 1, 1)))
+def _walk_plan(pairs: tuple[PairOp, ...]) -> list[list[tuple[int, int]]]:
+    """Validated cycle order of a walk over pairs, whose kinds it ignores; not state-dependent.
 
-
-def _factor_stack(r: np.ndarray) -> np.ndarray:
-    """The (2, 4, 12) factor stack of a Bloch matrix r = R by one gather and one real product:
-    for C = R, then C = R^T, the three factors diag(d) C side by side in _BLOCH_DIAGONALS order."""
-    return r.take(_FACTOR_INDEX) * _FACTOR_WEIGHT
-
-
-@lru_cache(maxsize=256)
-def _walk_plan(edges: tuple[tuple[str, int, int, str], ...]):
-    """Validated slots and cycle order of a walk; not state-dependent.
-
-    Per cycle: the first edge's factor-stack index and the others' in walk order; then
-    the result shape in walk order and the axis order restoring edge order. An index
-    picks diag(d) C for the edge's kind (both outcome kinds for a leg), C = R^T where
-    the walk crosses the next copy from its b slot, else R. A failed validation raises
-    and is not cached.
+    Per cycle, in walk order: each pair's index and a flag, 1 where the walk crosses the
+    next copy from its b slot (the factor holds R^T), else 0 (R).
     """
-    incident: dict[tuple[int, str], tuple[int, int]] = {}  # slot -> (edge, the edge's other copy)
-    for idx, (side, lo, hi, _) in enumerate(edges):
-        for copy, other in ((lo, hi), (hi, lo)):
-            slot = (copy, side)
+    incident: dict[tuple[int, str], tuple[int, int]] = {}  # slot -> (pair, the pair's other copy)
+    for idx, p in enumerate(pairs):
+        for copy, other in (p.copies, p.copies[::-1]):
+            slot = (copy, p.side)
             if slot in incident:
                 raise ValueError(f"slot {slot} appears in more than one pair")
             incident[slot] = (idx, other)
-    for copy in {copy for _, lo, hi, _ in edges for copy in (lo, hi)}:
+    for copy in {copy for p in pairs for copy in p.copies}:
         if (copy, "a") not in incident or (copy, "b") not in incident:
             raise ValueError(f"copy {copy} is not covered on both sides")
 
     cycles, order = [], []
-    for start in range(len(edges)):
+    for start in range(len(pairs)):
         if start in order:
             continue
-        side, _, copy, _ = edges[start]
+        side, copy = pairs[start].side, pairs[start].copies[1]
         idx, steps = start, []
         while True:
-            # the edge, then across the copy tensor (transposed from the b slot) to the other slot
-            steps.append((int(side == "b"), slice(None), _FACTOR_COLUMNS[edges[idx][3]]))
+            # the pair, then across the copy tensor (transposed from the b slot) to the other slot
+            steps.append((idx, int(side == "b")))
             order.append(idx)
             side = "b" if side == "a" else "a"
             idx, copy = incident[(copy, side)]
             if idx == start:
                 break
-        cycles.append((steps[0], tuple(steps[1:])))
-    shape = tuple(2 if edges[i][3] == "outcome" else 1 for i in order)
-    return tuple(cycles), shape, tuple(sorted(range(len(order)), key=order.__getitem__))
-
-
-def _contract(edges: tuple[tuple[str, int, int, str], ...], r: np.ndarray) -> np.ndarray:
-    """tr[(tensor of pair ops)(rho^(x) n)] for edges (side, lo, hi, kind | "outcome"), given
-    rho's real Bloch matrix r = R (TwoQubitState.R, whose constructor checked it is real).
-
-    An "outcome" edge carries the stack (complement, singlet); one result axis per
-    edge, in edge order, picks its operator. Per call _factor_stack forms the six
-    factors. The running stack holds row i of partial product k at row (i, k); a
-    step multiplies it, as (4K, 4), by a (4, 4) factor or a leg's (4, 8) pair, read
-    back as (8K, 4): k -> 2k + bit. A cycle closes with a trace per product.
-    """
-    cycles, shape, axes = _walk_plan(edges)
-    factors = _factor_stack(r)
-    parts = []
-    for first, steps in cycles:
-        prod = factors[first]
-        for step in steps:
-            # ndarray.dot dispatches faster than @ on small operands
-            prod = prod.reshape(-1, 4).dot(factors[step])
-        parts.append(prod.reshape(4, -1, 4).trace(axis1=0, axis2=2))
-    return reduce(np.multiply.outer, parts).reshape(shape).transpose(axes)
+        cycles.append(steps)
+    return cycles
 
 
 @lru_cache(maxsize=256)
-def _layout_edges(layout: PairingLayout) -> tuple[tuple[str, int, int, str], ...]:
-    """A layout's walk edges, keyed by the layout object (a layout compares by identity)."""
-    return tuple((p.side, *p.copies, p.kind) for p in layout.pairs)
+def _closed_plan(layout: PairingLayout) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Per cycle of a layout's walk, the closed-stack index of its first factor and of the
+    others in walk order; keyed by the layout object (a layout compares by identity)."""
+    kinds = [2 * list(_BLOCH_DIAGONALS).index(p.kind) for p in layout.pairs]
+    cycles = _walk_plan(layout.pairs)
+    return tuple((kinds[i] + c, tuple(kinds[j] + t for j, t in rest)) for (i, c), *rest in cycles)
 
 
 def expect_layout(layout: PairingLayout, state: TwoQubitState) -> float:
-    """tr[(pair operators of the layout)(state^(x) n_copies)]."""
-    return _contract(_layout_edges(layout), state.R).item()
+    """tr[(pair operators of the layout)(state^(x) n_copies)]: per cycle, the trace of one
+    chain of real 4x4 products of the closed stack's factors; cycles multiply in walk order."""
+    factors = state.R.take(_CLOSED_INDEX) * _CLOSED_WEIGHT
+    total = 1.0
+    for first, steps in _closed_plan(layout):
+        prod = factors[first]
+        for step in steps:
+            # ndarray.dot dispatches faster than @ on small operands
+            prod = prod.dot(factors[step])
+        total *= prod.trace()
+    return float(total)
 
 
 @lru_cache(maxsize=16)
@@ -229,15 +211,43 @@ class OutcomeDistribution:
         object.__setattr__(self, "p", _frozen(p))
 
 
+@lru_cache(maxsize=16)
+def _leg_plan(setting: Setting) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
+    """Per cycle of a setting's walk, the leg-stack index of its first step and of the others;
+    then the axis order taking walk order to pattern order. Keyed by the setting object."""
+    cycles = _walk_plan(setting.pairs)
+    order = [i for cycle in cycles for i, _ in cycle]
+    # pattern order (see pattern_product): pair 0's bit lowest, so the last pair's axis first
+    axes = sorted(range(len(order)), key=order.__getitem__, reverse=True)
+    return tuple((c, tuple(t for _, t in rest)) for (_, c), *rest in cycles), tuple(axes)
+
+
+def _walk_legs(setting: Setting, r: np.ndarray) -> np.ndarray:
+    """Every pattern's probability, in pattern order, from one walk with a (complement,
+    singlet) leg on every pair, given rho's real Bloch matrix r = R.
+
+    The running stack holds row i of partial product k at row (i, k); a step multiplies
+    it, as (4K, 4), by a leg's (4, 8) factor pair, read back as (8K, 4): k -> 2k + bit. A
+    cycle closes with a trace per product.
+    """
+    cycles, axes = _leg_plan(setting)
+    legs = r.take(_LEG_INDEX) * _LEG_WEIGHT
+    parts = []
+    for first, steps in cycles:
+        prod = legs[first]
+        for step in steps:
+            prod = prod.reshape(-1, 4).dot(legs[step])
+        parts.append(prod.reshape(4, -1, 4).trace(axis1=0, axis2=2))
+    return reduce(np.multiply.outer, parts).reshape((2,) * len(axes)).transpose(axes).reshape(-1)
+
+
 def joint_distribution(setting: Setting, state: TwoQubitState) -> OutcomeDistribution:
     """Exact joint distribution of all pair outcomes for a setting.
 
-    One walk of the matching with a (complement, singlet) leg on every pair gives all
-    patterns, not renormalized; one below -NEG_PROB_TOL is an error, a smaller negative 0.
+    One walk of the matching with an outcome leg on every pair gives all patterns, not
+    renormalized; one below -NEG_PROB_TOL is an error, a smaller negative 0.
     """
-    edges = tuple((p.side, *p.copies, "outcome") for p in setting.pairs)
-    # pattern order (see pattern_product): reversed axes put pair 0's bit lowest
-    flat = _contract(edges, state.R).T.reshape(-1)
+    flat = _walk_legs(setting, state.R)
     if flat.min() < -NEG_PROB_TOL:
         raise NumericalContractError(f"pattern probability {flat.min():.3e} below -{NEG_PROB_TOL}")
     return OutcomeDistribution(setting, np.maximum(flat, 0.0))

@@ -1,5 +1,6 @@
 import tracemalloc
-from functools import reduce
+from collections import namedtuple
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from gqdkit.contraction import (
     P_MINUS,
     OutcomeDistribution,
     PAIR_KIND_MATRICES,
-    _contract,
+    _BLOCH_DIAGONALS,
+    _closed_plan,
     _dense_operator,
+    _leg_plan,
     _walk_plan,
     build_u,
     build_v,
@@ -29,7 +32,7 @@ from gqdkit.contraction import (
 from gqdkit.errors import NumericalContractError
 from gqdkit.estimator import _readoff, outcomes_exact, permute_outcomes
 from gqdkit.pairing import PairingLayout, PairOp, Setting, settings, standard_layouts
-from gqdkit.statekit import MAXIMALLY_MIXED, PAULI
+from gqdkit.statekit import MAXIMALLY_MIXED, PAULI, _frozen
 
 
 def test_pair_operator_identities():
@@ -52,15 +55,21 @@ def test_pair_operators_are_diagonal_in_the_bloch_basis():
 
 
 def test_factor_stack_holds_the_correlation_matrix():
-    # against R computed here entry by entry, not by the state's constructor
+    # both walks' stacks against R computed here entry by entry, not by the state's constructor:
+    # the closed stack holds diag(d_k) C at 2k + c, the leg stack (complement, singlet) side by side
     for trial in range(12):
         state = random_state(1950 + trial, rank=1 + trial % 4)
         r = 4 * pauli_coefficients(state.matrix).real  # R_mu,nu = tr(rho sigma_mu (x) sigma_nu)
-        factors = contraction._factor_stack(state.R)
+        closed = state.R.take(contraction._CLOSED_INDEX) * contraction._CLOSED_WEIGHT
+        legs = state.R.take(contraction._LEG_INDEX) * contraction._LEG_WEIGHT
+        assert closed.shape == (6, 4, 4) and legs.shape == (2, 4, 8)
+        assert closed.flags.c_contiguous and legs.flags.c_contiguous
         for t, c in enumerate((r, r.T)):
-            for kind, d in contraction._BLOCH_DIAGONALS.items():
-                block = factors[t][:, contraction._FACTOR_COLUMNS[kind]]
-                assert np.max(np.abs(block - np.diag(d) @ c)) <= 1e-15
+            for k, d in enumerate(_BLOCH_DIAGONALS.values()):
+                assert np.max(np.abs(closed[2 * k + t] - np.diag(d) @ c)) <= 1e-15
+            for j, kind in enumerate(("complement", "singlet")):
+                block = legs[t][:, 4 * j : 4 * j + 4]
+                assert np.max(np.abs(block - np.diag(_BLOCH_DIAGONALS[kind]) @ c)) <= 1e-15
 
 
 def test_singlet_projector_properties():
@@ -185,7 +194,7 @@ def test_outcome_distribution_rejects_a_bad_vector(p, message):
 
 def test_joint_distribution_rejects_a_nan_walk(monkeypatch):
     # a NaN pattern survives the clamp; OutcomeDistribution's own check catches it
-    monkeypatch.setattr(contraction, "_contract", lambda edges, r: np.full((2, 2), np.nan))
+    monkeypatch.setattr(contraction, "_walk_legs", lambda setting, r: np.full(4, np.nan))
     with pytest.raises(NumericalContractError, match="finite and nonnegative"):
         joint_distribution(settings()[0], random_state(1150))
 
@@ -265,21 +274,22 @@ def test_all_singlet_probability_vanishes_for_pure_product():
     "edges, message",
     [
         (
-            (("a", 1, 2, "singlet"), ("a", 2, 3, "singlet"), ("b", 1, 2, "singlet")),
+            (("a", 1, 2), ("a", 2, 3), ("b", 1, 2)),
             r"slot \(2, 'a'\) appears in more than one pair",
         ),
         (
-            (("a", 1, 2, "singlet"), ("b", 1, 3, "outcome")),
+            (("a", 1, 2), ("b", 1, 3)),
             "copy 2 is not covered on both sides",
         ),
     ],
     ids=["slot-used-twice", "uncovered-copy"],
 )
 def test_bad_edges_raise_on_every_call(edges, message):
-    r = random_state(1400).R
+    # pair tuples no PairingLayout accepts; the kind is ignored by the validator
+    pairs = tuple(PairOp(side, (lo, hi), "singlet") for side, lo, hi in edges)
     for _ in range(2):
         with pytest.raises(ValueError, match=message):
-            _contract(edges, r)
+            _walk_plan(pairs)
 
 
 def random_matching(rng, n_copies, kinds=("singlet", "identity")):
@@ -294,8 +304,8 @@ def random_matching(rng, n_copies, kinds=("singlet", "identity")):
 
 
 def test_cached_walk_plans_give_bit_identical_results():
-    # each result on a cold plan cache (a miss) against the same call once the
-    # cache holds the plans of every other layout and setting (a hit)
+    # each result on a cold plan cache (a miss) against the same call once the per-object
+    # caches hold the plans of every other layout and setting (a hit)
     rng = np.random.default_rng(14)
     layouts = [random_matching(rng, n) for n in (2, 4, 6) for _ in range(12)]
     matchings = [random_matching(rng, n, ("singlet",)) for n in (2, 4, 6) for _ in range(4)]
@@ -303,17 +313,148 @@ def test_cached_walk_plans_give_bit_identical_results():
     state = random_state(1500, rank=3)
     misses = []
     for lay in layouts:
-        _walk_plan.cache_clear()
+        _closed_plan.cache_clear()
         misses.append(expect_layout(lay, state))
     dist_misses = []
     for setting in setups:
-        _walk_plan.cache_clear()
+        _leg_plan.cache_clear()
         dist_misses.append(joint_distribution(setting, state).p.tolist())
-    for _ in range(2):  # the first pass fills the cache, the second only hits
-        hits = _walk_plan.cache_info().hits
+    for _ in range(2):  # the first pass fills the caches, the second only hits
+        hits = _closed_plan.cache_info().hits, _leg_plan.cache_info().hits
         assert [expect_layout(lay, state) for lay in layouts] == misses
         assert [joint_distribution(s, state).p.tolist() for s in setups] == dist_misses
-    assert _walk_plan.cache_info().hits - hits == len(layouts) + len(setups)
+    assert _closed_plan.cache_info().hits - hits[0] == len(layouts)
+    assert _leg_plan.cache_info().hits - hits[1] == len(setups)
+    # a plan is keyed by the object: an equal layout built anew is a miss
+    twin = PairingLayout(layouts[0].n_copies, layouts[0].pairs)
+    before = _closed_plan.cache_info().misses
+    assert expect_layout(twin, state) == misses[0]
+    assert _closed_plan.cache_info().misses == before + 1
+
+
+# The generic stacked walk both walks replaced, verbatim but for the ref_ prefix: one
+# path for closed edges and outcome legs. The two walks must reproduce it bit for bit.
+# Each kind's columns in a (4, 12) block of the factor stack; an outcome leg takes the
+# adjacent (complement, singlet)
+ref_FACTOR_COLUMNS = {kind: slice(4 * k, 4 * k + 4) for k, kind in enumerate(_BLOCH_DIAGONALS)}
+ref_FACTOR_COLUMNS["outcome"] = slice(4, 12)
+
+
+# Entry (c, mu, 4k + nu) of the factor stack is d_k[mu] C[mu, nu], C = (R, R^T)[c]:
+# C[mu, nu] sits at _FACTOR_INDEX among R's raveled entries, d_k[mu] at _FACTOR_WEIGHT
+ref_FACTOR_INDEX = _frozen(np.tile([np.arange(16).reshape(4, 4), np.arange(16).reshape(4, 4).T], 3))
+ref_FACTOR_WEIGHT = _frozen(np.tile(np.array(list(_BLOCH_DIAGONALS.values())).T.repeat(4, 1), (2, 1, 1)))
+
+
+def ref_factor_stack(r: np.ndarray) -> np.ndarray:
+    """The (2, 4, 12) factor stack of a Bloch matrix r = R by one gather and one real product:
+    for C = R, then C = R^T, the three factors diag(d) C side by side in _BLOCH_DIAGONALS order."""
+    return r.take(ref_FACTOR_INDEX) * ref_FACTOR_WEIGHT
+
+
+@lru_cache(maxsize=256)
+def ref_walk_plan(edges: tuple[tuple[str, int, int, str], ...]):
+    """Validated slots and cycle order of a walk; not state-dependent.
+
+    Per cycle: the first edge's factor-stack index and the others' in walk order; then
+    the result shape in walk order and the axis order restoring edge order. An index
+    picks diag(d) C for the edge's kind (both outcome kinds for a leg), C = R^T where
+    the walk crosses the next copy from its b slot, else R. A failed validation raises
+    and is not cached.
+    """
+    incident: dict[tuple[int, str], tuple[int, int]] = {}  # slot -> (edge, the edge's other copy)
+    for idx, (side, lo, hi, _) in enumerate(edges):
+        for copy, other in ((lo, hi), (hi, lo)):
+            slot = (copy, side)
+            if slot in incident:
+                raise ValueError(f"slot {slot} appears in more than one pair")
+            incident[slot] = (idx, other)
+    for copy in {copy for _, lo, hi, _ in edges for copy in (lo, hi)}:
+        if (copy, "a") not in incident or (copy, "b") not in incident:
+            raise ValueError(f"copy {copy} is not covered on both sides")
+
+    cycles, order = [], []
+    for start in range(len(edges)):
+        if start in order:
+            continue
+        side, _, copy, _ = edges[start]
+        idx, steps = start, []
+        while True:
+            # the edge, then across the copy tensor (transposed from the b slot) to the other slot
+            steps.append((int(side == "b"), slice(None), ref_FACTOR_COLUMNS[edges[idx][3]]))
+            order.append(idx)
+            side = "b" if side == "a" else "a"
+            idx, copy = incident[(copy, side)]
+            if idx == start:
+                break
+        cycles.append((steps[0], tuple(steps[1:])))
+    shape = tuple(2 if edges[i][3] == "outcome" else 1 for i in order)
+    return tuple(cycles), shape, tuple(sorted(range(len(order)), key=order.__getitem__))
+
+
+def ref_contract(edges: tuple[tuple[str, int, int, str], ...], r: np.ndarray) -> np.ndarray:
+    """tr[(tensor of pair ops)(rho^(x) n)] for edges (side, lo, hi, kind | "outcome"), given
+    rho's real Bloch matrix r = R (TwoQubitState.R, whose constructor checked it is real).
+
+    An "outcome" edge carries the stack (complement, singlet); one result axis per
+    edge, in edge order, picks its operator. Per call _factor_stack forms the six
+    factors. The running stack holds row i of partial product k at row (i, k); a
+    step multiplies it, as (4K, 4), by a (4, 4) factor or a leg's (4, 8) pair, read
+    back as (8K, 4): k -> 2k + bit. A cycle closes with a trace per product.
+    """
+    cycles, shape, axes = ref_walk_plan(edges)
+    factors = ref_factor_stack(r)
+    parts = []
+    for first, steps in cycles:
+        prod = factors[first]
+        for step in steps:
+            # ndarray.dot dispatches faster than @ on small operands
+            prod = prod.reshape(-1, 4).dot(factors[step])
+        parts.append(prod.reshape(4, -1, 4).trace(axis1=0, axis2=2))
+    return reduce(np.multiply.outer, parts).reshape(shape).transpose(axes)
+
+
+# PairOp admits only singlet and identity; the closed stack also holds the complement
+# factors, which a stand-in pair reaches (a layout reads a pair's side, copies and kind)
+StandInPair = namedtuple("StandInPair", "side copies kind")
+
+BIT_STATES = [random_state(1960 + t, rank=1 + t % 4) for t in range(16)] + [
+    make_family("werner", [0.3]),
+    make_family("bell_diagonal", [0.5, -0.3, 0.2]),
+    make_family("pure", [0.6, 0.1, 0.2, -0.3, 0.0, 0.5, 0.3, 0.4]),
+    make_family("product", [0.1, 0.2, 0.3, 0.0, 0.0, 1.0]),
+    make_family("classical_AB", [0.3, 0.4, 0.2, 0.1, 0.2, 0.3, 0.5, -0.1, 0.2]),
+]
+
+
+def test_closed_walk_is_bit_identical_to_the_generic_walk():
+    rng = np.random.default_rng(19)
+    kinds = ("singlet", "identity", "complement")
+    layouts = standard_layouts()
+    for n in (2, 4, 6):
+        for _ in range(12):
+            pairs = random_matching(rng, n).pairs
+            relabeled = tuple(StandInPair(p.side, p.copies, kinds[rng.integers(3)]) for p in pairs)
+            layouts.append(PairingLayout(n, relabeled))
+    assert any(len(_closed_plan(lay)) > 1 for lay in layouts)  # multi-cycle layouts are walked
+    assert {p.kind for lay in layouts for p in lay.pairs} == set(kinds)
+    for state in BIT_STATES:
+        for lay in layouts:
+            value = expect_layout(lay, state)
+            assert type(value) is float
+            edges = tuple((p.side, *p.copies, p.kind) for p in lay.pairs)
+            assert value == ref_contract(edges, state.R).item()
+
+
+def test_leg_walk_is_bit_identical_to_the_generic_walk():
+    rng = np.random.default_rng(20)
+    matchings = [random_matching(rng, n, ("singlet",)) for n in (2, 4, 6) for _ in range(4)]
+    setups = settings() + [Setting(lay, ()) for lay in matchings]
+    for state in BIT_STATES:
+        for setting in setups:
+            edges = tuple((p.side, *p.copies, "outcome") for p in setting.pairs)
+            expected = np.maximum(ref_contract(edges, state.R).T.reshape(-1), 0.0)
+            assert joint_distribution(setting, state).p.tolist() == expected.tolist()
 
 
 def einsum_reference(layout, rho):
@@ -360,24 +501,21 @@ def test_outcome_leg_walks_agree_with_closed_walks():
             assert np.max(np.abs(read_off - expected.c)) <= 1e-13
 
 
-def test_closed_edges_and_outcome_legs_mix_in_one_cycle():
-    # a closed edge of one kind is the outcome axis it picks (complement 0, singlet 1),
-    # and a closed identity edge is the sum of both
+def test_closed_walk_is_a_pick_or_sum_of_the_leg_walk():
+    # a closed singlet pair is the outcome it picks (bit 1), and a closed identity pair is
+    # the sum over both outcomes: the closed walk of a setting relabeled with random kinds
+    # against the matching patterns of the leg walk
     rng = np.random.default_rng(18)
-    state = random_state(1590, rank=3)
-    for setting in settings():
-        edges = [(p.side, *p.copies, "outcome") for p in setting.pairs]
-        full = _contract(tuple(edges), state.R)
-        for _ in range(6):
-            kinds = rng.choice(["outcome", "complement", "singlet", "identity"], len(edges)).tolist()
-            expected = full
-            for axis, kind in enumerate(kinds):
-                if kind == "identity":
-                    expected = expected.sum(axis=axis, keepdims=True)
-                elif kind != "outcome":
-                    expected = expected.take([kind == "singlet"], axis=axis)
-            mixed = tuple(edge[:3] + (kind,) for edge, kind in zip(edges, kinds))
-            assert np.max(np.abs(_contract(mixed, state.R) - expected)) <= 1e-13
+    for state in REFERENCE_STATES:
+        for setting in settings():
+            p = joint_distribution(setting, state).p
+            n = len(setting.pairs)
+            bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1  # bit i: pair i's outcome
+            for _ in range(4):
+                singlet = rng.integers(2, size=n).astype(bool)
+                lay = _relabel(setting, ["singlet" if s else "identity" for s in singlet])
+                keep = (bits[:, singlet] == 1).all(axis=1)
+                assert abs(expect_layout(lay, state) - p[keep].sum()) <= 1e-13
 
 
 def random_unitary(rng):
@@ -433,8 +571,8 @@ def test_dense_oracle_never_walks_the_cycles(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the dense oracle used the cycle walk")
 
-    monkeypatch.setattr(contraction, "_contract", refuse)
-    monkeypatch.setattr(contraction, "_walk_plan", refuse)
+    for walk in ("expect_layout", "_closed_plan", "_walk_legs", "_leg_plan", "_walk_plan"):
+        monkeypatch.setattr(contraction, walk, refuse)
     state = random_state(1700, rank=2)
     for lay in standard_layouts()[:7]:
         assert abs(expect_layout_dense_oracle(lay, state) - textbook_dense(lay, [state])[0].real) <= 1e-14
