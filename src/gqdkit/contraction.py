@@ -7,13 +7,14 @@ sigma_nu (sigma_0 = I) a copy is its state's real Bloch matrix R = [[1, y^T],
 trace of a product of real 4x4 factors diag(d) R and diag(d) R^T; the walks
 never read rho. There is one walk per edge type, both ordered by _walk_plan.
 expect_layout walks a layout's closed edges as one chain of 4x4 products per
-cycle, its plan cached per layout object. _walk_legs walks a setting with a
-measured pair's open leg, the factors (complement, singlet), on every pair, so
-one walk yields every outcome pattern, kept as one vector in pattern order; its
-plan is cached per setting object, and its intermediates hold at most
-2^n * 16 reals for n pairs. Only the dense oracle, capped at 4 copies, builds
-the 4^n operator: in the computational basis, real, realigned, once per
-layout, and traced as a bilinear form in n / 2 factors of vec(rho^T).
+cycle, its plan cached per layout object and its factors gathered from R once
+per state (the last one walked). _walk_legs walks a setting with a measured
+pair's open leg, the factors (complement, singlet), on every pair, so one walk
+yields every outcome pattern, kept as one vector in pattern order; its plan is
+cached per setting object, and its intermediates hold at most 2^n * 16 reals
+for n pairs. Only the dense oracle, capped at 4 copies, builds the 4^n
+operator: in the computational basis, real, realigned, once per layout, and
+traced as a bilinear form in n / 2 factors of vec(rho^T).
 """
 
 from __future__ import annotations
@@ -128,10 +129,16 @@ def _closed_plan(layout: PairingLayout) -> tuple[tuple[int, tuple[int, ...]], ..
     return tuple((kinds[i] + c, tuple(kinds[j] + t for j, t in rest)) for (i, c), *rest in cycles)
 
 
+@lru_cache(maxsize=1)
+def _closed_stack(state: TwoQubitState) -> np.ndarray:
+    """The closed stack of the last state, read-only; keyed by the object, compared by identity."""
+    return _frozen(state.R.take(_CLOSED_INDEX) * _CLOSED_WEIGHT)
+
+
 def expect_layout(layout: PairingLayout, state: TwoQubitState) -> float:
     """tr[(pair operators of the layout)(state^(x) n_copies)]: per cycle, the trace of one
     chain of real 4x4 products of the closed stack's factors; cycles multiply in walk order."""
-    factors = state.R.take(_CLOSED_INDEX) * _CLOSED_WEIGHT
+    factors = _closed_stack(state)
     total = 1.0
     for first, steps in _closed_plan(layout):
         prod = factors[first]
@@ -201,7 +208,7 @@ class OutcomeDistribution:
         if p.shape != (n_patterns,):
             raise NumericalContractError(f"expected {n_patterns} patterns, got shape {p.shape}")
         # each check is written so that NaN fails it
-        if not (np.isfinite(p).all() and p.min() >= 0.0):
+        if not (p.min() >= 0.0 and p.max() < np.inf):
             raise NumericalContractError("pattern probabilities must be finite and nonnegative")
         total = float(p.sum())
         if not abs(total - 1.0) <= PROB_SUM_TOL:

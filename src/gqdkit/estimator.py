@@ -208,13 +208,13 @@ class OutcomeVector:
             raise ValueError(f"outcome vector must have shape (11,), got {c.shape}")
         # each range check is written so that NaN fails it
         if self.provenance == "exact":
-            if not (np.min(c) >= -EXACT_OUTCOME_TOL and np.max(c) <= 1.0 + EXACT_OUTCOME_TOL):
+            if not (c.min() >= -EXACT_OUTCOME_TOL and c.max() <= 1.0 + EXACT_OUTCOME_TOL):
                 raise NumericalContractError(
                     f"exact outcome outside [0, 1]: range [{c.min():.3e}, {c.max():.3e}]"
                 )
-            c = np.clip(c, 0.0, 1.0)
+            c = c.clip(0.0, 1.0)
         elif self.provenance == "sampled":
-            if not (np.min(c) >= 0.0 and np.max(c) <= 1.0):
+            if not (c.min() >= 0.0 and c.max() <= 1.0):
                 raise ValueError("sampled outcomes must lie in [0, 1]")
         else:
             raise ValueError(f"provenance must be 'exact' or 'sampled', got {self.provenance!r}")
@@ -419,9 +419,8 @@ def estimate_gqd(
         if which == "B":
             c = permute_outcomes(c)
         m = moments_from_outcomes(c)
-        lam = eigenvalues_from_moments(m)
-        value = (lam[1] + lam[2]) / 4.0
-        return GqdEstimate(float(value), 0.0, tuple(lam.tolist()), "scheme-exact", c, m)
+        lam = tuple(eigenvalues_from_moments(m).tolist())
+        return GqdEstimate((lam[1] + lam[2]) / 4.0, 0.0, lam, "scheme-exact", c, m)
 
     if mode != "scheme-sampled":
         raise ValueError(f"mode must be 'scheme-exact' or 'scheme-sampled', got {mode!r}")

@@ -66,7 +66,7 @@ class KMatrix:
             raise StateValidationError(f"K must be 3x3, got shape {k.shape}")
         if not np.isfinite(k).all():
             raise StateValidationError("K entries must be finite: the matrix holds NaN or infinity")
-        asym = float(np.max(np.abs(k - k.T)))
+        asym = abs(k - k.T).max()
         if asym > K_SYMMETRY_TOL:
             raise StateValidationError(f"K not symmetric: asymmetry {asym:.3e}")
         spectrum = np.linalg.eigvalsh((k + k.T) / 2.0)[::-1]
@@ -120,10 +120,10 @@ def k_matrix(bloch: BlochForm, which: str = "A") -> KMatrix:
     """K = x x^t + T T^t for side A, K' = y y^t + T^t T for side B."""
     _check_side(which)
     if which == "A":
-        k = np.outer(bloch.x, bloch.x) + bloch.T @ bloch.T.T
+        k = bloch.x[:, None] * bloch.x + bloch.T @ bloch.T.T  # x[:, None] * x is np.outer's product
     else:
-        k = np.outer(bloch.y, bloch.y) + bloch.T.T @ bloch.T
-    return KMatrix((k + k.T) / 2.0, which)
+        k = bloch.y[:, None] * bloch.y + bloch.T.T @ bloch.T
+    return KMatrix(k, which)  # KMatrix symmetrizes it for eigvalsh
 
 
 def gqd_exact(state: TwoQubitState, which: str = "A") -> GqdEstimate:
@@ -133,12 +133,12 @@ def gqd_exact(state: TwoQubitState, which: str = "A") -> GqdEstimate:
 
 def gqd_from_k(k: KMatrix) -> GqdEstimate:
     """(lambda_2 + lambda_3) / 4 of K's spectrum, clamped and checked as gqd_exact reports it."""
-    lam = k.spectrum
-    lam = np.maximum(lam, 0.0)  # KMatrix already refused any below -K_POSITIVITY_TOL
+    # KMatrix refused any below -K_POSITIVITY_TOL; max(0.0, v) also reads -0.0 as 0.0
+    lam = tuple(max(0.0, v) for v in k.spectrum.tolist())
     value = (lam[1] + lam[2]) / 4.0
     if not 0.0 <= value <= 0.5 + 1e-12:
         raise StateValidationError(f"discord value {value:.12g} outside [0, 1/2]")
-    return GqdEstimate(float(value), 0.0, (float(lam[0]), float(lam[1]), float(lam[2])), "bloch-exact")
+    return GqdEstimate(value, 0.0, lam, "bloch-exact")
 
 
 def _fibonacci_axes(count: int) -> np.ndarray:

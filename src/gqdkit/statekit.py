@@ -8,9 +8,9 @@ validate their output, so any TwoQubitState or BlochForm in circulation
 satisfies the module invariants. A TwoQubitState maps rho to its real Bloch
 matrix R once, at validation; decompose and the contraction walks read R.
 
-Every random draw is made here: a seed is a stream key (stream_key), a sampled
-route's inputs pass one rule (_sampling_inputs), and _draw draws its counts on one
-grid (DRAW_GRID), every repeat of vector k from one stream, np.random.default_rng([*key, k + 1]).
+Every random draw is made here: a seed is a stream key (stream_key), a sampled route's inputs
+pass one rule (_sampling_inputs), and _draw draws its counts on one grid (DRAW_GRID), every
+repeat of vector k from one stream, np.random.default_rng([*key, k + 1]) fed uint32 words (_stream).
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ FAMILY_ARITY = {
 def _frozen(a: np.ndarray) -> np.ndarray:
     """A read-only copy of a: the one way the package marks an array read-only."""
     a = np.array(a)
-    a.flags.writeable = False
+    a.setflags(write=False)  # as a.flags.writeable = False, without building the flags object
     return a
 
 
@@ -101,11 +101,18 @@ def _sampling_inputs(shots, seed, route: str) -> tuple[int, tuple[int, ...]]:
     return int(shots), stream_key(seed)
 
 
+def _stream(key: tuple[int, ...]) -> np.random.Generator:
+    """np.random.default_rng(list(key)), seeded with the uint32 words numpy would split the key
+    into: an entry's low word first, 0 as one word, so an entry below 2**63 is one or two words."""
+    words = [w for s in key for w in ((s & 0xFFFFFFFF, s >> 32) if s >> 32 else (s,))]
+    return np.random.default_rng(np.array(words, dtype=np.uint32))
+
+
 def _draw(key: tuple[int, ...], pvecs, shots: int, repeats: int | None = None) -> np.ndarray:
     """Multinomial counts of `shots` draws from each vector of pvecs, concatenated on the
     last axis as one int64 array: shape (sum of lengths,), or (repeats, sum) by rows.
 
-    Vector k, p, draws every row from one stream, np.random.default_rng([*key, k + 1]), so
+    Vector k, p, draws every row from one stream, _stream((*key, k + 1)), so
     row r does not depend on how many rows follow it and repeats=None is row 0. It draws
     from q / q.sum(), q = rint(p * DRAW_GRID): an exact integer sum, so the draw hangs on q
     alone. NaN or p < -2**-33, a negative count, is an error.
@@ -119,7 +126,7 @@ def _draw(key: tuple[int, ...], pvecs, shots: int, repeats: int | None = None) -
     # k + 1, never 0: numpy pads keys of up to 4 words with zeros, so [*key, 0] is [*key]'s stream
     return np.concatenate(
         [
-            np.random.default_rng([*key, k + 1]).multinomial(shots, p[a:b], size=repeats)
+            _stream((*key, k + 1)).multinomial(shots, p[a:b], size=repeats)
             for k, (a, b) in enumerate(zip(starts, starts[1:]))
         ],
         axis=-1,
@@ -186,8 +193,9 @@ class BlochForm:
                 f"Bloch data must be two 3-vectors and a 3x3 matrix, got "
                 f"{x.shape}, {y.shape}, {T.shape}"
             )
-        worst = float(np.max(np.abs(np.concatenate([x, y, T.ravel()]))))
-        if not worst <= 1.0 + BLOCH_ENTRY_TOL:  # NaN fails too
+        entries, bound = np.concatenate((x, y, T.ravel())), 1.0 + BLOCH_ENTRY_TOL
+        if not (-bound <= entries.min() and entries.max() <= bound):  # NaN fails too
+            worst = float(abs(entries).max())
             raise StateValidationError(
                 f"Bloch entries must lie in [-1, 1]; largest magnitude is {worst:.12g}"
             )
@@ -324,7 +332,7 @@ def random_state(seed, rank: int = 4) -> TwoQubitState:
     """
     if not _is_int(rank) or rank not in (1, 2, 3, 4):
         raise StateValidationError(f"rank must be 1..4, got {rank}")
-    rng = np.random.default_rng(list(stream_key(seed)))
+    rng = _stream(stream_key(seed))
     g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
     m = g @ g.conj().T
     return TwoQubitState(m / np.trace(m))

@@ -22,6 +22,7 @@ from gqdkit.contraction import (
     PAIR_KIND_MATRICES,
     _BLOCH_DIAGONALS,
     _closed_plan,
+    _closed_stack,
     _dense_operator,
     _leg_plan,
     _walk_plan,
@@ -62,6 +63,7 @@ def test_factor_stack_holds_the_correlation_matrix():
         r = 4 * pauli_coefficients(state.matrix).real  # R_mu,nu = tr(rho sigma_mu (x) sigma_nu)
         closed = state.R.take(contraction._CLOSED_INDEX) * contraction._CLOSED_WEIGHT
         legs = state.R.take(contraction._LEG_INDEX) * contraction._LEG_WEIGHT
+        assert np.array_equal(_closed_stack(state), closed) and not _closed_stack(state).flags.writeable
         assert closed.shape == (6, 4, 4) and legs.shape == (2, 4, 8)
         assert closed.flags.c_contiguous and legs.flags.c_contiguous
         for t, c in enumerate((r, r.T)):
@@ -175,6 +177,9 @@ def _two_pair_vector(p00, p10, p01, p11):
     return np.array([p00, p10, p01, p11])
 
 
+FINITE_MESSAGE = r"^pattern probabilities must be finite and nonnegative$"
+
+
 @pytest.mark.parametrize(
     "p, message",
     [
@@ -184,8 +189,15 @@ def _two_pair_vector(p00, p10, p01, p11):
         (_two_pair_vector(np.inf, 0.5, 0.25, 0.25), "finite and nonnegative"),
         (_two_pair_vector(-0.25, 0.5, 0.5, 0.25), "finite and nonnegative"),
         (_two_pair_vector(0.25, 0.25, 0.25, 0.3), "sum to"),
+        (_two_pair_vector(0.5, 0.25, 0.25, np.nan), FINITE_MESSAGE),
+        (_two_pair_vector(0.5, 0.25, 0.25, np.inf), FINITE_MESSAGE),
+        (_two_pair_vector(-np.inf, 0.5, 0.25, 0.25), FINITE_MESSAGE),
+        (_two_pair_vector(0.5, 0.25, 0.25, -np.inf), FINITE_MESSAGE),
     ],
-    ids=["short", "matrix", "nan", "inf", "negative", "sum-off"],
+    ids=[
+        "short", "matrix", "nan", "inf", "negative", "sum-off",
+        "nan-last", "inf-last", "-inf-first", "-inf-last",
+    ],
 )
 def test_outcome_distribution_rejects_a_bad_vector(p, message):
     with pytest.raises(NumericalContractError, match=message):
@@ -455,6 +467,24 @@ def test_leg_walk_is_bit_identical_to_the_generic_walk():
             edges = tuple((p.side, *p.copies, "outcome") for p in setting.pairs)
             expected = np.maximum(ref_contract(edges, state.R).T.reshape(-1), 0.0)
             assert joint_distribution(setting, state).p.tolist() == expected.tolist()
+
+
+def test_closed_stack_is_gathered_once_per_state_object():
+    # the walks on one state share one gather of R; the next state, or an equal-matrix copy of
+    # it (a state compares by identity), gathers anew, and the cache keeps only the last state
+    rng = np.random.default_rng(26)
+    layouts = standard_layouts() + [random_matching(rng, n) for n in (2, 4, 6) for _ in range(4)]
+    a, b = BIT_STATES[1], BIT_STATES[6]
+    twin = TwoQubitState(a.matrix.copy())
+    _closed_stack.cache_clear()
+    for state in (a, b, a, twin):
+        before = _closed_stack.cache_info()
+        for lay in layouts:
+            edges = tuple((p.side, *p.copies, p.kind) for p in lay.pairs)
+            assert expect_layout(lay, state) == ref_contract(edges, state.R).item()
+            assert _closed_stack.cache_info().currsize <= 1
+        after = _closed_stack.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, len(layouts) - 1)
 
 
 def einsum_reference(layout, rho):

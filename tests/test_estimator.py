@@ -1,10 +1,13 @@
 import json
+import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from gqdkit import cli, estimator, statekit
 from gqdkit import (
+    GqdEstimate,
     NumericalContractError,
     StateValidationError,
     TwoQubitState,
@@ -25,17 +28,21 @@ from gqdkit import (
     standard_layouts,
     verify_moment_formulas,
 )
+from gqdkit.contraction import _CLOSED_INDEX, _CLOSED_WEIGHT, _closed_plan
 from gqdkit.estimator import (
     BASELINE_MOMENT_TABLE,
     COMPLEX_ROOT_TOL,
+    EXACT_OUTCOME_TOL,
     MOMENT_TABLE,
+    N_OUTCOMES,
     REPEATED_ROOT_DISC,
     MomentTriple,
     OutcomeVector,
+    _SIDE_B_ORDER,
     _readoff,
     derive_moment_table,
 )
-from gqdkit.statekit import MAXIMALLY_MIXED, _draw, stream_key
+from gqdkit.statekit import MAXIMALLY_MIXED, _draw, _frozen, stream_key
 
 MM_OUTCOMES = np.array(
     [
@@ -794,6 +801,96 @@ def test_each_scheme_route_makes_its_fixed_number_of_walks(monkeypatch, route, k
     assert calls == expected
 
 
+# The scheme-exact route from the walks on, before its checks were cut to fewer numpy calls,
+# verbatim but for the ref_ prefix: expect_layout with its per-call gather, OutcomeVector,
+# permute_outcomes and estimate_gqd's scheme-exact tail. The route must reproduce it bit for bit.
+def ref_expect_layout(layout, state) -> float:
+    """tr[(pair operators of the layout)(state^(x) n_copies)]: per cycle, the trace of one
+    chain of real 4x4 products of the closed stack's factors; cycles multiply in walk order."""
+    factors = state.R.take(_CLOSED_INDEX) * _CLOSED_WEIGHT
+    total = 1.0
+    for first, steps in _closed_plan(layout):
+        prod = factors[first]
+        for step in steps:
+            # ndarray.dot dispatches faster than @ on small operands
+            prod = prod.dot(factors[step])
+        total *= prod.trace()
+    return float(total)
+
+
+@dataclass(frozen=True, eq=False)
+class ref_OutcomeVector:
+    """The eleven measurement outcome values c1..c11."""
+
+    c: np.ndarray
+    provenance: str
+    shots: int | None = None
+    seed: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        c = np.asarray(self.c, dtype=float)
+        if c.shape != (N_OUTCOMES,):
+            raise ValueError(f"outcome vector must have shape (11,), got {c.shape}")
+        # each range check is written so that NaN fails it
+        if self.provenance == "exact":
+            if not (np.min(c) >= -EXACT_OUTCOME_TOL and np.max(c) <= 1.0 + EXACT_OUTCOME_TOL):
+                raise NumericalContractError(
+                    f"exact outcome outside [0, 1]: range [{c.min():.3e}, {c.max():.3e}]"
+                )
+            c = np.clip(c, 0.0, 1.0)
+        elif self.provenance == "sampled":
+            if not (np.min(c) >= 0.0 and np.max(c) <= 1.0):
+                raise ValueError("sampled outcomes must lie in [0, 1]")
+        else:
+            raise ValueError(f"provenance must be 'exact' or 'sampled', got {self.provenance!r}")
+        object.__setattr__(self, "c", _frozen(c))
+
+    def as_dict(self) -> dict[str, float]:
+        return {f"c{i + 1}": float(self.c[i]) for i in range(N_OUTCOMES)}
+
+
+def ref_outcomes_exact(state) -> ref_OutcomeVector:
+    """c_i = expectation of standard layout P_i on state copies."""
+    c = np.array([ref_expect_layout(lay, state) for lay in standard_layouts()])
+    return ref_OutcomeVector(c, "exact")
+
+
+def ref_permute_outcomes(c: ref_OutcomeVector) -> ref_OutcomeVector:
+    """Swap (c2, c5, c9) with (c3, c6, c10): the side-B outcome relabeling."""
+    return ref_OutcomeVector(c.c[_SIDE_B_ORDER], c.provenance, shots=c.shots, seed=c.seed)
+
+
+def ref_scheme_exact(state, which) -> GqdEstimate:
+    c = ref_outcomes_exact(state)
+    if which == "B":
+        c = ref_permute_outcomes(c)
+    m = moments_from_outcomes(c)
+    lam = eigenvalues_from_moments(m)
+    value = (lam[1] + lam[2]) / 4.0
+    return GqdEstimate(float(value), 0.0, tuple(lam.tolist()), "scheme-exact", c, m)
+
+
+BIT_STATES = [random_state([26, t], rank=1 + t % 4) for t in range(64)] + [
+    make_family("werner", [0.3]),
+    make_family("bell_diagonal", [0.5, -0.3, 0.2]),
+    make_family("pure", [0.6, 0.1, 0.2, -0.3, 0.0, 0.5, 0.3, 0.4]),
+    make_family("product", [0.1, 0.2, 0.3, 0.0, 0.0, 1.0]),
+    make_family("classical_AB", [0.3, 0.4, 0.2, 0.1, 0.2, 0.3, 0.5, -0.1, 0.2]),
+]
+
+
+@pytest.mark.parametrize("which", ["A", "B"])
+def test_scheme_exact_is_bit_identical_to_the_reference(which):
+    for state in BIT_STATES:
+        got = estimate_gqd(state, "scheme-exact", which=which)
+        expected = ref_scheme_exact(state, which)
+        assert type(got.value) is float and all(type(v) is float for v in got.eigenvalues)
+        assert (got.value, got.eigenvalues) == (expected.value, expected.eigenvalues)
+        assert np.array_equal(got.outcomes.c, expected.outcomes.c)
+        # the JSON text also tells -0.0 from 0.0
+        assert json.dumps(got.to_dict()) == json.dumps(expected.to_dict())
+
+
 def test_scheme_exact_matches_closed_form():
     for trial in range(50):
         state = random_state(2500 + trial, rank=1 + trial % 4)
@@ -873,6 +970,22 @@ def test_estimate_json_schema():
     sampled = estimate_gqd(state, "scheme-sampled", shots=1000, repeats=3, seed=1).to_dict()
     assert sampled["route"] == "scheme-sampled"
     assert sampled["std_err"] >= 0.0
+
+
+@pytest.mark.parametrize("index", [0, 10], ids=["first", "last"])
+@pytest.mark.parametrize(
+    "bad, exact_range",
+    [(np.nan, "nan, nan"), (np.inf, "5.000e-01, inf"), (-np.inf, "-inf, 5.000e-01")],
+    ids=["nan", "inf", "-inf"],
+)
+def test_outcome_vector_rejects_a_non_finite_entry_at_either_end(bad, exact_range, index):
+    c = np.full(11, 0.5)
+    c[index] = bad
+    message = f"exact outcome outside [0, 1]: range [{exact_range}]"
+    with pytest.raises(NumericalContractError, match=f"^{re.escape(message)}$"):
+        OutcomeVector(c, "exact")
+    with pytest.raises(ValueError, match=r"^sampled outcomes must lie in \[0, 1\]$"):
+        OutcomeVector(c, "sampled")
 
 
 def test_outcome_vector_validation():

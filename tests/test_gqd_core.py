@@ -1,8 +1,10 @@
+import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,14 +31,17 @@ from gqdkit.gqd_core import (
     _LOCAL_OFFSETS,
     _START_STEP,
     _STEP_TOL,
+    K_POSITIVITY_TOL,
+    K_SYMMETRY_TOL,
     KMatrix,
+    _check_side,
     _dephased,
     _distance_sq,
     _fibonacci_axes,
     _newton_shift,
     _sandwiches,
 )
-from gqdkit.statekit import I2, MAXIMALLY_MIXED, PAULI, _frozen
+from gqdkit.statekit import BLOCH_ENTRY_TOL, I2, MAXIMALLY_MIXED, PAULI, _frozen
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -79,12 +84,15 @@ def test_k_matrix_rejects_bad_input():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_k_matrix_rejects_non_finite_entries_without_a_warning(bad):
     # checked before the symmetry test and LAPACK: inf - inf warns, and eigvalsh fails on NaN
-    one_entry = np.eye(3)
-    one_entry[1, 1] = bad
-    for entries in (np.full((3, 3), bad), one_entry):
+    one_entry = [np.eye(3) for _ in range(3)]
+    for entries, (i, j) in zip(one_entry, [(0, 0), (1, 1), (2, 2)]):  # first, middle, last
+        entries[i, j] = bad
+    for entries in (np.full((3, 3), bad), *one_entry):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(StateValidationError, match="K entries must be finite"):
+            with pytest.raises(
+                StateValidationError, match=r"^K entries must be finite: the matrix holds NaN or infinity$"
+            ):
                 KMatrix(entries, "A")
 
 
@@ -94,6 +102,113 @@ def test_a_k_the_psd_check_admits_gives_a_non_negative_discord():
     g = gqd_core.gqd_from_k(k)
     assert g.value == 0.0
     assert g.eigenvalues == (0.5, 0.0, 0.0)
+
+
+# The closed form's path before its checks were cut to fewer numpy calls, verbatim but for the
+# ref_ prefix: decompose, BlochForm, k_matrix with its own symmetrization, KMatrix and
+# gqd_from_k's numpy tail. gqd_exact must reproduce it bit for bit.
+@dataclass(frozen=True, eq=False)
+class ref_BlochForm:
+    """Local Bloch vectors x, y and the 3x3 correlation matrix T."""
+
+    x: np.ndarray
+    y: np.ndarray
+    T: np.ndarray
+
+    def __post_init__(self) -> None:
+        x = np.asarray(self.x, dtype=float)
+        y = np.asarray(self.y, dtype=float)
+        T = np.asarray(self.T, dtype=float)
+        if x.shape != (3,) or y.shape != (3,) or T.shape != (3, 3):
+            raise StateValidationError(
+                f"Bloch data must be two 3-vectors and a 3x3 matrix, got "
+                f"{x.shape}, {y.shape}, {T.shape}"
+            )
+        worst = float(np.max(np.abs(np.concatenate([x, y, T.ravel()]))))
+        if not worst <= 1.0 + BLOCH_ENTRY_TOL:  # NaN fails too
+            raise StateValidationError(
+                f"Bloch entries must lie in [-1, 1]; largest magnitude is {worst:.12g}"
+            )
+        object.__setattr__(self, "x", _frozen(x))
+        object.__setattr__(self, "y", _frozen(y))
+        object.__setattr__(self, "T", _frozen(T))
+
+
+def ref_decompose(state: TwoQubitState) -> ref_BlochForm:
+    """Bloch form of a state: x_i, y_i, and t_ij, the blocks of its Bloch matrix R."""
+    r = state.R
+    return ref_BlochForm(r[1:, 0], r[0, 1:], r[1:, 1:])
+
+
+@dataclass(frozen=True, eq=False)
+class ref_KMatrix:
+    """Symmetric PSD 3x3 matrix whose `spectrum` (descending) carries the discord."""
+
+    entries: np.ndarray
+    which: str
+    spectrum: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        _check_side(self.which)
+        k = np.asarray(self.entries, dtype=float)
+        if k.shape != (3, 3):
+            raise StateValidationError(f"K must be 3x3, got shape {k.shape}")
+        if not np.isfinite(k).all():
+            raise StateValidationError("K entries must be finite: the matrix holds NaN or infinity")
+        asym = float(np.max(np.abs(k - k.T)))
+        if asym > K_SYMMETRY_TOL:
+            raise StateValidationError(f"K not symmetric: asymmetry {asym:.3e}")
+        spectrum = np.linalg.eigvalsh((k + k.T) / 2.0)[::-1]
+        if spectrum[-1] < -K_POSITIVITY_TOL:
+            raise StateValidationError(
+                f"K not positive semidefinite: smallest eigenvalue {spectrum[-1]:.3e}"
+            )
+        object.__setattr__(self, "entries", _frozen(k))
+        object.__setattr__(self, "spectrum", _frozen(spectrum))
+
+
+def ref_k_matrix(bloch: ref_BlochForm, which: str = "A") -> ref_KMatrix:
+    """K = x x^t + T T^t for side A, K' = y y^t + T^t T for side B."""
+    _check_side(which)
+    if which == "A":
+        k = np.outer(bloch.x, bloch.x) + bloch.T @ bloch.T.T
+    else:
+        k = np.outer(bloch.y, bloch.y) + bloch.T.T @ bloch.T
+    return ref_KMatrix((k + k.T) / 2.0, which)
+
+
+def ref_gqd_from_k(k: ref_KMatrix) -> GqdEstimate:
+    """(lambda_2 + lambda_3) / 4 of K's spectrum, clamped and checked as gqd_exact reports it."""
+    lam = k.spectrum
+    lam = np.maximum(lam, 0.0)  # KMatrix already refused any below -K_POSITIVITY_TOL
+    value = (lam[1] + lam[2]) / 4.0
+    if not 0.0 <= value <= 0.5 + 1e-12:
+        raise StateValidationError(f"discord value {value:.12g} outside [0, 1/2]")
+    return GqdEstimate(float(value), 0.0, (float(lam[0]), float(lam[1]), float(lam[2])), "bloch-exact")
+
+
+BIT_STATES = [random_state([26, t], rank=1 + t % 4) for t in range(64)] + [
+    make_family("werner", [0.3]),
+    make_family("bell_diagonal", [0.5, -0.3, 0.2]),
+    make_family("pure", [0.6, 0.1, 0.2, -0.3, 0.0, 0.5, 0.3, 0.4]),
+    make_family("product", [0.1, 0.2, 0.3, 0.0, 0.0, 1.0]),
+    make_family("classical_AB", [0.3, 0.4, 0.2, 0.1, 0.2, 0.3, 0.5, -0.1, 0.2]),
+]
+
+
+@pytest.mark.parametrize("which", ["A", "B"])
+def test_closed_form_is_bit_identical_to_the_reference(which):
+    for state in BIT_STATES:
+        got = gqd_exact(state, which)
+        expected = ref_gqd_from_k(ref_k_matrix(ref_decompose(state), which))
+        assert type(got.value) is float and all(type(v) is float for v in got.eigenvalues)
+        assert (got.value, got.eigenvalues) == (expected.value, expected.eigenvalues)
+        # the JSON text also tells -0.0 from 0.0
+        assert json.dumps(got.to_dict()) == json.dumps(expected.to_dict())
+        # K comes out exactly symmetric, so k_matrix's dropped symmetrization changed no entry
+        k, ref_k = k_matrix(decompose(state), which), ref_k_matrix(ref_decompose(state), which)
+        assert np.array_equal(k.entries, ref_k.entries)
+        assert np.array_equal(k.spectrum, ref_k.spectrum)
 
 
 def test_exact_spectrum_matches_k_invariants():

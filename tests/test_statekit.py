@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,36 @@ def test_bloch_form_rejects_nan(where):
     data[where].flat[1] = np.nan
     with pytest.raises(StateValidationError, match="Bloch entries"):
         BlochForm(**data)
+
+
+BLOCK_ENDS = [("x", 0), ("x", 2), ("y", 0), ("y", 2), ("T", 0), ("T", 8)]
+BLOCK_END_IDS = ["x-first", "x-last", "y-first", "y-last", "T-first", "T-last"]
+
+
+def _bloch_data(where, index, value):
+    data = {"x": np.zeros(3), "y": np.zeros(3), "T": np.zeros((3, 3))}
+    data[where].flat[index] = value
+    return data
+
+
+@pytest.mark.parametrize("where, index", BLOCK_ENDS, ids=BLOCK_END_IDS)
+@pytest.mark.parametrize(
+    "bad, shown", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "inf")], ids=["nan", "inf", "-inf"]
+)
+def test_bloch_form_rejects_a_non_finite_entry_at_either_end(where, index, bad, shown):
+    message = f"Bloch entries must lie in [-1, 1]; largest magnitude is {shown}"
+    with pytest.raises(StateValidationError, match=f"^{re.escape(message)}$"):
+        BlochForm(**_bloch_data(where, index, bad))
+
+
+@pytest.mark.parametrize("where, index", BLOCK_ENDS, ids=BLOCK_END_IDS)
+def test_bloch_form_entry_tolerance_on_both_signs(where, index):
+    # BLOCH_ENTRY_TOL is 1e-12: 1 + 5e-13 passes, 1 + 2e-12 does not, either sign
+    for sign in (1.0, -1.0):
+        BlochForm(**_bloch_data(where, index, sign * (1.0 + 5e-13)))
+        message = f"Bloch entries must lie in [-1, 1]; largest magnitude is {1.0 + 2e-12:.12g}"
+        with pytest.raises(StateValidationError, match=f"^{re.escape(message)}$"):
+            BlochForm(**_bloch_data(where, index, sign * (1.0 + 2e-12)))
 
 
 def test_werner_endpoints():
