@@ -7,12 +7,13 @@ sigma_nu (sigma_0 = I) a copy is its state's real Bloch matrix R = [[1, y^T],
 trace of a product of real 4x4 factors diag(d) R and diag(d) R^T; the walks
 never read rho. There is one walk per edge type, both ordered by _walk_plan.
 expect_layout walks a layout's closed edges as one chain of 4x4 products per
-cycle, its plan cached per layout object and its factors gathered from R once
-per state (the last one walked). _walk_legs walks a setting with a measured
-pair's open leg, the factors (complement, singlet), on every pair, so one walk
-yields every outcome pattern, kept as one vector in pattern order; its plan is
-cached per setting object, and its intermediates hold at most 2^n * 16 reals
-for n pairs. Only the dense oracle, capped at 4 copies, builds the 4^n
+cycle, its plan cached per layout object; the last state walked has one record,
+its factors gathered from R and each walked layout's value, so both sides'
+outcomes on a state walk each layout once. _walk_legs walks a setting with a
+measured pair's open leg, the factors (complement, singlet), on every pair,
+so one walk yields every outcome pattern, kept as one vector in pattern order;
+its plan is cached per setting object, and its intermediates hold at most
+2^n * 16 reals for n pairs. Only the dense oracle, capped at 4 copies, builds the 4^n
 operator: in the computational basis, real, realigned, once per layout, and
 traced as a bilinear form in n / 2 factors of vec(rho^T).
 """
@@ -31,6 +32,7 @@ from .statekit import I4, SIGMA, SINGLET, TwoQubitState, _frozen
 IMAG_TOL = 1e-10
 NEG_PROB_TOL = 1e-12
 PROB_SUM_TOL = 1e-9
+_MAX_LAYOUTS = 256  # layouts with a cached plan, and walked values kept per state
 
 P_MINUS = SINGLET.copy()
 
@@ -120,7 +122,7 @@ def _walk_plan(pairs: tuple[PairOp, ...]) -> list[list[tuple[int, int]]]:
     return cycles
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=_MAX_LAYOUTS)
 def _closed_plan(layout: PairingLayout) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Per cycle of a layout's walk, the closed-stack index of its first factor and of the
     others in walk order; keyed by the layout object (a layout compares by identity)."""
@@ -130,15 +132,20 @@ def _closed_plan(layout: PairingLayout) -> tuple[tuple[int, tuple[int, ...]], ..
 
 
 @lru_cache(maxsize=1)
-def _closed_stack(state: TwoQubitState) -> np.ndarray:
-    """The closed stack of the last state, read-only; keyed by the object, compared by identity."""
-    return _frozen(state.R.take(_CLOSED_INDEX) * _CLOSED_WEIGHT)
+def _closed_stack(state: TwoQubitState) -> tuple[np.ndarray, dict[PairingLayout, float]]:
+    """The last state's record: its closed stack, read-only, and the value of each layout
+    walked on it (at most _MAX_LAYOUTS); keyed by the object, compared by identity."""
+    return _frozen(state.R.take(_CLOSED_INDEX) * _CLOSED_WEIGHT), {}
 
 
 def expect_layout(layout: PairingLayout, state: TwoQubitState) -> float:
     """tr[(pair operators of the layout)(state^(x) n_copies)]: per cycle, the trace of one
-    chain of real 4x4 products of the closed stack's factors; cycles multiply in walk order."""
-    factors = _closed_stack(state)
+    chain of real 4x4 products of the closed stack's factors; cycles multiply in walk order.
+    A layout already walked on this state returns its recorded value."""
+    factors, walked = _closed_stack(state)
+    value = walked.get(layout)
+    if value is not None:
+        return value
     total = 1.0
     for first, steps in _closed_plan(layout):
         prod = factors[first]
@@ -146,7 +153,10 @@ def expect_layout(layout: PairingLayout, state: TwoQubitState) -> float:
             # ndarray.dot dispatches faster than @ on small operands
             prod = prod.dot(factors[step])
         total *= prod.trace()
-    return float(total)
+    value = float(total)
+    if len(walked) < _MAX_LAYOUTS:
+        walked[layout] = value
+    return value
 
 
 @lru_cache(maxsize=16)

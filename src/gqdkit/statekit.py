@@ -6,7 +6,8 @@ are ordered (sigma^1, sigma^2, sigma^3) = (X, Y, Z). SIGMA holds the Bloch
 basis sigma_mu (x) sigma_nu, sigma_0 = I, once for the package. Constructors
 validate their output, so any TwoQubitState or BlochForm in circulation
 satisfies the module invariants. A TwoQubitState maps rho to its real Bloch
-matrix R once, at validation; decompose and the contraction walks read R.
+matrix R once, at validation; decompose and the contraction walks read R, and decompose
+builds the last state's BlochForm once.
 
 Every random draw is made here: a seed is a stream key (stream_key), a sampled route's inputs
 pass one rule (_sampling_inputs), and _draw draws its counts on one grid (DRAW_GRID), every
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -195,17 +197,17 @@ class BlochForm:
             )
         entries, bound = np.concatenate((x, y, T.ravel())), 1.0 + BLOCH_ENTRY_TOL
         if not (-bound <= entries.min() and entries.max() <= bound):  # NaN fails too
-            worst = float(abs(entries).max())
-            raise StateValidationError(
-                f"Bloch entries must lie in [-1, 1]; largest magnitude is {worst:.12g}"
-            )
+            worst = float(abs(entries).max())  # printed in full: 1 + 2e-12 must not read as 1
+            raise StateValidationError(f"Bloch entries must lie in [-1, 1]; largest magnitude is {worst}")
         object.__setattr__(self, "x", _frozen(x))
         object.__setattr__(self, "y", _frozen(y))
         object.__setattr__(self, "T", _frozen(T))
 
 
+@lru_cache(maxsize=1)
 def decompose(state: TwoQubitState) -> BlochForm:
-    """Bloch form of a state: x_i, y_i, and t_ij, the blocks of its Bloch matrix R."""
+    """Bloch form of a state: x_i, y_i, and t_ij, the blocks of its Bloch matrix R; built once
+    for the last state (keyed by the object, compared by identity), so both sides share it."""
     r = state.R
     return BlochForm(r[1:, 0], r[0, 1:], r[1:, 1:])
 

@@ -63,7 +63,8 @@ def test_factor_stack_holds_the_correlation_matrix():
         r = 4 * pauli_coefficients(state.matrix).real  # R_mu,nu = tr(rho sigma_mu (x) sigma_nu)
         closed = state.R.take(contraction._CLOSED_INDEX) * contraction._CLOSED_WEIGHT
         legs = state.R.take(contraction._LEG_INDEX) * contraction._LEG_WEIGHT
-        assert np.array_equal(_closed_stack(state), closed) and not _closed_stack(state).flags.writeable
+        stack = _closed_stack(state)[0]  # the state's record: the stack, then the walked values
+        assert np.array_equal(stack, closed) and not stack.flags.writeable
         assert closed.shape == (6, 4, 4) and legs.shape == (2, 4, 8)
         assert closed.flags.c_contiguous and legs.flags.c_contiguous
         for t, c in enumerate((r, r.T)):
@@ -315,9 +316,15 @@ def random_matching(rng, n_copies, kinds=("singlet", "identity")):
     return PairingLayout(n_copies, tuple(pairs[i] for i in order))
 
 
+def walk(layout, state):
+    # expect_layout on a fresh per-state record, so the layout is walked, not read back
+    _closed_stack.cache_clear()
+    return expect_layout(layout, state)
+
+
 def test_cached_walk_plans_give_bit_identical_results():
     # each result on a cold plan cache (a miss) against the same call once the per-object
-    # caches hold the plans of every other layout and setting (a hit)
+    # caches hold the plans of every other layout and setting (a hit); every closed call walks
     rng = np.random.default_rng(14)
     layouts = [random_matching(rng, n) for n in (2, 4, 6) for _ in range(12)]
     matchings = [random_matching(rng, n, ("singlet",)) for n in (2, 4, 6) for _ in range(4)]
@@ -326,21 +333,21 @@ def test_cached_walk_plans_give_bit_identical_results():
     misses = []
     for lay in layouts:
         _closed_plan.cache_clear()
-        misses.append(expect_layout(lay, state))
+        misses.append(walk(lay, state))
     dist_misses = []
     for setting in setups:
         _leg_plan.cache_clear()
         dist_misses.append(joint_distribution(setting, state).p.tolist())
     for _ in range(2):  # the first pass fills the caches, the second only hits
         hits = _closed_plan.cache_info().hits, _leg_plan.cache_info().hits
-        assert [expect_layout(lay, state) for lay in layouts] == misses
+        assert [walk(lay, state) for lay in layouts] == misses
         assert [joint_distribution(s, state).p.tolist() for s in setups] == dist_misses
     assert _closed_plan.cache_info().hits - hits[0] == len(layouts)
     assert _leg_plan.cache_info().hits - hits[1] == len(setups)
     # a plan is keyed by the object: an equal layout built anew is a miss
     twin = PairingLayout(layouts[0].n_copies, layouts[0].pairs)
     before = _closed_plan.cache_info().misses
-    assert expect_layout(twin, state) == misses[0]
+    assert walk(twin, state) == misses[0]
     assert _closed_plan.cache_info().misses == before + 1
 
 
@@ -485,6 +492,55 @@ def test_closed_stack_is_gathered_once_per_state_object():
             assert _closed_stack.cache_info().currsize <= 1
         after = _closed_stack.cache_info()
         assert (after.misses - before.misses, after.hits - before.hits) == (1, len(layouts) - 1)
+
+
+def counted_walks(monkeypatch):
+    # every walk plans its layout, and a recorded value is returned before the plan is read
+    walked = []
+
+    def counting(layout):
+        walked.append(layout)
+        return _closed_plan(layout)
+
+    monkeypatch.setattr(contraction, "_closed_plan", counting)
+    return walked
+
+
+def test_walked_values_are_kept_for_the_last_state_only(monkeypatch):
+    # states A, B, A: each visit walks its 11 layouts once and reads the second pass back,
+    # and the record holds the visited state's values only; an equal-matrix copy walks anew
+    walked = counted_walks(monkeypatch)
+    layouts = standard_layouts()
+    a, b = BIT_STATES[2], BIT_STATES[9]
+    _closed_stack.cache_clear()
+    for state in (a, b, a, TwoQubitState(a.matrix.copy())):
+        walked.clear()
+        for _ in range(2):
+            for lay in layouts:
+                edges = tuple((p.side, *p.copies, p.kind) for p in lay.pairs)
+                assert expect_layout(lay, state) == ref_contract(edges, state.R).item()
+        assert walked == layouts
+        assert _closed_stack.cache_info().currsize == 1
+        assert list(_closed_stack(state)[1]) == layouts
+
+
+def test_walked_values_stay_within_the_bound(monkeypatch):
+    # more ad-hoc layouts than the bound on one state: the record keeps the first
+    # _MAX_LAYOUTS values, every later layout is walked on each call, and all agree
+    rng = np.random.default_rng(27)
+    bound = contraction._MAX_LAYOUTS
+    layouts = [random_matching(rng, n) for n in (2, 4) for _ in range(160)]
+    assert len(layouts) > bound
+    state = BIT_STATES[5]
+    _closed_stack.cache_clear()
+    first = [expect_layout(lay, state) for lay in layouts]
+    walked = counted_walks(monkeypatch)
+    assert [expect_layout(lay, state) for lay in layouts] == first
+    assert walked == layouts[bound:]
+    assert list(_closed_stack(state)[1]) == layouts[:bound]
+    for lay, value in zip(layouts, first):
+        edges = tuple((p.side, *p.copies, p.kind) for p in lay.pairs)
+        assert value == ref_contract(edges, state.R).item()
 
 
 def einsum_reference(layout, rho):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from gqdkit import cli, estimator, statekit
+from gqdkit import cli, contraction, estimator, gqd_core, statekit
 from gqdkit import (
     GqdEstimate,
     NumericalContractError,
@@ -28,7 +28,7 @@ from gqdkit import (
     standard_layouts,
     verify_moment_formulas,
 )
-from gqdkit.contraction import _CLOSED_INDEX, _CLOSED_WEIGHT, _closed_plan
+from gqdkit.contraction import _CLOSED_INDEX, _CLOSED_WEIGHT, _closed_plan, _closed_stack
 from gqdkit.estimator import (
     BASELINE_MOMENT_TABLE,
     COMPLEX_ROOT_TOL,
@@ -889,6 +889,74 @@ def test_scheme_exact_is_bit_identical_to_the_reference(which):
         assert np.array_equal(got.outcomes.c, expected.outcomes.c)
         # the JSON text also tells -0.0 from 0.0
         assert json.dumps(got.to_dict()) == json.dumps(expected.to_dict())
+
+
+@pytest.mark.parametrize("order", ["AB", "BA"])
+def test_both_sides_read_one_exact_evaluation_in_either_order(order):
+    # an exact-panel op's calls, the second side reading the first side's walked values and
+    # Bloch form, then each side again after cache_clear(): scheme-exact equal to the
+    # reference, which walks every layout anew, and gqd_exact equal on warm and cold caches
+    for state in BIT_STATES:
+        closed = {}
+        for cold in (False, True):
+            for which in order:
+                if cold:
+                    _closed_stack.cache_clear()
+                    decompose.cache_clear()
+                value = gqd_exact(state, which)
+                got = estimate_gqd(state, "scheme-exact", which=which)
+                expected = ref_scheme_exact(state, which)
+                assert (got.value, got.eigenvalues) == (expected.value, expected.eigenvalues)
+                assert np.array_equal(got.outcomes.c, expected.outcomes.c)
+                assert json.dumps(got.to_dict()) == json.dumps(expected.to_dict())
+                text = json.dumps(value.to_dict())
+                assert closed.setdefault(which, text) == text
+
+
+def _count_calls(monkeypatch, calls, name, original):
+    # a counting wrapper bound wherever a gqdkit module holds the function, as the
+    # benchmark's tracer binds its spans
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    for module in (contraction, estimator, statekit, gqd_core, cli):
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counting)
+
+
+def test_an_exact_panel_op_makes_the_pinned_calls_and_walks_each_layout_once(monkeypatch):
+    # the per-op counts the benchmark pins for exact-panel (22 expect_layout, 2 outcomes_exact,
+    # 0 joint_distribution) hold, while only side A's 11 calls walk (each walk plans its
+    # layout) and the two decompose calls build one Bloch form
+    state = random_state(2750, rank=3)  # a new object: no cache holds it
+    originals = {
+        "expect_layout": contraction.expect_layout,
+        "outcomes_exact": estimator.outcomes_exact,
+        "joint_distribution": contraction.joint_distribution,
+        "decompose": statekit.decompose,
+        "walks": contraction._closed_plan,
+        "bloch_forms": statekit.BlochForm,
+    }
+    calls = dict.fromkeys(originals, 0)
+    for name, original in originals.items():
+        _count_calls(monkeypatch, calls, name, original)
+    values = [
+        gqd_exact(state, "A").value,
+        estimate_gqd(state, "scheme-exact", which="A").value,
+        gqd_exact(state, "B").value,
+        estimate_gqd(state, "scheme-exact", which="B").value,
+    ]
+    assert calls == {
+        "expect_layout": 22,
+        "outcomes_exact": 2,
+        "joint_distribution": 0,
+        "decompose": 2,
+        "walks": 11,
+        "bloch_forms": 1,
+    }
+    assert abs(values[1] - values[0]) <= 1e-8 and abs(values[3] - values[2]) <= 1e-8
 
 
 def test_scheme_exact_matches_closed_form():

@@ -211,6 +211,21 @@ def test_closed_form_is_bit_identical_to_the_reference(which):
         assert np.array_equal(k.spectrum, ref_k.spectrum)
 
 
+@pytest.mark.parametrize("order", ["AB", "BA"])
+def test_closed_form_shares_one_bloch_form_in_either_order(order):
+    # the second side reads the Bloch form decompose kept for the first, and each side runs
+    # again after cache_clear(): every result equal to the reference, which decomposes anew
+    for state in BIT_STATES:
+        for cold in (False, True):
+            for which in order:
+                if cold:
+                    decompose.cache_clear()
+                got = gqd_exact(state, which)
+                expected = ref_gqd_from_k(ref_k_matrix(ref_decompose(state), which))
+                assert (got.value, got.eigenvalues) == (expected.value, expected.eigenvalues)
+                assert json.dumps(got.to_dict()) == json.dumps(expected.to_dict())
+
+
 def test_exact_spectrum_matches_k_invariants():
     # trace, trace of the square and determinant of K fix its spectrum
     for trial in range(250):

@@ -33,6 +33,20 @@ def test_maximally_mixed_decomposes_to_zero():
     assert np.allclose(b.T, 0.0)
 
 
+def test_decompose_builds_one_bloch_form_per_state_object():
+    # the last state's Bloch form is returned as is; an equal-matrix copy, another object,
+    # gets its own, with equal entries, and only the last state is kept
+    state = random_state(1990, rank=2)
+    first = decompose(state)
+    assert decompose(state) is first
+    twin = TwoQubitState(state.matrix.copy())
+    other = decompose(twin)
+    assert other is not first
+    assert all(np.array_equal(getattr(other, f), getattr(first, f)) for f in ("x", "y", "T"))
+    assert decompose.cache_info().currsize == 1
+    assert decompose(state) is not first
+
+
 def test_basis_state_decompose():
     b = decompose(ket_state([1, 0, 0, 0]))
     assert np.allclose(b.x, [0, 0, 1], atol=1e-12)
@@ -198,7 +212,7 @@ def test_bloch_form_entry_tolerance_on_both_signs(where, index):
     # BLOCH_ENTRY_TOL is 1e-12: 1 + 5e-13 passes, 1 + 2e-12 does not, either sign
     for sign in (1.0, -1.0):
         BlochForm(**_bloch_data(where, index, sign * (1.0 + 5e-13)))
-        message = f"Bloch entries must lie in [-1, 1]; largest magnitude is {1.0 + 2e-12:.12g}"
+        message = "Bloch entries must lie in [-1, 1]; largest magnitude is 1.000000000002"
         with pytest.raises(StateValidationError, match=f"^{re.escape(message)}$"):
             BlochForm(**_bloch_data(where, index, sign * (1.0 + 2e-12)))
 
