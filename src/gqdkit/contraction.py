@@ -6,22 +6,28 @@ sigma_nu (sigma_0 = I) a copy is its state's real Bloch matrix R = [[1, y^T],
 [x, T]], TwoQubitState.R, and a pair operator is diagonal, so a cycle is the
 trace of a product of real 4x4 factors diag(d) R and diag(d) R^T; the walks
 never read rho. There is one walk per edge type, both ordered by _walk_plan.
-expect_layout walks a layout's closed edges as one chain of 4x4 products per
-cycle, its plan cached per layout object; the last state walked has one record,
-its factors gathered from R and each walked layout's value, so both sides'
-outcomes on a state walk each layout once. _walk_legs walks a setting with a
-measured pair's open leg, the factors (complement, singlet), on every pair,
-so one walk yields every outcome pattern, kept as one vector in pattern order;
-its plan is cached per setting object, and its intermediates hold at most
-2^n * 16 reals for n pairs. Only the dense oracle, capped at 4 copies, builds the 4^n
-operator: in the computational basis, real, realigned, once per layout, and
-traced as a bilinear form in n / 2 factors of vec(rho^T).
+_walk_closed walks a group of layouts' closed edges in one pass: each cycle is a
+chain of 4x4 products, padded with the identity to the longest, and the chains
+advance side by side, one stacked product per step, on a plan cached per tuple
+of layout objects. The last state walked has one record, its factors gathered
+from R and each walked layout's value, so both sides' outcomes on a state walk
+the eleven standard layouts once, together, and expect_layout reads them back.
+_walk_legs walks a setting with a measured pair's open leg, the factors
+(complement, singlet), on every pair, so one walk yields every outcome pattern,
+kept as one vector in pattern order; its plan is cached per setting object, and
+its intermediates hold at most 2^n * 16 reals for n pairs. Only the dense
+oracle, capped at 4 copies, builds the 4^n operator: in the computational basis,
+real, realigned, once per layout, and traced as a bilinear form in n / 2
+factors of vec(rho^T).
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import islice
 
 import numpy as np
 
@@ -122,41 +128,57 @@ def _walk_plan(pairs: tuple[PairOp, ...]) -> list[list[tuple[int, int]]]:
     return cycles
 
 
+_IDENTITY = _frozen(np.eye(4)[None])  # the closed stack's last factor, at len(_CLOSED_INDEX)
+
+
 @lru_cache(maxsize=_MAX_LAYOUTS)
-def _closed_plan(layout: PairingLayout) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Per cycle of a layout's walk, the closed-stack index of its first factor and of the
-    others in walk order; keyed by the layout object (a layout compares by identity)."""
-    kinds = [2 * list(_BLOCH_DIAGONALS).index(p.kind) for p in layout.pairs]
-    cycles = _walk_plan(layout.pairs)
-    return tuple((kinds[i] + c, tuple(kinds[j] + t for j, t in rest)) for (i, c), *rest in cycles)
+def _closed_plan(layouts: tuple[PairingLayout, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The walk of a group of layouts: column j of a read-only (steps, cycles) array holds cycle
+    j's closed-stack indices in walk order, padded with the identity's, cycles in walk order
+    layout by layout; then each layout's cycle count. Keyed by the layout objects, which
+    compare by identity."""
+    rows, counts = [], []
+    for layout in layouts:
+        kinds = [2 * list(_BLOCH_DIAGONALS).index(p.kind) for p in layout.pairs]
+        cycles = _walk_plan(layout.pairs)
+        rows += [[kinds[i] + t for i, t in cycle] for cycle in cycles]
+        counts.append(len(cycles))
+    width, pad = max(map(len, rows)), len(_CLOSED_INDEX)  # pad: the identity's index
+    return _frozen(np.array([row + [pad] * (width - len(row)) for row in rows]).T), tuple(counts)
 
 
 @lru_cache(maxsize=1)
 def _closed_stack(state: TwoQubitState) -> tuple[np.ndarray, dict[PairingLayout, float]]:
-    """The last state's record: its closed stack, read-only, and the value of each layout
-    walked on it (at most _MAX_LAYOUTS); keyed by the object, compared by identity."""
-    return _frozen(state.R.take(_CLOSED_INDEX) * _CLOSED_WEIGHT), {}
+    """The last state's record: its closed stack then the identity, read-only, and the value of
+    each layout walked on it (at most _MAX_LAYOUTS); keyed by the object, compared by identity."""
+    return _frozen(np.concatenate((state.R.take(_CLOSED_INDEX) * _CLOSED_WEIGHT, _IDENTITY))), {}
+
+
+def _walk_closed(layouts: Sequence[PairingLayout], state: TwoQubitState) -> dict[PairingLayout, float]:
+    """tr[(pair operators)(state^(x) n_copies)] of every layout the state's record lacks, from
+    one walk, by layout. Per cycle the trace of a chain of real 4x4 products of the closed
+    stack's factors, all chains multiplied left to right one step at a time; a product with
+    the exact identity moves no bit. Cycles multiply in walk order."""
+    factors, walked = _closed_stack(state)
+    todo = tuple([lay for lay in layouts if lay not in walked])
+    if not todo:
+        return {}
+    index, counts = _closed_plan(todo)
+    chain = factors.take(index, axis=0)  # (steps, cycles, 4, 4)
+    prod = chain[0]
+    for step in chain[1:]:
+        prod = np.matmul(prod, step)
+    traces = iter(prod.trace(axis1=1, axis2=2).tolist())
+    values = {layout: math.prod(islice(traces, count)) for layout, count in zip(todo, counts)}
+    walked.update(list(values.items())[: _MAX_LAYOUTS - len(walked)])
+    return values
 
 
 def expect_layout(layout: PairingLayout, state: TwoQubitState) -> float:
-    """tr[(pair operators of the layout)(state^(x) n_copies)]: per cycle, the trace of one
-    chain of real 4x4 products of the closed stack's factors; cycles multiply in walk order.
-    A layout already walked on this state returns its recorded value."""
-    factors, walked = _closed_stack(state)
-    value = walked.get(layout)
-    if value is not None:
-        return value
-    total = 1.0
-    for first, steps in _closed_plan(layout):
-        prod = factors[first]
-        for step in steps:
-            # ndarray.dot dispatches faster than @ on small operands
-            prod = prod.dot(factors[step])
-        total *= prod.trace()
-    value = float(total)
-    if len(walked) < _MAX_LAYOUTS:
-        walked[layout] = value
-    return value
+    """tr[(pair operators of the layout)(state^(x) n_copies)], walked by _walk_closed; a layout
+    already walked on this state returns its recorded value."""
+    value = _closed_stack(state)[1].get(layout)
+    return _walk_closed((layout,), state)[layout] if value is None else value
 
 
 @lru_cache(maxsize=16)

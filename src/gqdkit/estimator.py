@@ -29,6 +29,7 @@ import numpy as np
 
 from .contraction import (
     PAIR_WEIGHTS,
+    _walk_closed,
     expect_layout,
     joint_distribution,
     pattern_product,
@@ -238,7 +239,9 @@ class MomentTriple:
 
 def outcomes_exact(state: TwoQubitState) -> OutcomeVector:
     """c_i = expectation of standard layout P_i on state copies."""
-    c = np.array([expect_layout(lay, state) for lay in standard_layouts()])
+    layouts = standard_layouts()
+    _walk_closed(layouts, state)  # one stacked walk records the eleven values read below
+    c = np.array([expect_layout(lay, state) for lay in layouts])
     return OutcomeVector(c, "exact")
 
 

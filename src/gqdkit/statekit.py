@@ -240,7 +240,7 @@ def _qubit_from_bloch(r: Sequence[float], label: str) -> np.ndarray:
     norm = float(np.linalg.norm(r))
     if norm > 1.0 + BLOCH_ENTRY_TOL:
         raise StateValidationError(
-            f"{label}: single-qubit Bloch vector has norm {norm:.12g} > 1"
+            f"{label}: single-qubit Bloch vector has norm {norm} > 1"
         )
     return (I2 + r[0] * PAULI[0] + r[1] * PAULI[1] + r[2] * PAULI[2]) / 2.0
 
@@ -281,7 +281,7 @@ def make_family(name: str, params: Sequence[float]) -> TwoQubitState:
     if name == "werner":
         p = params[0]
         if not 0.0 <= p <= 1.0:
-            raise StateValidationError(f"werner: p = {p:.12g} outside [0, 1]")
+            raise StateValidationError(f"werner: p = {p} outside [0, 1]")
         return TwoQubitState(p * SINGLET + (1.0 - p) * MAXIMALLY_MIXED)
 
     if name == "bell_diagonal":
@@ -313,7 +313,7 @@ def make_family(name: str, params: Sequence[float]) -> TwoQubitState:
     # classical_AB
     p1 = params[0]
     if not 0.0 <= p1 <= 1.0:
-        raise StateValidationError(f"classical_AB: p1 = {p1:.12g} outside [0, 1]")
+        raise StateValidationError(f"classical_AB: p1 = {p1} outside [0, 1]")
     theta, phi = params[1], params[2]
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     psi1 = np.array([c, np.exp(1j * phi) * s])

@@ -326,6 +326,21 @@ def test_sweep_accepts_endpoints_that_argparse_reads_as_flags(capsys):
     assert "werner: p = -0.001 outside [0, 1]" in err
 
 
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        ("werner", "1.0000000000001", "werner: p = 1.0000000000001 outside [0, 1]"),
+        ("classical_AB", "1.0000000000001,0,0,0,0,0,0,0,0", "classical_AB: p1 = 1.0000000000001 outside [0, 1]"),
+        ("product", "0,0,1.000000000002,0,0,0", "product: single-qubit Bloch vector has norm 1.000000000002 > 1"),
+    ],
+    ids=["werner", "classical_AB", "product"],
+)
+def test_family_rejection_prints_the_value_in_full(capsys, family, params, message):
+    code, out, err = run_cli(capsys, "exact", "--family", family, f"--params={params}")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_layouts_all(capsys):
     code, out, _ = run_cli(capsys, "layouts")
     assert code == 0

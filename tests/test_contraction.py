@@ -25,6 +25,7 @@ from gqdkit.contraction import (
     _closed_stack,
     _dense_operator,
     _leg_plan,
+    _walk_closed,
     _walk_plan,
     build_u,
     build_v,
@@ -64,7 +65,10 @@ def test_factor_stack_holds_the_correlation_matrix():
         closed = state.R.take(contraction._CLOSED_INDEX) * contraction._CLOSED_WEIGHT
         legs = state.R.take(contraction._LEG_INDEX) * contraction._LEG_WEIGHT
         stack = _closed_stack(state)[0]  # the state's record: the stack, then the walked values
-        assert np.array_equal(stack, closed) and not stack.flags.writeable
+        assert np.array_equal(stack[:6], closed) and not stack.flags.writeable
+        # the last factor pads a shorter cycle: the exact identity, every zero +0.0
+        assert stack[6].tolist() == np.eye(4).tolist() and not np.signbit(stack[6]).any()
+        assert stack.shape == (7, 4, 4) and stack.flags.c_contiguous
         assert closed.shape == (6, 4, 4) and legs.shape == (2, 4, 8)
         assert closed.flags.c_contiguous and legs.flags.c_contiguous
         for t, c in enumerate((r, r.T)):
@@ -455,7 +459,7 @@ def test_closed_walk_is_bit_identical_to_the_generic_walk():
             pairs = random_matching(rng, n).pairs
             relabeled = tuple(StandInPair(p.side, p.copies, kinds[rng.integers(3)]) for p in pairs)
             layouts.append(PairingLayout(n, relabeled))
-    assert any(len(_closed_plan(lay)) > 1 for lay in layouts)  # multi-cycle layouts are walked
+    assert any(_closed_plan((lay,))[1][0] > 1 for lay in layouts)  # multi-cycle layouts are walked
     assert {p.kind for lay in layouts for p in lay.pairs} == set(kinds)
     for state in BIT_STATES:
         for lay in layouts:
@@ -478,7 +482,8 @@ def test_leg_walk_is_bit_identical_to_the_generic_walk():
 
 def test_closed_stack_is_gathered_once_per_state_object():
     # the walks on one state share one gather of R; the next state, or an equal-matrix copy of
-    # it (a state compares by identity), gathers anew, and the cache keeps only the last state
+    # it (a state compares by identity), gathers anew, and the cache keeps only the last state;
+    # each call reads the record, and each walk once more
     rng = np.random.default_rng(26)
     layouts = standard_layouts() + [random_matching(rng, n) for n in (2, 4, 6) for _ in range(4)]
     a, b = BIT_STATES[1], BIT_STATES[6]
@@ -491,16 +496,17 @@ def test_closed_stack_is_gathered_once_per_state_object():
             assert expect_layout(lay, state) == ref_contract(edges, state.R).item()
             assert _closed_stack.cache_info().currsize <= 1
         after = _closed_stack.cache_info()
-        assert (after.misses - before.misses, after.hits - before.hits) == (1, len(layouts) - 1)
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 2 * len(layouts) - 1)
 
 
 def counted_walks(monkeypatch):
-    # every walk plans its layout, and a recorded value is returned before the plan is read
+    # every walk plans its group of layouts, and a recorded value is returned before the
+    # plan is read
     walked = []
 
-    def counting(layout):
-        walked.append(layout)
-        return _closed_plan(layout)
+    def counting(layouts):
+        walked.extend(layouts)
+        return _closed_plan(layouts)
 
     monkeypatch.setattr(contraction, "_closed_plan", counting)
     return walked
@@ -541,6 +547,76 @@ def test_walked_values_stay_within_the_bound(monkeypatch):
     for lay, value in zip(layouts, first):
         edges = tuple((p.side, *p.copies, p.kind) for p in lay.pairs)
         assert value == ref_contract(edges, state.R).item()
+
+
+def relabeled_group(rng):
+    # the 11 standard layouts and 48 relabelings of random matchings: 12 of 2 copies (one
+    # 2-step cycle each) and 18 multi-cycle ones each of 4 and 6 copies, every kind drawn
+    kinds = ("singlet", "identity", "complement")
+    group = standard_layouts()
+    for n, wanted in ((2, 12), (4, 18), (6, 18)):
+        drawn = 0
+        while drawn < wanted:
+            pairs = random_matching(rng, n).pairs
+            layout = PairingLayout(n, tuple(StandInPair(p.side, p.copies, kinds[rng.integers(3)]) for p in pairs))
+            if n == 2 or _closed_plan((layout,))[1][0] > 1:
+                group.append(layout)
+                drawn += 1
+    return group
+
+
+def same_bits(values, expected):
+    # equal, and equal in the sign of a zero
+    return values == expected and np.signbit(values).tolist() == np.signbit(expected).tolist()
+
+
+ZERO_STATES = [make_family("product", [0, 0, 1, 0, 0, 1]), make_family("product", [1, 0, 0, 0, 1, 0])]
+
+
+def test_one_stacked_walk_of_a_group_is_bit_identical_to_the_generic_walk():
+    # one call, the reverse order and one layout at a time, each on a fresh record: the cycles
+    # are padded to the group's longest, and every value equals the generic walk's
+    group = relabeled_group(np.random.default_rng(28))
+    index, counts = _closed_plan(tuple(group))
+    assert sum(counts) == index.shape[1] and max(counts) > 1
+    assert (index == 6).any() and not (index[:2] == 6).any()  # padding, after a cycle's 2 or more factors
+    zeros = 0
+    for state in BIT_STATES + ZERO_STATES:
+        expected = [
+            ref_contract(tuple((p.side, *p.copies, p.kind) for p in lay.pairs), state.R).item() for lay in group
+        ]
+        zeros += expected.count(0.0)
+        _closed_stack.cache_clear()
+        values = _walk_closed(group, state)
+        assert list(values) == group and all(type(v) is float for v in values.values())
+        assert same_bits(list(values.values()), expected)
+        _closed_stack.cache_clear()
+        assert same_bits(list(_walk_closed(group[::-1], state).values()), expected[::-1])
+        _closed_stack.cache_clear()
+        assert same_bits([_walk_closed((lay,), state)[lay] for lay in group], expected)
+        assert same_bits([expect_layout(lay, state) for lay in group], expected)  # the record
+    assert zeros > 0
+
+
+def test_a_group_past_the_bound_returns_every_value(monkeypatch):
+    # one walk of more layouts than the record keeps: every value comes back, the record keeps
+    # the first _MAX_LAYOUTS, and a second call walks and returns only the rest, to the same values
+    rng = np.random.default_rng(29)
+    bound = contraction._MAX_LAYOUTS
+    layouts = [random_matching(rng, n) for n in (2, 4, 6) for _ in range(100)]
+    assert len(layouts) > bound
+    state = BIT_STATES[7]
+    expected = [ref_contract(tuple((p.side, *p.copies, p.kind) for p in lay.pairs), state.R).item() for lay in layouts]
+    _closed_stack.cache_clear()
+    values = _walk_closed(layouts, state)
+    assert list(values) == layouts and same_bits(list(values.values()), expected)
+    assert list(_closed_stack(state)[1]) == layouts[:bound]
+    walked = counted_walks(monkeypatch)
+    values = _walk_closed(layouts, state)
+    assert list(values) == walked == layouts[bound:]
+    assert same_bits(list(values.values()), expected[bound:])
+    assert same_bits([expect_layout(lay, state) for lay in layouts], expected)
+    assert list(_closed_stack(state)[1]) == layouts[:bound]
 
 
 def einsum_reference(layout, rho):

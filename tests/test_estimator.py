@@ -28,7 +28,7 @@ from gqdkit import (
     standard_layouts,
     verify_moment_formulas,
 )
-from gqdkit.contraction import _CLOSED_INDEX, _CLOSED_WEIGHT, _closed_plan, _closed_stack
+from gqdkit.contraction import _BLOCH_DIAGONALS, _CLOSED_INDEX, _CLOSED_WEIGHT, _closed_stack, _walk_plan
 from gqdkit.estimator import (
     BASELINE_MOMENT_TABLE,
     COMPLEX_ROOT_TOL,
@@ -802,14 +802,23 @@ def test_each_scheme_route_makes_its_fixed_number_of_walks(monkeypatch, route, k
 
 
 # The scheme-exact route from the walks on, before its checks were cut to fewer numpy calls,
-# verbatim but for the ref_ prefix: expect_layout with its per-call gather, OutcomeVector,
-# permute_outcomes and estimate_gqd's scheme-exact tail. The route must reproduce it bit for bit.
+# verbatim but for the ref_ prefix: expect_layout with its per-call gather and its per-layout
+# plan and chain, OutcomeVector, permute_outcomes and estimate_gqd's scheme-exact tail. The
+# route must reproduce it bit for bit.
+def ref_closed_plan(layout) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Per cycle of a layout's walk, the closed-stack index of its first factor and of the
+    others in walk order; keyed by the layout object (a layout compares by identity)."""
+    kinds = [2 * list(_BLOCH_DIAGONALS).index(p.kind) for p in layout.pairs]
+    cycles = _walk_plan(layout.pairs)
+    return tuple((kinds[i] + c, tuple(kinds[j] + t for j, t in rest)) for (i, c), *rest in cycles)
+
+
 def ref_expect_layout(layout, state) -> float:
     """tr[(pair operators of the layout)(state^(x) n_copies)]: per cycle, the trace of one
     chain of real 4x4 products of the closed stack's factors; cycles multiply in walk order."""
     factors = state.R.take(_CLOSED_INDEX) * _CLOSED_WEIGHT
     total = 1.0
-    for first, steps in _closed_plan(layout):
+    for first, steps in ref_closed_plan(layout):
         prod = factors[first]
         for step in steps:
             # ndarray.dot dispatches faster than @ on small operands
@@ -928,20 +937,28 @@ def _count_calls(monkeypatch, calls, name, original):
 
 def test_an_exact_panel_op_makes_the_pinned_calls_and_walks_each_layout_once(monkeypatch):
     # the per-op counts the benchmark pins for exact-panel (22 expect_layout, 2 outcomes_exact,
-    # 0 joint_distribution) hold, while only side A's 11 calls walk (each walk plans its
-    # layout) and the two decompose calls build one Bloch form
+    # 0 joint_distribution) hold, while side A's outcomes make one stacked walk of the 11
+    # standard layouts (each walk plans its group) and the two decompose calls build one
+    # Bloch form
     state = random_state(2750, rank=3)  # a new object: no cache holds it
     originals = {
         "expect_layout": contraction.expect_layout,
         "outcomes_exact": estimator.outcomes_exact,
         "joint_distribution": contraction.joint_distribution,
         "decompose": statekit.decompose,
-        "walks": contraction._closed_plan,
         "bloch_forms": statekit.BlochForm,
     }
     calls = dict.fromkeys(originals, 0)
     for name, original in originals.items():
         _count_calls(monkeypatch, calls, name, original)
+    walks = []
+    plan = contraction._closed_plan
+
+    def planning(layouts):
+        walks.append(tuple(layouts))
+        return plan(layouts)
+
+    monkeypatch.setattr(contraction, "_closed_plan", planning)
     values = [
         gqd_exact(state, "A").value,
         estimate_gqd(state, "scheme-exact", which="A").value,
@@ -953,9 +970,9 @@ def test_an_exact_panel_op_makes_the_pinned_calls_and_walks_each_layout_once(mon
         "outcomes_exact": 2,
         "joint_distribution": 0,
         "decompose": 2,
-        "walks": 11,
         "bloch_forms": 1,
     }
+    assert walks == [tuple(standard_layouts())]
     assert abs(values[1] - values[0]) <= 1e-8 and abs(values[3] - values[2]) <= 1e-8
 
 

@@ -217,6 +217,27 @@ def test_bloch_form_entry_tolerance_on_both_signs(where, index):
             BlochForm(**_bloch_data(where, index, sign * (1.0 + 2e-12)))
 
 
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        ("werner", [1.0000000000001], "werner: p = 1.0000000000001 outside [0, 1]"),
+        ("werner", [-0.001], "werner: p = -0.001 outside [0, 1]"),
+        ("classical_AB", [1.0000000000001] + [0.0] * 8, "classical_AB: p1 = 1.0000000000001 outside [0, 1]"),
+        ("product", [0, 0, 1 + 2e-12, 0, 0, 0], "product: single-qubit Bloch vector has norm 1.000000000002 > 1"),
+        (
+            "classical_AB",
+            [0.5, 0, 0, 0, 0, 0, -(1 + 2e-12), 0, 0],
+            "classical_AB: single-qubit Bloch vector has norm 1.000000000002 > 1",
+        ),
+    ],
+    ids=["werner-above", "werner-below", "classical-p1", "product-norm", "classical-norm"],
+)
+def test_family_rejections_print_the_value_in_full(family, params, message):
+    # the shortest round-trip form: a value just past its bound must not read as the bound
+    with pytest.raises(StateValidationError, match=f"^{re.escape(message)}$"):
+        make_family(family, params)
+
+
 def test_werner_endpoints():
     assert np.allclose(make_family("werner", [0.0]).matrix, MAXIMALLY_MIXED)
     assert np.allclose(make_family("werner", [1.0]).matrix, SINGLET)
