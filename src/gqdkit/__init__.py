@@ -24,7 +24,6 @@ from .estimator import (
     estimate_gqd,
     moments_from_outcomes,
     outcomes_exact,
-    outcomes_sampled,
     permute_outcomes,
     verify_moment_formulas,
 )
@@ -44,11 +43,8 @@ from .statekit import (
     decompose,
     make_family,
     random_state,
-    reconstruct,
     state_from_dict,
     state_from_json,
-    state_to_dict,
-    state_to_json,
 )
 
 __version__ = "0.1.0"
@@ -82,19 +78,15 @@ __all__ = [
     "make_family",
     "moments_from_outcomes",
     "outcomes_exact",
-    "outcomes_sampled",
     "pauli_exchange_sum",
     "permute_outcomes",
     "qst_estimate",
     "random_state",
-    "reconstruct",
     "render_layout",
     "resource_report",
     "settings",
     "standard_layouts",
     "state_from_dict",
     "state_from_json",
-    "state_to_dict",
-    "state_to_json",
     "verify_moment_formulas",
 ]

@@ -150,7 +150,8 @@ def _closed_plan(layouts: tuple[PairingLayout, ...]) -> tuple[np.ndarray, tuple[
 @lru_cache(maxsize=1)
 def _closed_stack(state: TwoQubitState) -> tuple[np.ndarray, dict[PairingLayout, float]]:
     """The last state's record: its closed stack then the identity, read-only, and the value of
-    each layout walked on it (at most _MAX_LAYOUTS); keyed by the object, compared by identity."""
+    each layout walked on it (at most _MAX_LAYOUTS: a walk whose values do not fit starts it
+    over); keyed by the object, compared by identity."""
     return _frozen(np.concatenate((state.R.take(_CLOSED_INDEX) * _CLOSED_WEIGHT, _IDENTITY))), {}
 
 
@@ -170,7 +171,9 @@ def _walk_closed(layouts: Sequence[PairingLayout], state: TwoQubitState) -> dict
         prod = np.matmul(prod, step)
     traces = iter(prod.trace(axis1=1, axis2=2).tolist())
     values = {layout: math.prod(islice(traces, count)) for layout, count in zip(todo, counts)}
-    walked.update(list(values.items())[: _MAX_LAYOUTS - len(walked)])
+    if len(walked) + len(values) > _MAX_LAYOUTS:
+        walked.clear()
+    walked.update(islice(values.items(), _MAX_LAYOUTS))
     return values
 
 

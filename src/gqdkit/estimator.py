@@ -278,26 +278,10 @@ def _readoff(which: str) -> np.ndarray:
     return _frozen(readoff)
 
 
-def _sampled(
-    state: TwoQubitState, key: tuple, repeats: int | None, shots: int, which: str
-) -> np.ndarray:
-    """c1..c11 (side `which`) and M1..M3, one row per repeat (one row for repeats=None)."""
-    p, readoff = [joint_distribution(s, state).p for s in settings()], _readoff(which)
-    return _draw(key, p, shots, repeats).reshape(-1, len(readoff)) @ readoff / shots
-
-
-def outcomes_sampled(state: TwoQubitState, shots_per_setting: int, seed) -> OutcomeVector:
-    """Empirical outcome frequencies from multinomial sampling.
-
-    Each of the three settings draws `shots_per_setting` samples from its
-    exact joint distribution; setting k uses the stream keyed by (seed, k + 1),
-    so the counts are scheme-sampled's repeat 0 at the same seed.
-    c_i is the frequency of all singlet-designated pairs of P_i showing the
-    singlet outcome, identity-designated pairs unconstrained.
-    """
-    shots, key = _sampling_inputs(shots_per_setting, seed, "outcomes_sampled")
-    c = _sampled(state, key, None, shots, "A")[0, :N_OUTCOMES]
-    return OutcomeVector(c, "sampled", shots=shots, seed=key)
+def _sampled(state: TwoQubitState, key: tuple, repeats: int, shots: int, which: str) -> np.ndarray:
+    """c1..c11 (side `which`) and M1..M3, one row per repeat."""
+    p = [joint_distribution(s, state).p for s in settings()]
+    return _draw(key, p, shots, repeats) @ _readoff(which) / shots
 
 
 def permute_outcomes(c: OutcomeVector) -> OutcomeVector:
@@ -413,8 +397,7 @@ def estimate_gqd(
     eigenvalues_from_moments, so the results equal a per-repeat loop's.
     A side other than A or B raises StateValidationError before any work.
     The reported `outcomes` are the mean c frequencies across repeats
-    (permuted for side B), the same frequencies as those drawn by
-    outcomes_sampled; the sampled moments do not pass through them.
+    (permuted for side B); the sampled moments do not pass through them.
     """
     _check_side(which)
     if mode == "scheme-exact":

@@ -105,28 +105,6 @@ class ResourceReport:
             "copies_tally_per_setting": self.copies_tally_per_setting,
         }
 
-    def to_text(self) -> str:
-        rows = [
-            ("parameters to estimate (r_p)", self.r_p_scheme, self.r_p_qst),
-            ("copies per round (r_c)", self.r_c_scheme, self.r_c_qst),
-            ("cost factor r = r_p * r_c", self.r_scheme, self.r_qst),
-        ]
-        lines = [f"{'resource':<34}{'scheme':>8}{'qst':>8}"]
-        for name, a, b in rows:
-            lines.append(f"{name:<34}{a:>8}{b:>8}")
-        lines.append("")
-        lines.append(f"projective measurements (scheme): {self.projector_count_scheme}")
-        lines.append(f"measurement settings (scheme):    {self.setting_count_scheme}")
-        lines.append(
-            "independent tally, copies for one round of every projector: "
-            f"{self.copies_tally_per_projector}"
-        )
-        lines.append(
-            "independent tally, copies for one round of every setting:   "
-            f"{self.copies_tally_per_setting}"
-        )
-        return "\n".join(lines)
-
 
 def resource_report() -> ResourceReport:
     """The quoted comparison constants plus independently computed tallies."""

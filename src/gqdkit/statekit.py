@@ -174,9 +174,6 @@ class TwoQubitState:
         object.__setattr__(self, "matrix", _frozen(m))
         object.__setattr__(self, "R", _frozen(r.real))
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
 
 @dataclass(frozen=True, eq=False)
 class BlochForm:
@@ -221,18 +218,6 @@ def _bloch_matrix(x: np.ndarray, y: np.ndarray, T: np.ndarray) -> np.ndarray:
         + np.einsum("i,iab->ab", y, SIGMA[0, 1:])
         + np.einsum("ij,ijab->ab", T, SIGMA[1:, 1:])
     ) / 4.0
-
-
-def reconstruct(bloch: BlochForm) -> TwoQubitState:
-    """State with the given Bloch data; rejects non-physical input."""
-    rho = _bloch_matrix(bloch.x, bloch.y, bloch.T)
-    lowest = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
-    if lowest < -POSITIVITY_TOL:
-        raise StateValidationError(
-            f"Bloch data is not physical: reconstructed matrix has eigenvalue "
-            f"{lowest:.3e}"
-        )
-    return TwoQubitState(rho)
 
 
 def _qubit_from_bloch(r: Sequence[float], label: str) -> np.ndarray:
@@ -340,15 +325,6 @@ def random_state(seed, rank: int = 4) -> TwoQubitState:
     return TwoQubitState(m / np.trace(m))
 
 
-def state_to_dict(state: TwoQubitState) -> dict:
-    """JSON-ready form: {"matrix": [[[re, im] x4] x4]}."""
-    return {
-        "matrix": [
-            [[float(v.real), float(v.imag)] for v in row] for row in state.matrix
-        ]
-    }
-
-
 def state_from_dict(data: dict) -> TwoQubitState:
     """Parse the state file schema; unknown fields are rejected."""
     if not isinstance(data, dict):
@@ -376,10 +352,6 @@ def state_from_dict(data: dict) -> TwoQubitState:
         f"unrecognized state file fields {sorted(keys)}; expected "
         '{"matrix": ...} or {"family": ..., "params": ...}'
     )
-
-
-def state_to_json(state: TwoQubitState) -> str:
-    return json.dumps(state_to_dict(state))
 
 
 def state_from_json(text: str) -> TwoQubitState:

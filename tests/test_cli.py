@@ -6,8 +6,13 @@ from pathlib import Path
 import pytest
 
 from gqdkit import cli, estimator, gqd_core, qst_baseline, statekit
-from gqdkit import gqd_exact, random_state, state_to_json
+from gqdkit import gqd_exact, random_state
 from gqdkit.cli import SWEEP_CSV_HEADER, main
+
+
+def state_file_text(state):
+    # the state file's matrix form, written out by hand: one [re, im] pair per entry
+    return json.dumps({"matrix": [[[v.real, v.imag] for v in row] for row in state.matrix.tolist()]})
 
 
 def run_cli(capsys, *argv):
@@ -200,7 +205,7 @@ def test_scheme_sampled_deterministic(capsys):
 def test_scheme_side_b_matches_closed_form(tmp_path, capsys):
     state = random_state(321, rank=3)
     path = tmp_path / "state.json"
-    path.write_text(state_to_json(state))
+    path.write_text(state_file_text(state))
     code, out, _ = run_cli(capsys, "scheme", "--file", str(path), "--side", "B")
     assert code == 0
     assert abs(json.loads(out)["value"] - gqd_exact(state, "B").value) <= 1e-8
@@ -500,7 +505,7 @@ def test_unreadable_state_file_exits_two(tmp_path, capsys, monkeypatch, kind):
     elif kind == "not-utf8":
         path.write_bytes(b"\xff\xfe\x00")
     else:
-        path.write_text(state_to_json(random_state(1)))
+        path.write_text(state_file_text(random_state(1)))
         path.chmod(0)
 
         def refuse(self, *args, **kwargs):  # a superuser reads past mode 000

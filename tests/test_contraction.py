@@ -15,7 +15,7 @@ from gqdkit import (
     make_family,
     random_state,
 )
-from gqdkit import contraction
+from gqdkit import contraction, estimator
 from gqdkit.contraction import (
     P_MINUS,
     OutcomeDistribution,
@@ -531,19 +531,25 @@ def test_walked_values_are_kept_for_the_last_state_only(monkeypatch):
 
 
 def test_walked_values_stay_within_the_bound(monkeypatch):
-    # more ad-hoc layouts than the bound on one state: the record keeps the first
-    # _MAX_LAYOUTS values, every later layout is walked on each call, and all agree
+    # more ad-hoc layouts than the bound on one state, one at a time: the walk that does not
+    # fit starts the record over, so a second pass walks every layout again, and all agree
     rng = np.random.default_rng(27)
     bound = contraction._MAX_LAYOUTS
     layouts = [random_matching(rng, n) for n in (2, 4) for _ in range(160)]
-    assert len(layouts) > bound
+    assert len(layouts) == bound + 64
     state = BIT_STATES[5]
     _closed_stack.cache_clear()
     first = [expect_layout(lay, state) for lay in layouts]
+    assert list(_closed_stack(state)[1]) == layouts[bound:]
     walked = counted_walks(monkeypatch)
-    assert [expect_layout(lay, state) for lay in layouts] == first
-    assert walked == layouts[bound:]
-    assert list(_closed_stack(state)[1]) == layouts[:bound]
+    second = []
+    for lay in layouts:
+        second.append(expect_layout(lay, state))
+        assert len(_closed_stack(state)[1]) <= bound
+    assert second == first
+    assert walked == layouts
+    # the last 64 and the first 192 fill the record; layouts[192] starts it over
+    assert list(_closed_stack(state)[1]) == layouts[192:]
     for lay, value in zip(layouts, first):
         edges = tuple((p.side, *p.copies, p.kind) for p in lay.pairs)
         assert value == ref_contract(edges, state.R).item()
@@ -600,7 +606,8 @@ def test_one_stacked_walk_of_a_group_is_bit_identical_to_the_generic_walk():
 
 def test_a_group_past_the_bound_returns_every_value(monkeypatch):
     # one walk of more layouts than the record keeps: every value comes back, the record keeps
-    # the first _MAX_LAYOUTS, and a second call walks and returns only the rest, to the same values
+    # the first _MAX_LAYOUTS, and a second call walks and returns only the rest, to the same
+    # values, and starts the record over with them
     rng = np.random.default_rng(29)
     bound = contraction._MAX_LAYOUTS
     layouts = [random_matching(rng, n) for n in (2, 4, 6) for _ in range(100)]
@@ -615,8 +622,36 @@ def test_a_group_past_the_bound_returns_every_value(monkeypatch):
     values = _walk_closed(layouts, state)
     assert list(values) == walked == layouts[bound:]
     assert same_bits(list(values.values()), expected[bound:])
+    assert list(_closed_stack(state)[1]) == layouts[bound:]
     assert same_bits([expect_layout(lay, state) for lay in layouts], expected)
-    assert list(_closed_stack(state)[1]) == layouts[:bound]
+    record = _closed_stack(state)[1]
+    assert len(record) <= bound
+    assert same_bits(list(record.values()), [expected[layouts.index(lay)] for lay in record])
+
+
+def test_outcomes_after_a_full_record_take_one_walk(monkeypatch):
+    # a state's record filled by ad-hoc layouts: outcomes_exact walks its eleven layouts in one
+    # call, which starts the record over, and reads every value back from it
+    rng = np.random.default_rng(30)
+    bound = contraction._MAX_LAYOUTS
+    state = BIT_STATES[4]
+    _closed_stack.cache_clear()
+    for _ in range(bound):
+        expect_layout(random_matching(rng, 4), state)
+    assert len(_closed_stack(state)[1]) == bound
+    calls, walk = [], contraction._walk_closed
+
+    def counting(layouts, state):
+        calls.append(list(layouts))
+        return walk(layouts, state)
+
+    monkeypatch.setattr(contraction, "_walk_closed", counting)
+    monkeypatch.setattr(estimator, "_walk_closed", counting)
+    c = outcomes_exact(state).c.tolist()
+    layouts = standard_layouts()
+    assert calls == [layouts]
+    assert list(_closed_stack(state)[1]) == layouts
+    assert c == [ref_contract(tuple((p.side, *p.copies, p.kind) for p in lay.pairs), state.R).item() for lay in layouts]
 
 
 def einsum_reference(layout, rho):

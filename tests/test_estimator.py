@@ -20,7 +20,6 @@ from gqdkit import (
     make_family,
     moments_from_outcomes,
     outcomes_exact,
-    outcomes_sampled,
     permute_outcomes,
     qst_estimate,
     random_state,
@@ -406,14 +405,14 @@ def test_moment_observable_reads_trace_powers_off_one_setting():
 
 def test_outcomes_sampled_is_deterministic():
     state = make_family("werner", [0.4])
-    a = outcomes_sampled(state, 2000, seed=5)
-    b = outcomes_sampled(state, 2000, seed=5)
+    a, b = (estimate_gqd(state, "scheme-sampled", shots=2000, repeats=2, seed=5).outcomes for _ in range(2))
     assert np.array_equal(a.c, b.c)
-    assert a.provenance == "sampled" and a.shots == 2000
+    assert a.provenance == "sampled" and a.shots == 2000 and a.seed == (5,)
 
 
 def test_outcomes_sampled_single_shot_values():
-    c = outcomes_sampled(random_state(3), 1, seed=0).c
+    # one shot per setting: each repeat's c_i is a hit or a miss
+    c = estimator._sampled(random_state(3), (0,), 4, 1, "A")[:, :N_OUTCOMES]
     assert set(np.unique(c)) <= {0.0, 1.0}
 
 
@@ -440,7 +439,7 @@ def test_a_single_shot_estimate_is_not_clamped_to_the_discord_range():
 def test_outcomes_sampled_converges_to_exact():
     state = make_family("werner", [0.6])
     exact = outcomes_exact(state).c
-    sampled = outcomes_sampled(state, 1_000_000, seed=21).c
+    sampled = estimator._sampled(state, (21,), 1, 1_000_000, "A")[0, :N_OUTCOMES]
     for i in range(11):
         se = np.sqrt(max(exact[i] * (1 - exact[i]), 1e-12) / 1_000_000)
         assert abs(sampled[i] - exact[i]) <= 5 * se
@@ -577,9 +576,6 @@ def test_sampled_routes_draw_the_documented_stream_keys(monkeypatch):
     drawn.clear()
     qst_estimate(state, shots_per_setting=100, seed=6)
     assert drawn == [(6, 3 * i + j + 1) for i in range(3) for j in range(3)]
-    drawn.clear()
-    outcomes_sampled(state, 100, seed=11)
-    assert drawn == [(11, k + 1) for k in range(3)]
 
 
 def test_compare_draws_scheme_and_tomography_from_distinct_streams(monkeypatch, capsys):
@@ -602,13 +598,6 @@ def test_draw_rows_do_not_depend_on_the_repeat_count():
     assert ten.shape == (10, 84) and twenty.shape == (20, 84) and one.shape == (84,)
     assert np.array_equal(ten, twenty[:10])
     assert np.array_equal(one, twenty[0])
-
-
-@pytest.mark.parametrize("seed", [0, 31, (4, 2**40)], ids=["zero", "small", "pair"])
-def test_outcomes_sampled_is_repeat_zero_of_the_scheme(seed):
-    state = random_state(2760, rank=2)
-    c = outcomes_sampled(state, 2000, seed=seed).c
-    assert np.array_equal(c, estimator._sampled(state, stream_key(seed), 1, 2000, "A")[0, :11])
 
 
 # werner(0.5), which has no zero pattern, werner(1.0), 20 rank-1 states, ranks 1-4
@@ -683,7 +672,6 @@ SAMPLED_ENTRY_POINTS = {
     "estimate_gqd": lambda s, shots, seed=1: estimate_gqd(
         s, "scheme-sampled", shots=shots, repeats=2, seed=seed
     ),
-    "outcomes_sampled": lambda s, shots, seed=1: outcomes_sampled(s, shots, seed=seed),
     "qst_estimate": lambda s, shots, seed=1: qst_estimate(s, shots_per_setting=shots, seed=seed),
 }
 
@@ -743,10 +731,7 @@ def test_sampled_entry_points_accept_numpy_integer_shots(entry):
     plain, numpy_int = (SAMPLED_ENTRY_POINTS[entry](state, n) for n in (100, np.int64(100)))
     if entry == "qst_estimate":
         plain, numpy_int = plain[1], numpy_int[1]
-    if entry == "outcomes_sampled":
-        assert np.array_equal(plain.c, numpy_int.c) and numpy_int.shots == 100
-    else:
-        assert plain.to_dict() == numpy_int.to_dict()
+    assert plain.to_dict() == numpy_int.to_dict()
 
 
 @pytest.mark.parametrize(

@@ -148,6 +148,3 @@ def test_resource_report_serialization():
     report = resource_report()
     d = report.to_dict()
     assert d["r_scheme"] == 132 and d["r_qst"] == 225
-    text = report.to_text()
-    assert "132" in text and "225" in text and "44" in text
-    assert "46" in text and "12" in text
