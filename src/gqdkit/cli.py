@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 2 invalid input, 3 internal numerical-contract
 violation. Every command is deterministic given its full flag set.
+
+Each command imports the modules it calls, so start-up loads only those:
+`gqd layouts` never loads numpy, and `gqd exact` only statekit and gqd_core.
 """
 
 from __future__ import annotations
@@ -11,14 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import NumericalContractError, StateValidationError
-from .estimator import estimate_gqd
-from .gqd_core import gqd_exact, gqd_from_k, k_matrix
-from .pairing import render_layout, standard_layouts
-from .qst_baseline import qst_estimate, resource_report
-from .statekit import TwoQubitState, _sampling_inputs, decompose, make_family, state_from_json
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -59,7 +55,9 @@ def _parse_params(raw: str | None) -> list[float]:
         raise StateValidationError(f"could not parse --params {raw!r}: {exc}") from exc
 
 
-def _resolve_state(args) -> TwoQubitState:
+def _resolve_state(args):
+    from .statekit import make_family, state_from_json
+
     if args.file is not None and args.family is not None:
         raise StateValidationError("give either --file or --family, not both")
     if args.file is not None:
@@ -86,6 +84,9 @@ def _add_io_args(p: argparse.ArgumentParser, formats=("json", "csv"), default="j
 
 
 def cmd_exact(args) -> int:
+    from .gqd_core import gqd_from_k, k_matrix
+    from .statekit import decompose
+
     state = _resolve_state(args)
     bloch = decompose(state)
     k = k_matrix(bloch, args.side)
@@ -109,6 +110,8 @@ def cmd_exact(args) -> int:
 
 def _check_sampling(args) -> None:
     """Reject sampling flags the sampled route cannot run with."""
+    from .statekit import _sampling_inputs
+
     if args.shots is None:
         return
     if args.shots < 1:
@@ -122,14 +125,18 @@ def _check_sampling(args) -> None:
     _sampling_inputs(args.shots, args.seed, "scheme-sampled")  # the library's shot bound
 
 
-def _sampled_estimate(args, state: TwoQubitState, seed):
+def _sampled_estimate(args, state, seed):
     """scheme-sampled estimate with the command's --side, --shots and --repeats."""
+    from .estimator import estimate_gqd
+
     return estimate_gqd(
         state, "scheme-sampled", which=args.side, shots=args.shots, repeats=args.repeats, seed=seed
     )
 
 
 def cmd_scheme(args) -> int:
+    from .estimator import estimate_gqd
+
     state = _resolve_state(args)
     _check_sampling(args)
     _emit("", args.output, mode="a")
@@ -156,10 +163,18 @@ def cmd_scheme(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import math
+
+    import numpy as np
+
+    from .estimator import estimate_gqd
+    from .gqd_core import gqd_exact
+    from .statekit import make_family
+
     if args.num < 1:
         raise StateValidationError(f"--num must be >= 1, got {args.num}")
     for flag, value in (("--start", args.start), ("--stop", args.stop)):
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise StateValidationError(f"{flag} must be finite, got {value}")
     _check_sampling(args)
     params = _parse_params(args.params) or [0.0] * max(1, args.sweep_index + 1)
@@ -191,6 +206,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_layouts(args) -> int:
+    from .pairing import render_layout, standard_layouts
+
     layouts = standard_layouts()
     if args.name is not None:
         by_label = {lay.label: lay for lay in layouts}
@@ -205,6 +222,9 @@ def cmd_layouts(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .gqd_core import gqd_exact
+    from .qst_baseline import qst_estimate, resource_report
+
     _check_sampling(args)
     state = _resolve_state(args)
     _emit("", args.output, mode="a")

@@ -34,12 +34,10 @@ from .contraction import (
     joint_distribution,
     pattern_product,
 )
-from .errors import NumericalContractError
+from .errors import NumericalContractError, _is_int
 from .gqd_core import GqdEstimate, _check_side, k_matrix
 from .pairing import settings, standard_layouts
-from .statekit import (
-    TwoQubitState, _draw, _frozen, _is_int, _sampling_inputs, decompose, random_state
-)
+from .statekit import TwoQubitState, _draw, _frozen, _sampling_inputs, decompose, random_state
 
 MOMENT_ORDERS = (1, 2, 3)
 N_OUTCOMES = 11

@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NumericalContractError, StateValidationError
-from .statekit import SIGMA, BlochForm, TwoQubitState, _frozen, _is_int, decompose
+from .errors import NumericalContractError, StateValidationError, _is_int
+from .statekit import SIGMA, BlochForm, TwoQubitState, _frozen, decompose
 
 if TYPE_CHECKING:
     from .estimator import MomentTriple, OutcomeVector

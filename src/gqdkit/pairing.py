@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .statekit import _is_int
+from .errors import _is_int
 
 SIDES = ("a", "b")
 KINDS = ("singlet", "identity")

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalContractError, StateValidationError
+from .errors import NumericalContractError, StateValidationError, _is_int
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -72,10 +72,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _is_real(x) -> bool:  # a JSON number; a bool, though an int subclass, is not one
     return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _is_int(x) -> bool:  # a count or a seed entry; a bool, though an int subclass, is neither
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def stream_key(seed) -> tuple[int, ...]:

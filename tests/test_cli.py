@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from gqdkit import cli, estimator, gqd_core, qst_baseline, statekit
+from gqdkit import estimator, gqd_core, qst_baseline, statekit
 from gqdkit import gqd_exact, random_state
 from gqdkit.cli import SWEEP_CSV_HEADER, main
 
@@ -156,7 +156,8 @@ def test_exact_builds_the_bloch_form_once(capsys, monkeypatch, fmt):
         calls.append(state)
         return original(state)
 
-    for module in (statekit, cli, gqd_core, estimator, qst_baseline):
+    # the commands import what they call when they run, so they read statekit's name
+    for module in (statekit, gqd_core, estimator, qst_baseline):
         monkeypatch.setattr(module, "decompose", counting)
     code, _, _ = run_cli(capsys, "exact", "--family", "werner", "--params", "0.5", "--format", fmt)
     assert code == 0
@@ -288,7 +289,7 @@ def test_sweep_rejects_a_non_finite_endpoint(capsys, monkeypatch, start, stop, f
     def refuse(*args, **kwargs):
         raise AssertionError("a grid point was computed before the endpoints were checked")
 
-    monkeypatch.setattr(cli, "make_family", refuse)
+    monkeypatch.setattr(statekit, "make_family", refuse)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # np.linspace would warn on an infinite span
         code, out, err = run_cli(
@@ -425,6 +426,8 @@ def test_output_file_writing(tmp_path, capsys):
 WERNER = ("--family", "werner", "--params", "0.5")
 SWEEP = ("--family", "werner", "--start", "0", "--stop", "1", "--num", "2")
 MISSING = "{missing}"
+# the estimates a command must not start on bad input, at the modules that define them
+REFUSED = ((estimator, "estimate_gqd"), (gqd_core, "gqd_exact"), (qst_baseline, "qst_estimate"))
 
 
 @pytest.mark.parametrize(
@@ -532,8 +535,8 @@ def test_sweep_rejects_bad_flags_before_any_grid_point(
     def refuse(*args, **kwargs):
         raise AssertionError("a grid point was computed before the flags were checked")
 
-    monkeypatch.setattr(cli, "estimate_gqd", refuse)
-    monkeypatch.setattr(cli, "gqd_exact", refuse)
+    monkeypatch.setattr(estimator, "estimate_gqd", refuse)
+    monkeypatch.setattr(gqd_core, "gqd_exact", refuse)
     missing = str(tmp_path / "no_such_dir" / "out.csv")
     extra = [missing if a == MISSING else a for a in extra]
     code, out, err = run_cli(capsys, "sweep", *SWEEP, "--shots", "100", "--seed", "1", *extra)
@@ -555,8 +558,8 @@ def test_unwritable_output_is_rejected_before_any_estimate(tmp_path, capsys, mon
     def refuse(*args, **kwargs):
         raise AssertionError("an estimate was computed before --output was checked")
 
-    for name in ("estimate_gqd", "gqd_exact", "qst_estimate"):
-        monkeypatch.setattr(cli, name, refuse)
+    for module, name in REFUSED:
+        monkeypatch.setattr(module, name, refuse)
     missing = str(tmp_path / "no_such_dir" / "out.json")
     code, out, err = run_cli(
         capsys, *command, "--family", "werner", "--params", "0.5", "--output", missing
@@ -574,8 +577,8 @@ def test_shots_above_the_bound_leave_no_output_file(tmp_path, capsys, monkeypatc
     def refuse(*args, **kwargs):
         raise AssertionError("an estimate was computed before the shot count was checked")
 
-    for name in ("estimate_gqd", "gqd_exact", "qst_estimate"):
-        monkeypatch.setattr(cli, name, refuse)
+    for module, name in REFUSED:
+        monkeypatch.setattr(module, name, refuse)
     target = tmp_path / "out"
     code, out, err = run_cli(
         capsys, *argv, "--shots", str(2**53 + 1), "--seed", "1", "--output", str(target)

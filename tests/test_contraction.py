@@ -34,7 +34,7 @@ from gqdkit.contraction import (
 from gqdkit.errors import NumericalContractError
 from gqdkit.estimator import _readoff, outcomes_exact, permute_outcomes
 from gqdkit.pairing import PairingLayout, PairOp, Setting, settings, standard_layouts
-from gqdkit.statekit import MAXIMALLY_MIXED, PAULI, _frozen
+from gqdkit.statekit import MAXIMALLY_MIXED, PAULI, SINGLET, _frozen
 
 
 def test_pair_operator_identities():
@@ -654,31 +654,56 @@ def test_outcomes_after_a_full_record_take_one_walk(monkeypatch):
     assert c == [ref_contract(tuple((p.side, *p.copies, p.kind) for p in lay.pairs), state.R).item() for lay in layouts]
 
 
-def einsum_reference(layout, rho):
-    # tr(O rho^(x)n) as one einsum over n copies of rho and the pair operators, no walk
-    # and no 4^n operator: qubit 2(c-1) is copy c's a side, 2(c-1)+1 its b side; label q
-    # is qubit q's row index in O and label 2n + q its column index, so tr(O R) takes
-    # each rho's rows on O's columns and its columns on O's rows
+# the oracle's pair operators, from SINGLET alone: per kind, and as the (complement,
+# singlet) outcome stack a measured pair carries
+KIND_OPERATORS = {"singlet": SINGLET, "identity": np.eye(4)}
+OUTCOME_OPERATORS = np.stack([np.eye(4) - SINGLET, SINGLET])
+
+
+def einsum_reference(layout, rho, outcomes=False):
+    # tr(O rho^(x)n) as one einsum over n copies of rho and the pair operators in the
+    # computational basis, reading no Bloch form, walk or 4^n operator: qubit 2(c-1) is
+    # copy c's a side, 2(c-1)+1 its b side; label q is qubit q's row index in O and label
+    # 2n + q its column index, so tr(O R) takes each rho's rows on O's columns and its
+    # columns on O's rows. With `outcomes`, pair i carries the (complement, singlet)
+    # stack on label 4n + i whatever its kind, and the result holds every outcome
+    # pattern in pattern order: pair 0's bit lowest, so the last pair's axis first
     n_qubits = 2 * layout.n_copies
-    operands = []
+    operands, out = [], []
     for a in range(0, n_qubits, 2):
         operands += [rho.reshape(2, 2, 2, 2), [n_qubits + a, n_qubits + a + 1, a, a + 1]]
-    for p in layout.pairs:
+    for i, p in enumerate(layout.pairs):
         q1, q2 = (2 * (copy - 1) + (p.side == "b") for copy in p.copies)
-        op = PAIR_KIND_MATRICES[p.kind].reshape(2, 2, 2, 2)
-        operands += [op, [q1, q2, n_qubits + q1, n_qubits + q2]]
-    return np.einsum(*operands, [], optimize=True)
+        labels = [q1, q2, n_qubits + q1, n_qubits + q2]
+        if outcomes:
+            operands += [OUTCOME_OPERATORS.reshape(2, 2, 2, 2, 2), [2 * n_qubits + i, *labels]]
+            out.insert(0, 2 * n_qubits + i)
+        else:
+            operands += [KIND_OPERATORS[p.kind].reshape(2, 2, 2, 2), labels]
+    return np.einsum(*operands, out, optimize=True).reshape(-1 if outcomes else ())
+
+
+ORACLE_STATES = [random_state(1550 + trial, rank=1 + trial % 4) for trial in range(20)]
 
 
 def test_walk_matches_an_einsum_reference_up_to_six_copies():
     rng = np.random.default_rng(15)
     layouts = standard_layouts() + [random_matching(rng, 6) for _ in range(12)]
-    states = [random_state(1550 + trial, rank=1 + trial % 4) for trial in range(8)]
     for lay in layouts:
-        for state in states:
+        for state in ORACLE_STATES:
             reference = einsum_reference(lay, state.matrix)
             assert abs(reference.imag) <= 1e-12
             assert abs(expect_layout(lay, state) - reference.real) <= 1e-12
+
+
+def test_joint_distribution_matches_an_einsum_reference():
+    # all 84 patterns of the three settings, 64 of them on six copies
+    for state in ORACLE_STATES:
+        for setting in settings():
+            reference = einsum_reference(setting.layout, state.matrix, outcomes=True)
+            assert reference.shape == (2 ** len(setting.pairs),)
+            assert np.max(np.abs(reference.imag)) <= 1e-12
+            assert np.max(np.abs(joint_distribution(setting, state).p - reference.real)) <= 1e-12
 
 
 STEP_FORM_STATES = [random_state(1560 + t, rank=1 + t % 4) for t in range(50)] + [

@@ -1,8 +1,14 @@
 """The public API keeps only names a program path calls: the package's own modules, the
-acceptance criteria or the benchmark's workloads."""
+acceptance criteria or the benchmark's workloads. Importing it, or running a command that
+needs less, loads only what is used."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import gqdkit
 
@@ -33,3 +39,38 @@ def test_a_star_import_binds_every_exported_name():
     namespace = {}
     exec("from gqdkit import *", namespace)
     assert sorted(set(gqdkit.__all__) - set(namespace)) == []
+
+
+def run_python(code):
+    """Run `code` in a fresh interpreter with src/ on the path, so its imports start from none."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    run_python(
+        "import sys, gqdkit; assert set(gqdkit.__all__) <= set(dir(gqdkit)); "
+        "assert 'numpy' not in sys.modules; "
+        "assert [m for m in sys.modules if m.startswith('gqdkit.')] == []"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["layouts"], 0), (["layouts", "--name", "P11"], 0), (["layouts", "--frobnicate"], 2)],
+    ids=["all", "one", "argparse-error"],
+)
+def test_layouts_runs_without_numpy(argv, code):
+    run_python(f"import sys; from gqdkit.cli import main; assert main({argv!r}) == {code}; "
+               "assert 'numpy' not in sys.modules")
+
+
+def test_exact_loads_only_statekit_and_gqd_core():
+    run_python(
+        "import sys; from gqdkit.cli import main; "
+        "assert main(['exact', '--family', 'werner', '--params', '0.5']) == 0; "
+        "loaded = {m for m in sys.modules if m.startswith('gqdkit.')}; "
+        "assert loaded == {'gqdkit.cli', 'gqdkit.errors', 'gqdkit.statekit', 'gqdkit.gqd_core'}, loaded"
+    )

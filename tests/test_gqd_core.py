@@ -600,17 +600,20 @@ def test_import_does_not_load_scipy():
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import gqdkit, sys; assert 'scipy' not in sys.modules"
+    # every submodule: `import gqdkit` alone loads none of them
+    code = "import sys; from gqdkit import *; import gqdkit.cli; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 def test_import_loads_numpy_random_only_where_numpy_does():
-    # numpy >= 2 imports numpy.random on first use; the RNG streams wait for theirs
+    # numpy >= 2 imports numpy.random on first use; the RNG streams wait for theirs. The star
+    # import and gqdkit.cli load every submodule, which `import gqdkit` alone does not
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     code = (
-        "import sys, numpy; eager = 'numpy.random' in sys.modules; import gqdkit; "
+        "import sys, numpy; eager = 'numpy.random' in sys.modules; "
+        "from gqdkit import *; import gqdkit.cli; "
         "assert eager or 'numpy.random' not in sys.modules"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

@@ -103,10 +103,17 @@ def test_layout_input_is_rejected_not_truncated(build):
 def test_layout_accepts_numpy_integers():
     op = PairOp("a", (np.int64(2), np.int32(1)), "singlet")
     assert op.copies == (1, 2) and all(type(c) is int for c in op.copies)
-    layout = PairingLayout(np.int64(2), standard_layouts()[0].pairs)
     p1 = standard_layouts()[0]
-    assert type(layout.n_copies) is int
-    assert (layout.n_copies, layout.pairs) == (p1.n_copies, p1.pairs)
+    for n in (np.int64(2), np.int32(2)):
+        layout = PairingLayout(n, p1.pairs)
+        assert type(layout.n_copies) is int
+        assert (layout.n_copies, layout.pairs) == (p1.n_copies, p1.pairs)
+    # a bool, numpy's too, is not a count, and neither is an integral float
+    for bad in (True, np.bool_(True), 2.0):
+        with pytest.raises(ValueError, match="copies must be two integer copy indices"):
+            PairOp("a", (bad, 2), "singlet")
+        with pytest.raises(ValueError, match="n_copies must be one of"):
+            PairingLayout(bad, p1.pairs)
 
 
 def test_settings_cover_the_layouts_once():
