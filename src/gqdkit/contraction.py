@@ -4,41 +4,36 @@ Every copy has one a-side and one b-side pair attached, so copies and pairs
 form disjoint cycles that alternate sides. In the Bloch basis sigma_mu (x)
 sigma_nu (sigma_0 = I) a copy is its state's real Bloch matrix R = [[1, y^T],
 [x, T]], TwoQubitState.R, and a pair operator is diagonal, so a cycle is the
-trace of a product of real 4x4 factors diag(d) R and diag(d) R^T; the walks
-never read rho. There is one walk per edge type, both ordered by _walk_plan.
-_walk_closed walks a group of layouts' closed edges in one pass: each cycle is a
-chain of 4x4 products, padded with the identity to the longest, and the chains
-advance side by side, one stacked product per step, on a plan cached per tuple
-of layout objects. The last state walked has one record, its factors gathered
-from R and each walked layout's value, so both sides' outcomes on a state walk
-the eleven standard layouts once, together, and expect_layout reads them back.
-_walk_legs walks a setting with a measured pair's open leg, the factors
-(complement, singlet), on every pair, so one walk yields every outcome pattern,
-kept as one vector in pattern order; its plan is cached per setting object, and
-its intermediates hold at most 2^n * 16 reals for n pairs. Only the dense
-oracle, capped at 4 copies, builds the 4^n operator: in the computational basis,
-real, realigned, once per layout, and traced as a bilinear form in n / 2
-factors of vec(rho^T).
+trace of a product of real 4x4 factors diag(d) R and diag(d) R^T; the walk
+never reads rho. There is one walk, _walk_legs, ordered by _walk_plan: it puts a
+measured pair's open leg, the factors (complement, singlet), on every pair of a
+matching, so one walk yields every outcome pattern, kept as one vector in
+pattern order; its plan is cached per setting or layout object, and its
+intermediates hold at most 2^n * 16 reals for n pairs. A layout's value is read
+off its matching's patterns: a singlet pair picks the singlet, a complement pair
+the complement, and an identity pair sums both. P1..P11 are read off the three
+settings' walks, which share one gather of R, by one (84, 11) hit table that
+the sampled read-off shares too; the last state keeps those eleven values, so
+both sides' outcomes on a state walk each setting once. Only the dense oracle,
+capped at 4 copies, builds the 4^n operator: in the computational basis, real,
+realigned, once per layout, and traced as a bilinear form in n / 2 factors of
+vec(rho^T).
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import islice
 
 import numpy as np
 
 from .errors import NumericalContractError
-from .pairing import PairingLayout, PairOp, Setting
+from .pairing import _SETTINGS, PairingLayout, PairOp, Setting, standard_layouts
 from .statekit import I4, SIGMA, SINGLET, TwoQubitState, _frozen
 
 IMAG_TOL = 1e-10
 NEG_PROB_TOL = 1e-12
 PROB_SUM_TOL = 1e-9
-_MAX_LAYOUTS = 256  # layouts with a cached plan, and walked values kept per state
 
 P_MINUS = SINGLET.copy()
 
@@ -81,16 +76,18 @@ _BLOCH_DIAGONALS = {
     "singlet": (0.25, -0.25, -0.25, -0.25),
 }
 
-# Entry (2k + c, mu, nu) of the closed stack is d_k[mu] C[mu, nu], C = (R, R^T)[c], k in
-# _BLOCH_DIAGONALS order: C[mu, nu] sits at _CLOSED_INDEX among R's raveled entries, d_k[mu]
-# at _CLOSED_WEIGHT. Entry (c, mu, 4j + nu) of the leg stack is the closed stack's
-# (2 + 2j + c, mu, nu): an outcome leg's factors (complement, singlet) side by side.
-_CLOSED_INDEX = _frozen(np.tile([np.arange(16).reshape(4, 4), np.arange(16).reshape(4, 4).T], (3, 1, 1)))
-_CLOSED_WEIGHT = _frozen(np.array(list(_BLOCH_DIAGONALS.values())).repeat(2, 0)[:, :, None].repeat(4, 2))
-_LEG_INDEX, _LEG_WEIGHT = (
-    _frozen(a[2:].reshape(2, 2, 4, 4).transpose(1, 2, 0, 3).reshape(2, 4, 8))
-    for a in (_CLOSED_INDEX, _CLOSED_WEIGHT)
+# Entry (c, mu, 4j + nu) of the leg stack is d_j[mu] C[mu, nu], C = (R, R^T)[c], j in (complement,
+# singlet): an outcome leg's two factors side by side. C[mu, nu] sits at _LEG_INDEX among R's
+# raveled entries, d_j[mu] at _LEG_WEIGHT.
+_LEG_INDEX = _frozen(np.tile([np.arange(16).reshape(4, 4), np.arange(16).reshape(4, 4).T], 2))
+_LEG_WEIGHT = _frozen(
+    np.tile(np.array([_BLOCH_DIAGONALS[k] for k in ("complement", "singlet")]).T.repeat(4, 1), (2, 1, 1))
 )
+
+
+def _leg_stack(state: TwoQubitState) -> np.ndarray:
+    """The state's (2, 4, 8) leg stack, by one gather of R and one real product."""
+    return state.R.take(_LEG_INDEX) * _LEG_WEIGHT
 
 
 def _walk_plan(pairs: tuple[PairOp, ...]) -> list[list[tuple[int, int]]]:
@@ -128,60 +125,51 @@ def _walk_plan(pairs: tuple[PairOp, ...]) -> list[list[tuple[int, int]]]:
     return cycles
 
 
-_IDENTITY = _frozen(np.eye(4)[None])  # the closed stack's last factor, at len(_CLOSED_INDEX)
+def pattern_product(per_pair) -> np.ndarray:
+    """Per-pattern product of one (complement, singlet) value pair per pair.
+
+    The package's one pattern order: pattern j = sum_i bit_i 2^i, bit i the outcome
+    of the setting's pair i, 1 for the singlet and 0 for its complement. The
+    Kronecker product therefore runs from the last pair to the first.
+    """
+    per_pair = [np.asarray(v) for v in reversed(per_pair)]
+    return reduce(np.multiply.outer, per_pair, np.ones(1, dtype=int)).reshape(-1)
 
 
-@lru_cache(maxsize=_MAX_LAYOUTS)
-def _closed_plan(layouts: tuple[PairingLayout, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The walk of a group of layouts: column j of a read-only (steps, cycles) array holds cycle
-    j's closed-stack indices in walk order, padded with the identity's, cycles in walk order
-    layout by layout; then each layout's cycle count. Keyed by the layout objects, which
-    compare by identity."""
-    rows, counts = [], []
-    for layout in layouts:
-        kinds = [2 * list(_BLOCH_DIAGONALS).index(p.kind) for p in layout.pairs]
-        cycles = _walk_plan(layout.pairs)
-        rows += [[kinds[i] + t for i, t in cycle] for cycle in cycles]
-        counts.append(len(cycles))
-    width, pad = max(map(len, rows)), len(_CLOSED_INDEX)  # pad: the identity's index
-    return _frozen(np.array([row + [pad] * (width - len(row)) for row in rows]).T), tuple(counts)
+# A closed pair read off its measured outcomes (complement, singlet): the pick or the sum
+_HIT_WEIGHTS = {"complement": (1, 0), "singlet": (0, 1), "identity": (1, 1)}
+
+
+def _hits(layout: PairingLayout) -> np.ndarray:
+    """0/1 per pattern of the layout's own matching: 1 where every pair shows what it picks."""
+    return pattern_product([_HIT_WEIGHTS[p.kind] for p in layout.pairs])
+
+
+_STANDARD = {layout: j for j, layout in enumerate(standard_layouts())}  # keyed by the object
+# (84, 11) 0/1, read-only: rows the patterns of settings 1, 2, 3 in turn, column j P_j's hits on its
+# setting's rows (a covered layout stores its pairs in setting order), 0 elsewhere
+_HIT_TABLE = _frozen(np.concatenate([
+    np.column_stack([_hits(lay) if lay.label in s.covered else np.zeros(2 ** len(s.pairs), dtype=np.int64)
+                     for lay in _STANDARD])
+    for s in _SETTINGS
+]))
 
 
 @lru_cache(maxsize=1)
-def _closed_stack(state: TwoQubitState) -> tuple[np.ndarray, dict[PairingLayout, float]]:
-    """The last state's record: its closed stack then the identity, read-only, and the value of
-    each layout walked on it (at most _MAX_LAYOUTS: a walk whose values do not fit starts it
-    over); keyed by the object, compared by identity."""
-    return _frozen(np.concatenate((state.R.take(_CLOSED_INDEX) * _CLOSED_WEIGHT, _IDENTITY))), {}
-
-
-def _walk_closed(layouts: Sequence[PairingLayout], state: TwoQubitState) -> dict[PairingLayout, float]:
-    """tr[(pair operators)(state^(x) n_copies)] of every layout the state's record lacks, from
-    one walk, by layout. Per cycle the trace of a chain of real 4x4 products of the closed
-    stack's factors, all chains multiplied left to right one step at a time; a product with
-    the exact identity moves no bit. Cycles multiply in walk order."""
-    factors, walked = _closed_stack(state)
-    todo = tuple([lay for lay in layouts if lay not in walked])
-    if not todo:
-        return {}
-    index, counts = _closed_plan(todo)
-    chain = factors.take(index, axis=0)  # (steps, cycles, 4, 4)
-    prod = chain[0]
-    for step in chain[1:]:
-        prod = np.matmul(prod, step)
-    traces = iter(prod.trace(axis1=1, axis2=2).tolist())
-    values = {layout: math.prod(islice(traces, count)) for layout, count in zip(todo, counts)}
-    if len(walked) + len(values) > _MAX_LAYOUTS:
-        walked.clear()
-    walked.update(islice(values.items(), _MAX_LAYOUTS))
-    return values
+def _standard_values(state: TwoQubitState) -> tuple[float, ...]:
+    """The last state's c1..c11: one gather, the three settings' leg walks and one product with
+    the hit table; keyed by the object, compared by identity."""
+    legs = _leg_stack(state)
+    return tuple((np.concatenate([_walk_legs(s, legs) for s in _SETTINGS]) @ _HIT_TABLE).tolist())
 
 
 def expect_layout(layout: PairingLayout, state: TwoQubitState) -> float:
-    """tr[(pair operators of the layout)(state^(x) n_copies)], walked by _walk_closed; a layout
-    already walked on this state returns its recorded value."""
-    value = _closed_stack(state)[1].get(layout)
-    return _walk_closed((layout,), state)[layout] if value is None else value
+    """tr[(pair operators of the layout)(state^(x) n_copies)], read off the leg walk of its
+    matching: a standard layout from the state's eleven values, any other from its own walk."""
+    j = _STANDARD.get(layout)
+    if j is not None:
+        return _standard_values(state)[j]
+    return float(_walk_legs(layout, _leg_stack(state)) @ _hits(layout))
 
 
 @lru_cache(maxsize=16)
@@ -216,16 +204,6 @@ def expect_layout_dense_oracle(layout: PairingLayout, state: TwoQubitState) -> f
     return float(total.real)
 
 
-def pattern_product(per_pair) -> np.ndarray:
-    """Per-pattern product of one (complement, singlet) value pair per pair.
-
-    The package's one pattern order: pattern j = sum_i bit_i 2^i, bit i the outcome
-    of the setting's pair i, 1 for the singlet and 0 for its complement. The
-    Kronecker product therefore runs from the last pair to the first.
-    """
-    return reduce(np.kron, [np.asarray(v) for v in reversed(per_pair)], np.ones(1, dtype=int))
-
-
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """Joint outcome probabilities for one measurement setting.
@@ -254,26 +232,28 @@ class OutcomeDistribution:
 
 
 @lru_cache(maxsize=16)
-def _leg_plan(setting: Setting) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
-    """Per cycle of a setting's walk, the leg-stack index of its first step and of the others;
-    then the axis order taking walk order to pattern order. Keyed by the setting object."""
-    cycles = _walk_plan(setting.pairs)
+def _leg_plan(
+    matching: Setting | PairingLayout,
+) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
+    """Per cycle of a matching's walk, the leg-stack index of its first step and of the others;
+    then the axis order taking walk order to pattern order. Keyed by the setting or layout
+    object."""
+    cycles = _walk_plan(matching.pairs)
     order = [i for cycle in cycles for i, _ in cycle]
     # pattern order (see pattern_product): pair 0's bit lowest, so the last pair's axis first
     axes = sorted(range(len(order)), key=order.__getitem__, reverse=True)
     return tuple((c, tuple(t for _, t in rest)) for (_, c), *rest in cycles), tuple(axes)
 
 
-def _walk_legs(setting: Setting, r: np.ndarray) -> np.ndarray:
+def _walk_legs(matching: Setting | PairingLayout, legs: np.ndarray) -> np.ndarray:
     """Every pattern's probability, in pattern order, from one walk with a (complement,
-    singlet) leg on every pair, given rho's real Bloch matrix r = R.
+    singlet) leg on every pair of a setting's or layout's matching, given the state's leg stack.
 
     The running stack holds row i of partial product k at row (i, k); a step multiplies
     it, as (4K, 4), by a leg's (4, 8) factor pair, read back as (8K, 4): k -> 2k + bit. A
     cycle closes with a trace per product.
     """
-    cycles, axes = _leg_plan(setting)
-    legs = r.take(_LEG_INDEX) * _LEG_WEIGHT
+    cycles, axes = _leg_plan(matching)
     parts = []
     for first, steps in cycles:
         prod = legs[first]
@@ -289,7 +269,7 @@ def joint_distribution(setting: Setting, state: TwoQubitState) -> OutcomeDistrib
     One walk of the matching with an outcome leg on every pair gives all patterns, not
     renormalized; one below -NEG_PROB_TOL is an error, a smaller negative 0.
     """
-    flat = _walk_legs(setting, state.R)
+    flat = _walk_legs(setting, _leg_stack(state))
     if flat.min() < -NEG_PROB_TOL:
         raise NumericalContractError(f"pattern probability {flat.min():.3e} below -{NEG_PROB_TOL}")
     return OutcomeDistribution(setting, np.maximum(flat, 0.0))

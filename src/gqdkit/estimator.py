@@ -11,9 +11,10 @@ validates the derived table on fresh states and reports the diff. The exact
 route evaluates the table; the sampled route reads moment k off setting k's
 counts as the mean of one product observable, the unfactorized form of the
 same expansion. One integer matrix per side, _readoff, turns counts into c's
-and moments: its columns, 0/1 hit columns and the observables, are Kronecker
-products of per-pair (complement, singlet) values, built by
-contraction.pattern_product, the one place that fixes the pattern order.
+and moments: its 0/1 hit columns are contraction's hit table, the one that
+reads the exact c's, and its observables, like the hits, are Kronecker products
+of per-pair (complement, singlet) values, built by contraction.pattern_product,
+the one place that fixes the pattern order.
 Sampled counts come from statekit._draw, the package's one draw function and draw
 rule, handed the raw distributions, as one integer array. Both routes solve the
 spectrum cubic with one scalar kernel, _spectrum_roots.
@@ -27,13 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .contraction import (
-    PAIR_WEIGHTS,
-    _walk_closed,
-    expect_layout,
-    joint_distribution,
-    pattern_product,
-)
+from .contraction import _HIT_TABLE, PAIR_WEIGHTS, expect_layout, joint_distribution, pattern_product
 from .errors import NumericalContractError, _is_int
 from .gqd_core import GqdEstimate, _check_side, k_matrix
 from .pairing import settings, standard_layouts
@@ -237,9 +232,7 @@ class MomentTriple:
 
 def outcomes_exact(state: TwoQubitState) -> OutcomeVector:
     """c_i = expectation of standard layout P_i on state copies."""
-    layouts = standard_layouts()
-    _walk_closed(layouts, state)  # one stacked walk records the eleven values read below
-    c = np.array([expect_layout(lay, state) for lay in layouts])
+    c = np.array([expect_layout(lay, state) for lay in standard_layouts()])
     return OutcomeVector(c, "exact")
 
 
@@ -252,27 +245,22 @@ def _readoff(which: str) -> np.ndarray:
     """(84, 14) integer map from the three settings' pattern counts to shots times c1..c11, M1..M3.
 
     Rows are the patterns of settings 1, 2, 3 in turn (4 + 16 + 64), each in pattern
-    order. Column j < 11 is 1 on the patterns of a setting covering layout P_j where
-    every singlet-designated pair shows the singlet; side B places it at the relabeled
-    outcome. Column 11 + k - 1 is setting k's moment observable, the product over its
-    pairs of w_I (complement) or w_I + w_S (singlet) from PAIR_WEIGHTS, sides swapped for
-    B: the per-pair expansion derive_moment_table sums, so on exact distributions it
-    reads tr(K^k). Cached, read-only.
+    order. Columns 0..10 are contraction's hit table, which reads c1..c11 off exact
+    distributions; side B places each column at the relabeled outcome. Column 11 + k - 1
+    is setting k's moment observable, on its own rows, the product over its pairs of w_I
+    (complement) or w_I + w_S (singlet) from PAIR_WEIGHTS, sides swapped for B: the
+    per-pair expansion derive_moment_table sums, so on exact distributions it reads
+    tr(K^k). Cached, read-only.
     """
     sides = {"a": "a", "b": "b"} if which == "A" else {"a": "b", "b": "a"}
-    blocks = []
+    hits = _HIT_TABLE if which == "A" else _HIT_TABLE[:, _SIDE_B_ORDER]
+    readoff = np.concatenate((hits, np.zeros((len(hits), len(MOMENT_ORDERS)), dtype=np.int64)), axis=1)
+    row = 0
     for k, setting in enumerate(settings()):
-        block = np.zeros((2 ** len(setting.pairs), N_OUTCOMES + len(MOMENT_ORDERS)), dtype=np.int64)
-        for i, lay in enumerate(standard_layouts()):
-            if lay.label in setting.covered:  # a covered layout stores its pairs in setting order
-                hits = [(0, 1) if p.kind == "singlet" else (1, 1) for p in lay.pairs]
-                block[:, i] = pattern_product(hits)
         weights = [PAIR_WEIGHTS[sides[p.side]] for p in setting.pairs]
-        block[:, N_OUTCOMES + k] = pattern_product([(w_i, w_i + w_s) for w_i, w_s in weights])
-        blocks.append(block)
-    readoff = np.concatenate(blocks)
-    if which == "B":
-        readoff[:, :N_OUTCOMES] = readoff[:, _SIDE_B_ORDER]
+        observable = pattern_product([(w_i, w_i + w_s) for w_i, w_s in weights])
+        readoff[row : row + len(observable), N_OUTCOMES + k] = observable
+        row += len(observable)
     return _frozen(readoff)
 
 

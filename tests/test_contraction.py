@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from collections import namedtuple
 from functools import lru_cache, reduce
@@ -15,17 +16,16 @@ from gqdkit import (
     make_family,
     random_state,
 )
-from gqdkit import contraction, estimator
+from gqdkit import contraction, estimate_gqd
 from gqdkit.contraction import (
     P_MINUS,
     OutcomeDistribution,
     PAIR_KIND_MATRICES,
     _BLOCH_DIAGONALS,
-    _closed_plan,
-    _closed_stack,
     _dense_operator,
     _leg_plan,
-    _walk_closed,
+    _leg_stack,
+    _standard_values,
     _walk_plan,
     build_u,
     build_v,
@@ -57,23 +57,15 @@ def test_pair_operators_are_diagonal_in_the_bloch_basis():
 
 
 def test_factor_stack_holds_the_correlation_matrix():
-    # both walks' stacks against R computed here entry by entry, not by the state's constructor:
-    # the closed stack holds diag(d_k) C at 2k + c, the leg stack (complement, singlet) side by side
+    # the leg stack against R computed here entry by entry, not by the state's constructor: for
+    # C = R, then C = R^T, the factors (complement, singlet) side by side
+    assert not contraction._LEG_INDEX.flags.writeable and not contraction._LEG_WEIGHT.flags.writeable
     for trial in range(12):
         state = random_state(1950 + trial, rank=1 + trial % 4)
         r = 4 * pauli_coefficients(state.matrix).real  # R_mu,nu = tr(rho sigma_mu (x) sigma_nu)
-        closed = state.R.take(contraction._CLOSED_INDEX) * contraction._CLOSED_WEIGHT
-        legs = state.R.take(contraction._LEG_INDEX) * contraction._LEG_WEIGHT
-        stack = _closed_stack(state)[0]  # the state's record: the stack, then the walked values
-        assert np.array_equal(stack[:6], closed) and not stack.flags.writeable
-        # the last factor pads a shorter cycle: the exact identity, every zero +0.0
-        assert stack[6].tolist() == np.eye(4).tolist() and not np.signbit(stack[6]).any()
-        assert stack.shape == (7, 4, 4) and stack.flags.c_contiguous
-        assert closed.shape == (6, 4, 4) and legs.shape == (2, 4, 8)
-        assert closed.flags.c_contiguous and legs.flags.c_contiguous
+        legs = _leg_stack(state)
+        assert legs.shape == (2, 4, 8) and legs.flags.c_contiguous
         for t, c in enumerate((r, r.T)):
-            for k, d in enumerate(_BLOCH_DIAGONALS.values()):
-                assert np.max(np.abs(closed[2 * k + t] - np.diag(d) @ c)) <= 1e-15
             for j, kind in enumerate(("complement", "singlet")):
                 block = legs[t][:, 4 * j : 4 * j + 4]
                 assert np.max(np.abs(block - np.diag(_BLOCH_DIAGONALS[kind]) @ c)) <= 1e-15
@@ -320,43 +312,41 @@ def random_matching(rng, n_copies, kinds=("singlet", "identity")):
     return PairingLayout(n_copies, tuple(pairs[i] for i in order))
 
 
-def walk(layout, state):
-    # expect_layout on a fresh per-state record, so the layout is walked, not read back
-    _closed_stack.cache_clear()
-    return expect_layout(layout, state)
-
-
 def test_cached_walk_plans_give_bit_identical_results():
     # each result on a cold plan cache (a miss) against the same call once the per-object
-    # caches hold the plans of every other layout and setting (a hit); every closed call walks
+    # cache holds the plans of every other layout or setting of its group (a hit); the ad-hoc
+    # layouts, twelve at a time, and the settings each fill a cleared cache within its 16
     rng = np.random.default_rng(14)
     layouts = [random_matching(rng, n) for n in (2, 4, 6) for _ in range(12)]
     matchings = [random_matching(rng, n, ("singlet",)) for n in (2, 4, 6) for _ in range(4)]
     setups = [Setting(lay, ()) for lay in matchings] + settings()
     state = random_state(1500, rank=3)
-    misses = []
-    for lay in layouts:
-        _closed_plan.cache_clear()
-        misses.append(walk(lay, state))
-    dist_misses = []
-    for setting in setups:
+
+    def value(matching):
+        if isinstance(matching, Setting):
+            return joint_distribution(matching, state).p.tolist()
+        return expect_layout(matching, state)
+
+    misses = {}
+    for matching in layouts + setups:
         _leg_plan.cache_clear()
-        dist_misses.append(joint_distribution(setting, state).p.tolist())
-    for _ in range(2):  # the first pass fills the caches, the second only hits
-        hits = _closed_plan.cache_info().hits, _leg_plan.cache_info().hits
-        assert [walk(lay, state) for lay in layouts] == misses
-        assert [joint_distribution(s, state).p.tolist() for s in setups] == dist_misses
-    assert _closed_plan.cache_info().hits - hits[0] == len(layouts)
-    assert _leg_plan.cache_info().hits - hits[1] == len(setups)
+        misses[matching] = value(matching)
+    for group in (layouts[:12], layouts[12:24], layouts[24:], setups):
+        _leg_plan.cache_clear()
+        for _ in range(2):  # the first pass fills the cache, the second only hits
+            hits = _leg_plan.cache_info().hits
+            assert [value(m) for m in group] == [misses[m] for m in group]
+        assert _leg_plan.cache_info().hits - hits == len(group)
     # a plan is keyed by the object: an equal layout built anew is a miss
     twin = PairingLayout(layouts[0].n_copies, layouts[0].pairs)
-    before = _closed_plan.cache_info().misses
-    assert walk(twin, state) == misses[0]
-    assert _closed_plan.cache_info().misses == before + 1
+    before = _leg_plan.cache_info().misses
+    assert expect_layout(twin, state) == misses[layouts[0]]
+    assert _leg_plan.cache_info().misses == before + 1
 
 
-# The generic stacked walk both walks replaced, verbatim but for the ref_ prefix: one
-# path for closed edges and outcome legs. The two walks must reproduce it bit for bit.
+# The generic stacked walk the package's walks replaced, verbatim but for the ref_ prefix: one
+# path for closed edges and outcome legs. The leg walk must reproduce it bit for bit, and a
+# layout's value, read off its leg walk, its closed walk to rounding.
 # Each kind's columns in a (4, 12) block of the factor stack; an outcome leg takes the
 # adjacent (complement, singlet)
 ref_FACTOR_COLUMNS = {kind: slice(4 * k, 4 * k + 4) for k, kind in enumerate(_BLOCH_DIAGONALS)}
@@ -437,8 +427,8 @@ def ref_contract(edges: tuple[tuple[str, int, int, str], ...], r: np.ndarray) ->
     return reduce(np.multiply.outer, parts).reshape(shape).transpose(axes)
 
 
-# PairOp admits only singlet and identity; the closed stack also holds the complement
-# factors, which a stand-in pair reaches (a layout reads a pair's side, copies and kind)
+# PairOp admits only singlet and identity; a layout's read-off also picks the complement
+# outcome, which a stand-in pair reaches (a layout reads a pair's side, copies and kind)
 StandInPair = namedtuple("StandInPair", "side copies kind")
 
 BIT_STATES = [random_state(1960 + t, rank=1 + t % 4) for t in range(16)] + [
@@ -450,7 +440,18 @@ BIT_STATES = [random_state(1960 + t, rank=1 + t % 4) for t in range(16)] + [
 ]
 
 
-def test_closed_walk_is_bit_identical_to_the_generic_walk():
+def same_bits(values, expected):
+    # equal, and equal in the sign of a zero
+    return values == expected and np.signbit(values).tolist() == np.signbit(expected).tolist()
+
+
+ZERO_STATES = [make_family("product", [0, 0, 1, 0, 0, 1]), make_family("product", [1, 0, 0, 0, 1, 0])]
+
+
+def test_every_layout_is_within_rounding_of_the_generic_walk():
+    # the eleven standard layouts and relabelings of random matchings, single- and multi-cycle,
+    # every kind drawn: each value within 1e-15 of the generic closed walk, and where both read
+    # an exact zero, a zero of the same sign
     rng = np.random.default_rng(19)
     kinds = ("singlet", "identity", "complement")
     layouts = standard_layouts()
@@ -459,14 +460,18 @@ def test_closed_walk_is_bit_identical_to_the_generic_walk():
             pairs = random_matching(rng, n).pairs
             relabeled = tuple(StandInPair(p.side, p.copies, kinds[rng.integers(3)]) for p in pairs)
             layouts.append(PairingLayout(n, relabeled))
-    assert any(_closed_plan((lay,))[1][0] > 1 for lay in layouts)  # multi-cycle layouts are walked
+    assert any(len(_walk_plan(lay.pairs)) > 1 for lay in layouts)  # multi-cycle layouts are walked
     assert {p.kind for lay in layouts for p in lay.pairs} == set(kinds)
-    for state in BIT_STATES:
-        for lay in layouts:
-            value = expect_layout(lay, state)
-            assert type(value) is float
-            edges = tuple((p.side, *p.copies, p.kind) for p in lay.pairs)
-            assert value == ref_contract(edges, state.R).item()
+    zeros = 0
+    for state in BIT_STATES + ZERO_STATES:
+        values = [expect_layout(lay, state) for lay in layouts]
+        assert all(type(v) is float for v in values)
+        expected = [ref_contract(tuple((p.side, *p.copies, p.kind) for p in lay.pairs), state.R).item() for lay in layouts]
+        assert np.max(np.abs(np.subtract(values, expected))) <= 1e-15
+        at_zero = [i for i, (v, e) in enumerate(zip(values, expected)) if v == 0.0 == e]
+        zeros += len(at_zero)
+        assert same_bits([values[i] for i in at_zero], [expected[i] for i in at_zero])
+    assert zeros > 0
 
 
 def test_leg_walk_is_bit_identical_to_the_generic_walk():
@@ -480,178 +485,92 @@ def test_leg_walk_is_bit_identical_to_the_generic_walk():
             assert joint_distribution(setting, state).p.tolist() == expected.tolist()
 
 
-def test_closed_stack_is_gathered_once_per_state_object():
-    # the walks on one state share one gather of R; the next state, or an equal-matrix copy of
-    # it (a state compares by identity), gathers anew, and the cache keeps only the last state;
-    # each call reads the record, and each walk once more
-    rng = np.random.default_rng(26)
-    layouts = standard_layouts() + [random_matching(rng, n) for n in (2, 4, 6) for _ in range(4)]
+def counted(monkeypatch, *names):
+    # calls of contraction's own functions, counted where its other functions look them up
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _original=getattr(contraction, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(contraction, name, counting)
+    return calls
+
+
+def test_leg_stack_is_gathered_once_per_state_object(monkeypatch):
+    # a state's eleven standard values share one gather of R and the three settings' walks; the
+    # next state, or an equal-matrix copy of it (a state compares by identity), gathers and walks
+    # anew, and the cache keeps only the last state
     a, b = BIT_STATES[1], BIT_STATES[6]
     twin = TwoQubitState(a.matrix.copy())
-    _closed_stack.cache_clear()
+    _standard_values.cache_clear()
+    calls = counted(monkeypatch, "_leg_stack", "_walk_legs")
     for state in (a, b, a, twin):
-        before = _closed_stack.cache_info()
-        for lay in layouts:
-            edges = tuple((p.side, *p.copies, p.kind) for p in lay.pairs)
-            assert expect_layout(lay, state) == ref_contract(edges, state.R).item()
-            assert _closed_stack.cache_info().currsize <= 1
-        after = _closed_stack.cache_info()
-        assert (after.misses - before.misses, after.hits - before.hits) == (1, 2 * len(layouts) - 1)
-
-
-def counted_walks(monkeypatch):
-    # every walk plans its group of layouts, and a recorded value is returned before the
-    # plan is read
-    walked = []
-
-    def counting(layouts):
-        walked.extend(layouts)
-        return _closed_plan(layouts)
-
-    monkeypatch.setattr(contraction, "_closed_plan", counting)
-    return walked
+        before = dict(calls)
+        for _ in range(2):
+            for lay in standard_layouts():
+                edges = tuple((p.side, *p.copies, p.kind) for p in lay.pairs)
+                assert abs(expect_layout(lay, state) - ref_contract(edges, state.R).item()) <= 1e-15
+                assert _standard_values.cache_info().currsize == 1
+        assert {name: calls[name] - before[name] for name in calls} == {"_leg_stack": 1, "_walk_legs": 3}
 
 
 def test_walked_values_are_kept_for_the_last_state_only(monkeypatch):
-    # states A, B, A: each visit walks its 11 layouts once and reads the second pass back,
-    # and the record holds the visited state's values only; an equal-matrix copy walks anew
-    walked = counted_walks(monkeypatch)
-    layouts = standard_layouts()
+    # states A, B, A: each visit walks the three settings once and reads the second pass back,
+    # and the cache holds the visited state's eleven values only; an equal-matrix copy walks anew
+    walked, walk = [], contraction._walk_legs
+
+    def recording(matching, legs):
+        walked.append(matching)
+        return walk(matching, legs)
+
+    monkeypatch.setattr(contraction, "_walk_legs", recording)
     a, b = BIT_STATES[2], BIT_STATES[9]
-    _closed_stack.cache_clear()
+    _standard_values.cache_clear()
     for state in (a, b, a, TwoQubitState(a.matrix.copy())):
         walked.clear()
-        for _ in range(2):
-            for lay in layouts:
-                edges = tuple((p.side, *p.copies, p.kind) for p in lay.pairs)
-                assert expect_layout(lay, state) == ref_contract(edges, state.R).item()
-        assert walked == layouts
-        assert _closed_stack.cache_info().currsize == 1
-        assert list(_closed_stack(state)[1]) == layouts
+        passes = [[expect_layout(lay, state) for lay in standard_layouts()] for _ in range(2)]
+        assert walked == settings()
+        assert passes[0] == passes[1] == list(_standard_values(state))
+        assert _standard_values.cache_info().currsize == 1
+        for lay, value in zip(standard_layouts(), passes[0]):
+            assert abs(value - einsum_reference(lay, state.matrix).real) <= 1e-12
 
 
-def test_walked_values_stay_within_the_bound(monkeypatch):
-    # more ad-hoc layouts than the bound on one state, one at a time: the walk that does not
-    # fit starts the record over, so a second pass walks every layout again, and all agree
-    rng = np.random.default_rng(27)
-    bound = contraction._MAX_LAYOUTS
-    layouts = [random_matching(rng, n) for n in (2, 4) for _ in range(160)]
-    assert len(layouts) == bound + 64
-    state = BIT_STATES[5]
-    _closed_stack.cache_clear()
-    first = [expect_layout(lay, state) for lay in layouts]
-    assert list(_closed_stack(state)[1]) == layouts[bound:]
-    walked = counted_walks(monkeypatch)
-    second = []
-    for lay in layouts:
-        second.append(expect_layout(lay, state))
-        assert len(_closed_stack(state)[1]) <= bound
-    assert second == first
-    assert walked == layouts
-    # the last 64 and the first 192 fill the record; layouts[192] starts it over
-    assert list(_closed_stack(state)[1]) == layouts[192:]
-    for lay, value in zip(layouts, first):
-        edges = tuple((p.side, *p.copies, p.kind) for p in lay.pairs)
-        assert value == ref_contract(edges, state.R).item()
-
-
-def relabeled_group(rng):
-    # the 11 standard layouts and 48 relabelings of random matchings: 12 of 2 copies (one
-    # 2-step cycle each) and 18 multi-cycle ones each of 4 and 6 copies, every kind drawn
-    kinds = ("singlet", "identity", "complement")
-    group = standard_layouts()
-    for n, wanted in ((2, 12), (4, 18), (6, 18)):
-        drawn = 0
-        while drawn < wanted:
-            pairs = random_matching(rng, n).pairs
-            layout = PairingLayout(n, tuple(StandInPair(p.side, p.copies, kinds[rng.integers(3)]) for p in pairs))
-            if n == 2 or _closed_plan((layout,))[1][0] > 1:
-                group.append(layout)
-                drawn += 1
-    return group
-
-
-def same_bits(values, expected):
-    # equal, and equal in the sign of a zero
-    return values == expected and np.signbit(values).tolist() == np.signbit(expected).tolist()
-
-
-ZERO_STATES = [make_family("product", [0, 0, 1, 0, 0, 1]), make_family("product", [1, 0, 0, 0, 1, 0])]
-
-
-def test_one_stacked_walk_of_a_group_is_bit_identical_to_the_generic_walk():
-    # one call, the reverse order and one layout at a time, each on a fresh record: the cycles
-    # are padded to the group's longest, and every value equals the generic walk's
-    group = relabeled_group(np.random.default_rng(28))
-    index, counts = _closed_plan(tuple(group))
-    assert sum(counts) == index.shape[1] and max(counts) > 1
-    assert (index == 6).any() and not (index[:2] == 6).any()  # padding, after a cycle's 2 or more factors
-    zeros = 0
-    for state in BIT_STATES + ZERO_STATES:
-        expected = [
-            ref_contract(tuple((p.side, *p.copies, p.kind) for p in lay.pairs), state.R).item() for lay in group
-        ]
-        zeros += expected.count(0.0)
-        _closed_stack.cache_clear()
-        values = _walk_closed(group, state)
-        assert list(values) == group and all(type(v) is float for v in values.values())
-        assert same_bits(list(values.values()), expected)
-        _closed_stack.cache_clear()
-        assert same_bits(list(_walk_closed(group[::-1], state).values()), expected[::-1])
-        _closed_stack.cache_clear()
-        assert same_bits([_walk_closed((lay,), state)[lay] for lay in group], expected)
-        assert same_bits([expect_layout(lay, state) for lay in group], expected)  # the record
-    assert zeros > 0
-
-
-def test_a_group_past_the_bound_returns_every_value(monkeypatch):
-    # one walk of more layouts than the record keeps: every value comes back, the record keeps
-    # the first _MAX_LAYOUTS, and a second call walks and returns only the rest, to the same
-    # values, and starts the record over with them
-    rng = np.random.default_rng(29)
-    bound = contraction._MAX_LAYOUTS
-    layouts = [random_matching(rng, n) for n in (2, 4, 6) for _ in range(100)]
-    assert len(layouts) > bound
-    state = BIT_STATES[7]
-    expected = [ref_contract(tuple((p.side, *p.copies, p.kind) for p in lay.pairs), state.R).item() for lay in layouts]
-    _closed_stack.cache_clear()
-    values = _walk_closed(layouts, state)
-    assert list(values) == layouts and same_bits(list(values.values()), expected)
-    assert list(_closed_stack(state)[1]) == layouts[:bound]
-    walked = counted_walks(monkeypatch)
-    values = _walk_closed(layouts, state)
-    assert list(values) == walked == layouts[bound:]
-    assert same_bits(list(values.values()), expected[bound:])
-    assert list(_closed_stack(state)[1]) == layouts[bound:]
-    assert same_bits([expect_layout(lay, state) for lay in layouts], expected)
-    record = _closed_stack(state)[1]
-    assert len(record) <= bound
-    assert same_bits(list(record.values()), [expected[layouts.index(lay)] for lay in record])
-
-
-def test_outcomes_after_a_full_record_take_one_walk(monkeypatch):
-    # a state's record filled by ad-hoc layouts: outcomes_exact walks its eleven layouts in one
-    # call, which starts the record over, and reads every value back from it
-    rng = np.random.default_rng(30)
-    bound = contraction._MAX_LAYOUTS
+def test_an_ad_hoc_layout_walks_its_own_matching_uncached(monkeypatch):
+    # a layout outside P1..P11, even one with P1's pairs, makes one walk of its own matching per
+    # call, and the state's cached standard values stay as they were: the same tuple, no new walk
+    rng = np.random.default_rng(31)
     state = BIT_STATES[4]
-    _closed_stack.cache_clear()
-    for _ in range(bound):
-        expect_layout(random_matching(rng, 4), state)
-    assert len(_closed_stack(state)[1]) == bound
-    calls, walk = [], contraction._walk_closed
+    values = _standard_values(state)
+    ad_hoc = [PairingLayout(2, standard_layouts()[0].pairs)] + [random_matching(rng, n) for n in (2, 4, 6)]
+    walked, walk = [], contraction._walk_legs
 
-    def counting(layouts, state):
-        calls.append(list(layouts))
-        return walk(layouts, state)
+    def recording(matching, legs):
+        walked.append(matching)
+        return walk(matching, legs)
 
-    monkeypatch.setattr(contraction, "_walk_closed", counting)
-    monkeypatch.setattr(estimator, "_walk_closed", counting)
-    c = outcomes_exact(state).c.tolist()
-    layouts = standard_layouts()
-    assert calls == [layouts]
-    assert list(_closed_stack(state)[1]) == layouts
-    assert c == [ref_contract(tuple((p.side, *p.copies, p.kind) for p in lay.pairs), state.R).item() for lay in layouts]
+    monkeypatch.setattr(contraction, "_walk_legs", recording)
+    for lay in ad_hoc:
+        for _ in range(2):
+            walked.clear()
+            edges = tuple((p.side, *p.copies, p.kind) for p in lay.pairs)
+            assert abs(expect_layout(lay, state) - ref_contract(edges, state.R).item()) <= 1e-15
+            assert walked == [lay]
+    assert _standard_values(state) is values and _standard_values.cache_info().currsize == 1
+    walked.clear()
+    assert [expect_layout(lay, state) for lay in standard_layouts()] == list(values) and walked == []
+
+
+@pytest.mark.parametrize("which", ["A", "B"])
+def test_exact_zeros_read_plus_zero_on_both_sides(which):
+    # a pure product state's eleven values are exact zeros, each +0.0, and scheme-exact's JSON
+    # reads a discord of 0.0, never -0.0, on either side
+    for state in ZERO_STATES:
+        assert list(_standard_values(state)) == [0.0] * 11
+        assert not np.signbit(_standard_values(state)).any()
+        text = json.dumps(estimate_gqd(state, "scheme-exact", which=which).to_dict())
+        assert '"value": 0.0,' in text and "-0.0" not in text
 
 
 # the oracle's pair operators, from SINGLET alone: per kind, and as the (complement,
@@ -712,9 +631,9 @@ STEP_FORM_STATES = [random_state(1560 + t, rank=1 + t % 4) for t in range(50)] +
 
 
 def test_outcome_leg_walks_agree_with_closed_walks():
-    # the c's read off the three joint distributions (walked with outcome legs) by the
-    # sampled route's read-off matrix, against the c's from expect_layout (walked with
-    # closed edges only); side B's columns sit at the relabeled outcomes
+    # the c's read off the three joint distributions (clamped at zero) by the sampled
+    # route's read-off matrix, against the c's expect_layout reads off the same walks
+    # unclamped; side B's columns sit at the relabeled outcomes
     for state in STEP_FORM_STATES:
         p = np.concatenate([joint_distribution(s, state).p for s in settings()])
         c = outcomes_exact(state)
@@ -793,7 +712,7 @@ def test_dense_oracle_never_walks_the_cycles(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the dense oracle used the cycle walk")
 
-    for walk in ("expect_layout", "_closed_plan", "_walk_legs", "_leg_plan", "_walk_plan"):
+    for walk in ("expect_layout", "_standard_values", "_leg_stack", "_walk_legs", "_leg_plan", "_walk_plan"):
         monkeypatch.setattr(contraction, walk, refuse)
     state = random_state(1700, rank=2)
     for lay in standard_layouts()[:7]:

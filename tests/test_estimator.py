@@ -27,7 +27,6 @@ from gqdkit import (
     standard_layouts,
     verify_moment_formulas,
 )
-from gqdkit.contraction import _BLOCH_DIAGONALS, _CLOSED_INDEX, _CLOSED_WEIGHT, _closed_stack, _walk_plan
 from gqdkit.estimator import (
     BASELINE_MOMENT_TABLE,
     COMPLEX_ROOT_TOL,
@@ -42,6 +41,7 @@ from gqdkit.estimator import (
     derive_moment_table,
 )
 from gqdkit.statekit import MAXIMALLY_MIXED, _draw, _frozen, stream_key
+from test_contraction import einsum_reference
 
 MM_OUTCOMES = np.array(
     [
@@ -786,32 +786,11 @@ def test_each_scheme_route_makes_its_fixed_number_of_walks(monkeypatch, route, k
     assert calls == expected
 
 
-# The scheme-exact route from the walks on, before its checks were cut to fewer numpy calls,
-# verbatim but for the ref_ prefix: expect_layout with its per-call gather and its per-layout
-# plan and chain, OutcomeVector, permute_outcomes and estimate_gqd's scheme-exact tail. The
-# route must reproduce it bit for bit.
-def ref_closed_plan(layout) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Per cycle of a layout's walk, the closed-stack index of its first factor and of the
-    others in walk order; keyed by the layout object (a layout compares by identity)."""
-    kinds = [2 * list(_BLOCH_DIAGONALS).index(p.kind) for p in layout.pairs]
-    cycles = _walk_plan(layout.pairs)
-    return tuple((kinds[i] + c, tuple(kinds[j] + t for j, t in rest)) for (i, c), *rest in cycles)
-
-
-def ref_expect_layout(layout, state) -> float:
-    """tr[(pair operators of the layout)(state^(x) n_copies)]: per cycle, the trace of one
-    chain of real 4x4 products of the closed stack's factors; cycles multiply in walk order."""
-    factors = state.R.take(_CLOSED_INDEX) * _CLOSED_WEIGHT
-    total = 1.0
-    for first, steps in ref_closed_plan(layout):
-        prod = factors[first]
-        for step in steps:
-            # ndarray.dot dispatches faster than @ on small operands
-            prod = prod.dot(factors[step])
-        total *= prod.trace()
-    return float(total)
-
-
+# The scheme-exact route from the eleven layout values on, before its checks were cut to fewer
+# numpy calls, verbatim but for the ref_ prefix: OutcomeVector, permute_outcomes and
+# estimate_gqd's scheme-exact tail. Fed the eleven values walked anew, outside the state's
+# cache, the route must reproduce it bit for bit; the values themselves are held to the einsum
+# reference, which shares no code with the walks.
 @dataclass(frozen=True, eq=False)
 class ref_OutcomeVector:
     """The eleven measurement outcome values c1..c11."""
@@ -845,7 +824,7 @@ class ref_OutcomeVector:
 
 def ref_outcomes_exact(state) -> ref_OutcomeVector:
     """c_i = expectation of standard layout P_i on state copies."""
-    c = np.array([ref_expect_layout(lay, state) for lay in standard_layouts()])
+    c = np.array(contraction._standard_values.__wrapped__(state))
     return ref_OutcomeVector(c, "exact")
 
 
@@ -864,6 +843,13 @@ def ref_scheme_exact(state, which) -> GqdEstimate:
     return GqdEstimate(float(value), 0.0, tuple(lam.tolist()), "scheme-exact", c, m)
 
 
+def einsum_outcomes(state) -> dict[str, np.ndarray]:
+    # per side, the eleven c's by one einsum per standard layout over copies of the density
+    # matrix, side B's relabeled
+    c = np.array([einsum_reference(lay, state.matrix).real for lay in standard_layouts()])
+    return {"A": c, "B": c[_SIDE_B_ORDER]}
+
+
 BIT_STATES = [random_state([26, t], rank=1 + t % 4) for t in range(64)] + [
     make_family("werner", [0.3]),
     make_family("bell_diagonal", [0.5, -0.3, 0.2]),
@@ -878,6 +864,7 @@ def test_scheme_exact_is_bit_identical_to_the_reference(which):
     for state in BIT_STATES:
         got = estimate_gqd(state, "scheme-exact", which=which)
         expected = ref_scheme_exact(state, which)
+        assert np.max(np.abs(got.outcomes.c - einsum_outcomes(state)[which])) <= 1e-15
         assert type(got.value) is float and all(type(v) is float for v in got.eigenvalues)
         assert (got.value, got.eigenvalues) == (expected.value, expected.eigenvalues)
         assert np.array_equal(got.outcomes.c, expected.outcomes.c)
@@ -889,17 +876,19 @@ def test_scheme_exact_is_bit_identical_to_the_reference(which):
 def test_both_sides_read_one_exact_evaluation_in_either_order(order):
     # an exact-panel op's calls, the second side reading the first side's walked values and
     # Bloch form, then each side again after cache_clear(): scheme-exact equal to the
-    # reference, which walks every layout anew, and gqd_exact equal on warm and cold caches
+    # reference, which walks every layout anew, its c's within rounding of the einsum
+    # reference, and gqd_exact equal on warm and cold caches
     for state in BIT_STATES:
-        closed = {}
+        closed, reference = {}, einsum_outcomes(state)
         for cold in (False, True):
             for which in order:
                 if cold:
-                    _closed_stack.cache_clear()
+                    contraction._standard_values.cache_clear()
                     decompose.cache_clear()
                 value = gqd_exact(state, which)
                 got = estimate_gqd(state, "scheme-exact", which=which)
                 expected = ref_scheme_exact(state, which)
+                assert np.max(np.abs(got.outcomes.c - reference[which])) <= 1e-15
                 assert (got.value, got.eigenvalues) == (expected.value, expected.eigenvalues)
                 assert np.array_equal(got.outcomes.c, expected.outcomes.c)
                 assert json.dumps(got.to_dict()) == json.dumps(expected.to_dict())
@@ -922,9 +911,8 @@ def _count_calls(monkeypatch, calls, name, original):
 
 def test_an_exact_panel_op_makes_the_pinned_calls_and_walks_each_layout_once(monkeypatch):
     # the per-op counts the benchmark pins for exact-panel (22 expect_layout, 2 outcomes_exact,
-    # 0 joint_distribution) hold, while side A's outcomes make one stacked walk of the 11
-    # standard layouts (each walk plans its group) and the two decompose calls build one
-    # Bloch form
+    # 0 joint_distribution) hold, while side A's outcomes walk the three settings once and side
+    # B's walk none, and the two decompose calls build one Bloch form
     state = random_state(2750, rank=3)  # a new object: no cache holds it
     originals = {
         "expect_layout": contraction.expect_layout,
@@ -937,19 +925,17 @@ def test_an_exact_panel_op_makes_the_pinned_calls_and_walks_each_layout_once(mon
     for name, original in originals.items():
         _count_calls(monkeypatch, calls, name, original)
     walks = []
-    plan = contraction._closed_plan
+    walk = contraction._walk_legs
 
-    def planning(layouts):
-        walks.append(tuple(layouts))
-        return plan(layouts)
+    def walking(matching, legs):
+        walks.append(matching)
+        return walk(matching, legs)
 
-    monkeypatch.setattr(contraction, "_closed_plan", planning)
-    values = [
-        gqd_exact(state, "A").value,
-        estimate_gqd(state, "scheme-exact", which="A").value,
-        gqd_exact(state, "B").value,
-        estimate_gqd(state, "scheme-exact", which="B").value,
-    ]
+    monkeypatch.setattr(contraction, "_walk_legs", walking)
+    values = [gqd_exact(state, "A").value, estimate_gqd(state, "scheme-exact", which="A").value]
+    assert walks == settings()
+    values += [gqd_exact(state, "B").value, estimate_gqd(state, "scheme-exact", which="B").value]
+    assert walks == settings()
     assert calls == {
         "expect_layout": 22,
         "outcomes_exact": 2,
@@ -957,7 +943,6 @@ def test_an_exact_panel_op_makes_the_pinned_calls_and_walks_each_layout_once(mon
         "decompose": 2,
         "bloch_forms": 1,
     }
-    assert walks == [tuple(standard_layouts())]
     assert abs(values[1] - values[0]) <= 1e-8 and abs(values[3] - values[2]) <= 1e-8
 
 
@@ -1072,6 +1057,15 @@ def test_outcome_vector_validation():
             OutcomeVector(c, "exact")
         with pytest.raises(ValueError, match="must lie in"):
             OutcomeVector(c, "sampled")
+
+
+def test_the_read_off_takes_its_hit_columns_from_the_shared_hit_table():
+    # the sampled read-off's c columns are the table the exact c's are read with: as they are on
+    # side A, at the relabeled outcomes on side B
+    table = contraction._HIT_TABLE
+    assert table.shape == (84, 11) and not table.flags.writeable
+    assert np.array_equal(_readoff("A")[:, :11], table)
+    assert np.array_equal(_readoff("B")[:, :11], table[:, _SIDE_B_ORDER])
 
 
 def test_cached_hit_and_observable_arrays_are_read_only():
