@@ -17,7 +17,7 @@ _SOURCES = {
     "expect_layout_dense_oracle joint_distribution pauli_exchange_sum",
     "errors": "NumericalContractError StateValidationError",
     "estimator": "MomentAuditReport MomentTriple OutcomeVector eigenvalues_from_moments estimate_gqd "
-    "moments_from_outcomes outcomes_exact permute_outcomes verify_moment_formulas",
+    "moments_from_outcomes outcomes_exact verify_moment_formulas",
     "gqd_core": "GqdEstimate KMatrix gqd_by_minimization gqd_exact k_matrix",
     "pairing": "PairingLayout PairOp Setting render_layout settings standard_layouts",
     "qst_baseline": "ResourceReport qst_estimate resource_report",

@@ -8,16 +8,16 @@ trace of a product of real 4x4 factors diag(d) R and diag(d) R^T; the walk
 never reads rho. There is one walk, _walk_legs, ordered by _walk_plan: it puts a
 measured pair's open leg, the factors (complement, singlet), on every pair of a
 matching, so one walk yields every outcome pattern, kept as one vector in
-pattern order; its plan is cached per setting or layout object, and its
-intermediates hold at most 2^n * 16 reals for n pairs. A layout's value is read
-off its matching's patterns: a singlet pair picks the singlet, a complement pair
-the complement, and an identity pair sums both. P1..P11 are read off the three
-settings' walks, which share one gather of R, by one (84, 11) hit table that
-the sampled read-off shares too; the last state keeps those eleven values, so
-both sides' outcomes on a state walk each setting once. Only the dense oracle,
-capped at 4 copies, builds the 4^n operator: in the computational basis, real,
-realigned, once per layout, and traced as a bilinear form in n / 2 factors of
-vec(rho^T).
+pattern order; its plan is made at import for a setting, cached per object for a
+layout, and its intermediates hold at most 2^n * 16 reals for n pairs. A layout's
+value is read off its matching's patterns: a singlet pair picks the singlet, a
+complement pair the complement, and an identity pair sums both. P1..P11 and both
+sides' M1..M3 are read off the three settings' walks, which share one gather of R,
+by the hit table and each side's moment columns, as the sampled read-off reads its
+counts; the last state keeps them, so both sides walk each setting once. Only the
+dense oracle, capped at 4 copies, builds the 4^n operator: in the computational
+basis, real, realigned, once per layout, and traced as a bilinear form in n / 2
+factors of vec(rho^T).
 """
 
 from __future__ import annotations
@@ -155,12 +155,28 @@ _HIT_TABLE = _frozen(np.concatenate([
 ]))
 
 
+# Per side, (84, 3) integer, read-only, rows as the hit table's: column k - 1 setting k's observable on
+# its rows, the product over its pairs of w_I (complement) or w_I + w_S (singlet) from PAIR_WEIGHTS,
+# side B (K') swapping the pairs' sides: tr(K^k) expanded per pair, so it reads M_k off exact patterns
+_MOMENT_COLUMNS = {
+    which: _frozen(np.concatenate([
+        np.outer(pattern_product([(w[p.side][0], sum(w[p.side])) for p in s.pairs]), unit)
+        for s, unit in zip(_SETTINGS, np.eye(3, dtype=np.int64))
+    ]))
+    for which, w in (("A", PAIR_WEIGHTS), ("B", {"a": PAIR_WEIGHTS["b"], "b": PAIR_WEIGHTS["a"]}))
+}
+# as floats for the exact products (same bits; numpy would cast the integers on every product)
+_EXACT_READOFFS = tuple(_frozen(t.astype(float)) for t in (_HIT_TABLE, *_MOMENT_COLUMNS.values()))
+
+
 @lru_cache(maxsize=1)
-def _standard_values(state: TwoQubitState) -> tuple[float, ...]:
-    """The last state's c1..c11: one gather, the three settings' leg walks and one product with
-    the hit table; keyed by the object, compared by identity."""
+def _standard_values(state: TwoQubitState) -> tuple[tuple[float, ...], dict[str, tuple[float, ...]]]:
+    """The last state's c1..c11 and each side's M1..M3, keyed by the object: one gather, the three
+    settings' leg walks and their 84 patterns' products with the hit table and moment columns."""
     legs = _leg_stack(state)
-    return tuple((np.concatenate([_walk_legs(s, legs) for s in _SETTINGS]) @ _HIT_TABLE).tolist())
+    patterns = np.concatenate([_walk_legs(s, legs) for s in _SETTINGS])
+    c, m_a, m_b = (tuple((patterns @ table).tolist()) for table in _EXACT_READOFFS)
+    return c, {"A": m_a, "B": m_b}
 
 
 def expect_layout(layout: PairingLayout, state: TwoQubitState) -> float:
@@ -168,7 +184,7 @@ def expect_layout(layout: PairingLayout, state: TwoQubitState) -> float:
     matching: a standard layout from the state's eleven values, any other from its own walk."""
     j = _STANDARD.get(layout)
     if j is not None:
-        return _standard_values(state)[j]
+        return _standard_values(state)[0][j]
     return float(_walk_legs(layout, _leg_stack(state)) @ _hits(layout))
 
 
@@ -237,12 +253,18 @@ def _leg_plan(
 ) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
     """Per cycle of a matching's walk, the leg-stack index of its first step and of the others;
     then the axis order taking walk order to pattern order. Keyed by the setting or layout
-    object."""
+    object; a measurement setting's is read from _SETTING_PLANS, never planned again."""
+    if matching in _SETTING_PLANS:
+        return _SETTING_PLANS[matching]
     cycles = _walk_plan(matching.pairs)
     order = [i for cycle in cycles for i, _ in cycle]
     # pattern order (see pattern_product): pair 0's bit lowest, so the last pair's axis first
     axes = sorted(range(len(order)), key=order.__getitem__, reverse=True)
     return tuple((c, tuple(t for _, t in rest)) for (_, c), *rest in cycles), tuple(axes)
+
+
+_SETTING_PLANS = {}  # the three settings' plans, made here once, where no ad-hoc layout evicts them
+_SETTING_PLANS.update((s, _leg_plan.__wrapped__(s)) for s in _SETTINGS)
 
 
 def _walk_legs(matching: Setting | PairingLayout, legs: np.ndarray) -> np.ndarray:

@@ -7,14 +7,15 @@ contraction.PAIR_WEIGHTS and factorized over connected components of the
 induced copy graph. The operative coefficient table is derived from that
 expansion at import time. verify_moment_formulas audits a baseline
 reference table against a direct tr(K^k) oracle and, when it is off,
-validates the derived table on fresh states and reports the diff. The exact
-route evaluates the table; the sampled route reads moment k off setting k's
-counts as the mean of one product observable, the unfactorized form of the
-same expansion. One integer matrix per side, _readoff, turns counts into c's
-and moments: its 0/1 hit columns are contraction's hit table, the one that
-reads the exact c's, and its observables, like the hits, are Kronecker products
-of per-pair (complement, singlet) values, built by contraction.pattern_product,
-the one place that fixes the pattern order.
+validates the derived table, the paper's formula, on fresh states through
+moments_from_outcomes and reports the diff. No route evaluates the table: both
+read moment k off setting k's patterns by one product observable, the unfactorized
+form of the same expansion, the exact route off the walked probabilities and the
+sampled route off the counts. One integer matrix per side, _readoff, turns counts
+into c's and moments: its 0/1 hit columns and moment columns are contraction's, the
+ones that read the exact c's and moments, Kronecker products of per-pair values
+built by contraction.pattern_product, the one place that fixes the pattern order.
+Side B reads its own outcomes, P_j in _SIDE_B_ORDER, and its own moment columns.
 Sampled counts come from statekit._draw, the package's one draw function and draw
 rule, handed the raw distributions, as one integer array. Both routes solve the
 spectrum cubic with one scalar kernel, _spectrum_roots.
@@ -23,12 +24,13 @@ spectrum cubic with one scalar kernel, _spectrum_roots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .contraction import _HIT_TABLE, PAIR_WEIGHTS, expect_layout, joint_distribution, pattern_product
+from .contraction import (_HIT_TABLE, _MOMENT_COLUMNS, PAIR_WEIGHTS, _standard_values, expect_layout,
+                          joint_distribution)
 from .errors import NumericalContractError, _is_int
 from .gqd_core import GqdEstimate, _check_side, k_matrix
 from .pairing import settings, standard_layouts
@@ -230,38 +232,26 @@ class MomentTriple:
         return {"M1": self.m1, "M2": self.m2, "M3": self.m3}
 
 
-def outcomes_exact(state: TwoQubitState) -> OutcomeVector:
-    """c_i = expectation of standard layout P_i on state copies."""
-    c = np.array([expect_layout(lay, state) for lay in standard_layouts()])
-    return OutcomeVector(c, "exact")
-
-
 # Side-B outcome relabeling: (c2, c5, c9) swap with (c3, c6, c10).
 _SIDE_B_ORDER = np.array([0, 2, 1, 3, 5, 4, 6, 7, 9, 8, 10])
 
 
+def outcomes_exact(state: TwoQubitState, which: str = "A") -> OutcomeVector:
+    """c_i = expectation of standard layout P_i on state copies, of P_j, j entry i of _SIDE_B_ORDER,
+    on side B; a side other than A or B raises StateValidationError before any walk."""
+    order = range(N_OUTCOMES) if _check_side(which) == "A" else _SIDE_B_ORDER.tolist()
+    layouts = standard_layouts()
+    return OutcomeVector(np.array([expect_layout(layouts[j], state) for j in order]), "exact")
+
+
 @lru_cache(maxsize=2)
 def _readoff(which: str) -> np.ndarray:
-    """(84, 14) integer map from the three settings' pattern counts to shots times c1..c11, M1..M3.
-
-    Rows are the patterns of settings 1, 2, 3 in turn (4 + 16 + 64), each in pattern
-    order. Columns 0..10 are contraction's hit table, which reads c1..c11 off exact
-    distributions; side B places each column at the relabeled outcome. Column 11 + k - 1
-    is setting k's moment observable, on its own rows, the product over its pairs of w_I
-    (complement) or w_I + w_S (singlet) from PAIR_WEIGHTS, sides swapped for B: the
-    per-pair expansion derive_moment_table sums, so on exact distributions it reads
-    tr(K^k). Cached, read-only.
-    """
-    sides = {"a": "a", "b": "b"} if which == "A" else {"a": "b", "b": "a"}
+    """(84, 14) integer map from the three settings' pattern counts to shots times c1..c11, M1..M3:
+    rows the patterns of settings 1, 2, 3 in turn (4 + 16 + 64), each in pattern order; columns
+    contraction's hit table (at the relabeled outcomes on side B), then the side's moment columns,
+    which read the exact c's and moments off the walks. Cached, read-only."""
     hits = _HIT_TABLE if which == "A" else _HIT_TABLE[:, _SIDE_B_ORDER]
-    readoff = np.concatenate((hits, np.zeros((len(hits), len(MOMENT_ORDERS)), dtype=np.int64)), axis=1)
-    row = 0
-    for k, setting in enumerate(settings()):
-        weights = [PAIR_WEIGHTS[sides[p.side]] for p in setting.pairs]
-        observable = pattern_product([(w_i, w_i + w_s) for w_i, w_s in weights])
-        readoff[row : row + len(observable), N_OUTCOMES + k] = observable
-        row += len(observable)
-    return _frozen(readoff)
+    return _frozen(np.concatenate((hits, _MOMENT_COLUMNS[which]), axis=1))
 
 
 def _sampled(state: TwoQubitState, key: tuple, repeats: int, shots: int, which: str) -> np.ndarray:
@@ -270,31 +260,22 @@ def _sampled(state: TwoQubitState, key: tuple, repeats: int, shots: int, which: 
     return _draw(key, p, shots, repeats) @ _readoff(which) / shots
 
 
-def permute_outcomes(c: OutcomeVector) -> OutcomeVector:
-    """Swap (c2, c5, c9) with (c3, c6, c10): the side-B outcome relabeling."""
-    return OutcomeVector(c.c[_SIDE_B_ORDER], c.provenance, shots=c.shots, seed=c.seed)
+def _checked_exact(m: MomentTriple) -> MomentTriple:
+    """Exact moments, held to the power-mean bounds M1^2 / 3 <= M2 <= M1^2: a violation is a bug."""
+    if m.m1 < -POWER_MEAN_TOL or m.m2 < -POWER_MEAN_TOL:
+        raise NumericalContractError(f"exact moments must be nonnegative, got M1={m.m1:.3e}, M2={m.m2:.3e}")
+    if not m.m1**2 / 3.0 - POWER_MEAN_TOL <= m.m2 <= m.m1**2 + POWER_MEAN_TOL:
+        raise NumericalContractError(
+            f"exact moments violate power-mean bounds: M1={m.m1:.12g}, M2={m.m2:.12g}")
+    return m
 
 
 def moments_from_outcomes(c: OutcomeVector) -> MomentTriple:
-    """Evaluate the operative moment polynomials on an outcome vector.
-
-    For exact vectors the result must satisfy the three-value power-mean
-    bounds M1^2 / 3 <= M2 <= M1^2; violations signal an upstream bug.
-    """
+    """Evaluate the operative moment polynomials, the paper's formula, on an outcome vector;
+    exact vectors are held to the power-mean bounds. verify_moment_formulas calls it."""
     c_list = c.c.tolist()
-    m = [_eval_table(MOMENT_TABLE[k], c_list) for k in MOMENT_ORDERS]
-    if c.provenance == "exact":
-        if m[0] < -POWER_MEAN_TOL or m[1] < -POWER_MEAN_TOL:
-            raise NumericalContractError(
-                f"exact moments must be nonnegative, got M1={m[0]:.3e}, M2={m[1]:.3e}"
-            )
-        if not (
-            m[0] ** 2 / 3.0 - POWER_MEAN_TOL <= m[1] <= m[0] ** 2 + POWER_MEAN_TOL
-        ):
-            raise NumericalContractError(
-                f"exact moments violate power-mean bounds: M1={m[0]:.12g}, M2={m[1]:.12g}"
-            )
-    return MomentTriple(m[0], m[1], m[2])
+    m = MomentTriple(*[_eval_table(MOMENT_TABLE[k], c_list) for k in MOMENT_ORDERS])
+    return _checked_exact(m) if c.provenance == "exact" else m
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +352,8 @@ def estimate_gqd(
 ) -> GqdEstimate:
     """Discord estimate through the outcome -> moment -> spectrum pipeline.
 
-    scheme-exact uses exact outcome probabilities; side B is obtained by
-    permuting the outcome vector before moment evaluation. scheme-sampled
+    scheme-exact reads side `which`'s exact outcomes and its M1..M3, which contraction
+    reads off the same walks with the sampled read-off's moment columns. scheme-sampled
     repeats the sampled pipeline `repeats` times (repeat r of setting k is
     row r of the stream keyed by (seed, k + 1), so it does not move with
     `repeats`; statekit._draw makes every draw) and reports the mean value
@@ -387,10 +368,8 @@ def estimate_gqd(
     """
     _check_side(which)
     if mode == "scheme-exact":
-        c = outcomes_exact(state)
-        if which == "B":
-            c = permute_outcomes(c)
-        m = moments_from_outcomes(c)
+        c = outcomes_exact(state, which)
+        m = _checked_exact(MomentTriple(*_standard_values(state)[1][which]))
         lam = tuple(eigenvalues_from_moments(m).tolist())
         return GqdEstimate((lam[1] + lam[2]) / 4.0, 0.0, lam, "scheme-exact", c, m)
 
@@ -461,16 +440,15 @@ class MomentAuditReport:
         }
 
 
-def _max_dev(
-    tables: dict[int, dict[tuple[int, ...], float]], states: list[TwoQubitState]
-) -> dict[int, float]:
-    """Per order, the largest |table(c) - tr(K^k)| over the states."""
-    cvecs = [outcomes_exact(s).c.tolist() for s in states]
+def _max_dev(moments, states: list[TwoQubitState]) -> dict[int, float]:
+    """Per order, the largest |M_k - tr(K^k)| over the states, M = moments(exact outcomes)."""
+    got = np.array([astuple(moments(outcomes_exact(s))) for s in states])
     oracle = np.array([_oracle_moments(s) for s in states])
-    return {
-        k: float(np.max(np.abs([_eval_table(tables[k], c) for c in cvecs] - oracle[:, k - 1])))
-        for k in MOMENT_ORDERS
-    }
+    return {k: float(np.max(np.abs(got[:, k - 1] - oracle[:, k - 1]))) for k in MOMENT_ORDERS}
+
+
+def _baseline_moments(c: OutcomeVector) -> MomentTriple:
+    return MomentTriple(*[_eval_table(BASELINE_MOMENT_TABLE[k], c.c.tolist()) for k in MOMENT_ORDERS])
 
 
 def _audit_states(seed: int, offset: int, count: int) -> list[TwoQubitState]:
@@ -493,13 +471,13 @@ def verify_moment_formulas(trials: int = 200, seed: int = 0) -> MomentAuditRepor
     """
     if not _is_int(trials) or trials < 30:
         raise ValueError(f"trials must be an integer >= 30, got {trials!r}")
-    baseline_dev = _max_dev(BASELINE_MOMENT_TABLE, _audit_states(seed, 0, trials))
+    baseline_dev = _max_dev(_baseline_moments, _audit_states(seed, 0, trials))
     trials, seed = int(trials), int(seed)  # random_state accepted seed; report JSON ints
     if all(v <= AUDIT_TOL for v in baseline_dev.values()):
         return MomentAuditReport(trials, seed, baseline_dev, None, None, [])
 
     corrected = {k: dict(MOMENT_TABLE[k]) for k in MOMENT_ORDERS}
-    corrected_dev = _max_dev(corrected, _audit_states(seed, trials, trials))
+    corrected_dev = _max_dev(moments_from_outcomes, _audit_states(seed, trials, trials))
     diff = []
     for k in MOMENT_ORDERS:
         monos = sorted(set(BASELINE_MOMENT_TABLE[k]) | set(corrected[k]), key=lambda m: (len(m), m))

@@ -32,7 +32,7 @@ from gqdkit.contraction import (
     pauli_exchange_sum,
 )
 from gqdkit.errors import NumericalContractError
-from gqdkit.estimator import _readoff, outcomes_exact, permute_outcomes
+from gqdkit.estimator import _readoff, outcomes_exact
 from gqdkit.pairing import PairingLayout, PairOp, Setting, settings, standard_layouts
 from gqdkit.statekit import MAXIMALLY_MIXED, PAULI, SINGLET, _frozen
 
@@ -497,6 +497,18 @@ def counted(monkeypatch, *names):
     return calls
 
 
+def test_ad_hoc_layouts_never_evict_the_settings_plans(monkeypatch):
+    # 22 fresh copies of P1..P11 fill the plan cache with ad-hoc layouts; a new state's outcomes
+    # then walk the three settings on the plans made at import, planning nothing
+    state = random_state(1510, rank=3)
+    for lay in standard_layouts() * 2:
+        expect_layout(PairingLayout(lay.n_copies, lay.pairs), state)
+    calls = counted(monkeypatch, "_walk_plan")
+    outcomes_exact(random_state(1511, rank=2))
+    assert calls == {"_walk_plan": 0}
+    assert _leg_plan.cache_info().currsize == 16
+
+
 def test_leg_stack_is_gathered_once_per_state_object(monkeypatch):
     # a state's eleven standard values share one gather of R and the three settings' walks; the
     # next state, or an equal-matrix copy of it (a state compares by identity), gathers and walks
@@ -531,7 +543,7 @@ def test_walked_values_are_kept_for_the_last_state_only(monkeypatch):
         walked.clear()
         passes = [[expect_layout(lay, state) for lay in standard_layouts()] for _ in range(2)]
         assert walked == settings()
-        assert passes[0] == passes[1] == list(_standard_values(state))
+        assert passes[0] == passes[1] == list(_standard_values(state)[0])
         assert _standard_values.cache_info().currsize == 1
         for lay, value in zip(standard_layouts(), passes[0]):
             assert abs(value - einsum_reference(lay, state.matrix).real) <= 1e-12
@@ -559,7 +571,7 @@ def test_an_ad_hoc_layout_walks_its_own_matching_uncached(monkeypatch):
             assert walked == [lay]
     assert _standard_values(state) is values and _standard_values.cache_info().currsize == 1
     walked.clear()
-    assert [expect_layout(lay, state) for lay in standard_layouts()] == list(values) and walked == []
+    assert [expect_layout(lay, state) for lay in standard_layouts()] == list(values[0]) and walked == []
 
 
 @pytest.mark.parametrize("which", ["A", "B"])
@@ -567,8 +579,8 @@ def test_exact_zeros_read_plus_zero_on_both_sides(which):
     # a pure product state's eleven values are exact zeros, each +0.0, and scheme-exact's JSON
     # reads a discord of 0.0, never -0.0, on either side
     for state in ZERO_STATES:
-        assert list(_standard_values(state)) == [0.0] * 11
-        assert not np.signbit(_standard_values(state)).any()
+        assert list(_standard_values(state)[0]) == [0.0] * 11
+        assert not np.signbit(_standard_values(state)[0]).any()
         text = json.dumps(estimate_gqd(state, "scheme-exact", which=which).to_dict())
         assert '"value": 0.0,' in text and "-0.0" not in text
 
@@ -636,10 +648,9 @@ def test_outcome_leg_walks_agree_with_closed_walks():
     # unclamped; side B's columns sit at the relabeled outcomes
     for state in STEP_FORM_STATES:
         p = np.concatenate([joint_distribution(s, state).p for s in settings()])
-        c = outcomes_exact(state)
-        for which, expected in (("A", c), ("B", permute_outcomes(c))):
+        for which in ("A", "B"):
             read_off = p @ _readoff(which)[:, :11]
-            assert np.max(np.abs(read_off - expected.c)) <= 1e-13
+            assert np.max(np.abs(read_off - outcomes_exact(state, which).c)) <= 1e-13
 
 
 def test_closed_walk_is_a_pick_or_sum_of_the_leg_walk():

@@ -20,7 +20,6 @@ from gqdkit import (
     make_family,
     moments_from_outcomes,
     outcomes_exact,
-    permute_outcomes,
     qst_estimate,
     random_state,
     settings,
@@ -31,6 +30,7 @@ from gqdkit.estimator import (
     BASELINE_MOMENT_TABLE,
     COMPLEX_ROOT_TOL,
     EXACT_OUTCOME_TOL,
+    MOMENT_ORDERS,
     MOMENT_TABLE,
     N_OUTCOMES,
     REPEATED_ROOT_DISC,
@@ -329,10 +329,10 @@ def test_spectrum_kernel_equals_the_numpy_solver_bit_for_bit(monkeypatch):
     sampled = list(solved)
     # exact rows: rank-1 states (where the repeated-root snap fires) and werner states
     exact = [
-        moments_from_outcomes(c)
+        moments_from_outcomes(outcomes_exact(state, which))
         for t in range(60)
-        for c in (outcomes_exact(random_state(2800 + t, rank=1)),)
-        for c in (c, permute_outcomes(c))
+        for state in (random_state(2800 + t, rank=1),)
+        for which in ("A", "B")
     ]
     exact += [moments_from_outcomes(outcomes_exact(make_family("werner", [p]))) for p in (0.2, 0.5, 0.9)]
     corpus = sampled + exact + [MomentTriple(0.0, -1.0, 0.0)]
@@ -359,27 +359,29 @@ def test_spectrum_kernel_equals_the_numpy_solver_bit_for_bit(monkeypatch):
         eigenvalues_from_moments(MomentTriple(0, -1, 0))
 
 
-def test_permute_outcomes_is_the_documented_swap():
-    c = OutcomeVector(np.arange(11) / 11.0, "exact")
-    swapped = permute_outcomes(c)
-    assert swapped.c[1] == c.c[2] and swapped.c[2] == c.c[1]
-    assert swapped.c[4] == c.c[5] and swapped.c[5] == c.c[4]
-    assert swapped.c[8] == c.c[9] and swapped.c[9] == c.c[8]
+def test_side_b_outcomes_are_the_documented_swap():
+    # side B reads P3, P2, P6, P5, P10, P9 where side A reads P2, P3, P5, P6, P9, P10: the
+    # same floats, swapped, and swapping twice is the identity
+    state = random_state(2090, rank=3)
+    c, swapped = outcomes_exact(state).c, outcomes_exact(state, "B").c
+    assert len(set(c.tolist())) == 11
+    assert swapped[1] == c[2] and swapped[2] == c[1]
+    assert swapped[4] == c[5] and swapped[5] == c[4]
+    assert swapped[8] == c[9] and swapped[9] == c[8]
     for idx in (0, 3, 6, 7, 10):
-        assert swapped.c[idx] == c.c[idx]
-    back = permute_outcomes(swapped)
-    assert np.array_equal(back.c, c.c)
+        assert swapped[idx] == c[idx]
+    assert np.array_equal(swapped[_SIDE_B_ORDER], c)
 
 
 def test_permute_is_identity_on_symmetric_states():
-    c = outcomes_exact(TwoQubitState(MAXIMALLY_MIXED))
-    assert np.max(np.abs(permute_outcomes(c).c - c.c)) <= 1e-14
+    state = TwoQubitState(MAXIMALLY_MIXED)
+    assert np.max(np.abs(outcomes_exact(state, "B").c - outcomes_exact(state).c)) <= 1e-14
 
 
 def test_permuted_moments_give_side_b_spectrum():
     for trial in range(200):
         state = random_state(2100 + trial, rank=1 + trial % 4)
-        m = moments_from_outcomes(permute_outcomes(outcomes_exact(state)))
+        m = moments_from_outcomes(outcomes_exact(state, "B"))
         kp = k_matrix(decompose(state), "B").entries
         assert abs(m.m1 - np.trace(kp)) <= 1e-9
         assert abs(m.m2 - np.trace(kp @ kp)) <= 1e-9
@@ -490,7 +492,7 @@ def test_scheme_sampled_follows_streams_and_pattern_loop_reference():
                     total += term
                 m.append(total / shots)
             if which == "B":
-                c = permute_outcomes(OutcomeVector(c, "sampled")).c
+                c = c[_SIDE_B_ORDER]
             cs.append(c)
             ms.append(m)
         est = estimate_gqd(
@@ -788,9 +790,10 @@ def test_each_scheme_route_makes_its_fixed_number_of_walks(monkeypatch, route, k
 
 # The scheme-exact route from the eleven layout values on, before its checks were cut to fewer
 # numpy calls, verbatim but for the ref_ prefix: OutcomeVector, permute_outcomes and
-# estimate_gqd's scheme-exact tail. Fed the eleven values walked anew, outside the state's
-# cache, the route must reproduce it bit for bit; the values themselves are held to the einsum
-# reference, which shares no code with the walks.
+# estimate_gqd's scheme-exact tail, its moments read off the three settings' raw walks by the
+# sampled read-off's moment columns. Fed the walks made anew, outside the state's cache, the
+# route must reproduce it bit for bit; the c's themselves are held to the einsum reference,
+# which shares no code with the walks.
 @dataclass(frozen=True, eq=False)
 class ref_OutcomeVector:
     """The eleven measurement outcome values c1..c11."""
@@ -824,7 +827,7 @@ class ref_OutcomeVector:
 
 def ref_outcomes_exact(state) -> ref_OutcomeVector:
     """c_i = expectation of standard layout P_i on state copies."""
-    c = np.array(contraction._standard_values.__wrapped__(state))
+    c = np.array(contraction._standard_values.__wrapped__(state)[0])
     return ref_OutcomeVector(c, "exact")
 
 
@@ -837,7 +840,9 @@ def ref_scheme_exact(state, which) -> GqdEstimate:
     c = ref_outcomes_exact(state)
     if which == "B":
         c = ref_permute_outcomes(c)
-    m = moments_from_outcomes(c)
+    legs = contraction._leg_stack(state)
+    walks = np.concatenate([contraction._walk_legs(s, legs) for s in settings()])
+    m = MomentTriple(*(walks @ _readoff(which)[:, N_OUTCOMES:]).tolist())
     lam = eigenvalues_from_moments(m)
     value = (lam[1] + lam[2]) / 4.0
     return GqdEstimate(float(value), 0.0, tuple(lam.tolist()), "scheme-exact", c, m)
@@ -962,6 +967,45 @@ def test_scheme_exact_side_b_matches_closed_form():
         assert abs(est.value - gqd_exact(state, "B").value) <= 1e-8
 
 
+MOMENT_PATH_STATES = [random_state([33, t], rank=1 + t % 4) for t in range(200)]
+
+
+@pytest.mark.parametrize("which", ["A", "B"])
+def test_scheme_exact_reads_trace_powers_off_the_walks(which):
+    # the route's M1..M3, read off the walks by the sampled read-off's moment columns, are
+    # tr(K^k) of the side's K; the paper's table on the side's own outcomes reads the same
+    # moments to rounding; and side B's outcomes are side A's floats relabeled
+    for state in MOMENT_PATH_STATES:
+        m = estimate_gqd(state, "scheme-exact", which=which).moments
+        k = k_matrix(decompose(state), which).entries
+        oracle = [np.trace(np.linalg.matrix_power(k, order)).real for order in (1, 2, 3)]
+        assert np.max(np.abs(np.array([m.m1, m.m2, m.m3]) - oracle)) <= 1e-12
+        table = moments_from_outcomes(outcomes_exact(state, which))
+        assert max(abs(table.m1 - m.m1), abs(table.m2 - m.m2), abs(table.m3 - m.m3)) <= 1e-12
+        c = outcomes_exact(state).c
+        assert np.array_equal(outcomes_exact(state, which).c, c if which == "A" else c[_SIDE_B_ORDER])
+
+
+def test_outcomes_exact_checks_the_side_before_any_walk(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked before the side check")
+
+    for name in ("_leg_stack", "_walk_legs", "_standard_values"):
+        monkeypatch.setattr(contraction, name, refuse)
+    monkeypatch.setattr(estimator, "expect_layout", refuse)
+    with pytest.raises(StateValidationError, match="side marker"):
+        outcomes_exact(random_state(2095, rank=2), "C")
+
+
+@pytest.mark.parametrize("which", ["A", "B"])
+def test_the_classical_ab_reproducer_agrees_with_the_closed_form(which):
+    # a classical state: K is small, with a degenerate zero pair; the paper's table cancels
+    # large terms there (1.68e-8 off on side A), the read-off sums smaller ones
+    state = make_family("classical_AB", [0.3, 0.4, 0.2, 0.1, 0.2, 0.3, 0.5, -0.1, 0.2])
+    scheme = estimate_gqd(state, "scheme-exact", which=which).value
+    assert abs(scheme - gqd_exact(state, which).value) <= 1e-8
+
+
 def test_scheme_sampled_statistics_on_werner():
     # moments read off each setting's counts narrow like 1/sqrt(shots), but
     # near a degenerate K spectrum moment noise e moves the eigenvalues by
@@ -1057,6 +1101,31 @@ def test_outcome_vector_validation():
             OutcomeVector(c, "exact")
         with pytest.raises(ValueError, match="must lie in"):
             OutcomeVector(c, "sampled")
+
+
+def ref_readoff(which):
+    # the read-off as estimator built it before contraction held its moment columns, verbatim
+    # but for the ref_ prefix and the imported names
+    sides = {"a": "a", "b": "b"} if which == "A" else {"a": "b", "b": "a"}
+    hits = contraction._HIT_TABLE if which == "A" else contraction._HIT_TABLE[:, _SIDE_B_ORDER]
+    readoff = np.concatenate((hits, np.zeros((len(hits), len(MOMENT_ORDERS)), dtype=np.int64)), axis=1)
+    row = 0
+    for k, setting in enumerate(settings()):
+        weights = [contraction.PAIR_WEIGHTS[sides[p.side]] for p in setting.pairs]
+        observable = contraction.pattern_product([(w_i, w_i + w_s) for w_i, w_s in weights])
+        readoff[row : row + len(observable), N_OUTCOMES + k] = observable
+        row += len(observable)
+    return readoff
+
+
+@pytest.mark.parametrize("which", ["A", "B"])
+def test_the_read_off_equals_its_earlier_construction(which):
+    # the moment columns now come from contraction, which reads the exact moments with them:
+    # the sampled read-off is unchanged in every entry and in dtype
+    reference = ref_readoff(which)
+    assert _readoff(which).dtype == reference.dtype == np.int64
+    assert np.array_equal(_readoff(which), reference)
+    assert np.array_equal(_readoff(which)[:, N_OUTCOMES:], contraction._MOMENT_COLUMNS[which])
 
 
 def test_the_read_off_takes_its_hit_columns_from_the_shared_hit_table():
