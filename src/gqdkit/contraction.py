@@ -5,11 +5,12 @@ form disjoint cycles that alternate sides. In the Bloch basis sigma_mu (x)
 sigma_nu (sigma_0 = I) a copy is its state's real Bloch matrix R = [[1, y^T],
 [x, T]], TwoQubitState.R, and a pair operator is diagonal, so a cycle is the
 trace of a product of real 4x4 factors diag(d) R and diag(d) R^T; the walk
-never reads rho. There is one walk, _walk_legs, ordered by _walk_plan: it puts a
-measured pair's open leg, the factors (complement, singlet), on every pair of a
-matching, so one walk yields every outcome pattern, kept as one vector in
-pattern order; its plan is made at import for a setting, cached per object for a
-layout, and its intermediates hold at most 2^n * 16 reals for n pairs. A layout's
+never reads rho. There is one walk, _walk_legs, in the cycle order the matching's
+layout found when it checked its slots (PairingLayout.cycles): it puts a measured
+pair's open leg, the factors (complement, singlet), on every pair of a matching,
+so one walk yields every outcome pattern, kept as one vector in pattern order;
+its plan is made at import for a setting, per call for any other layout, and its
+intermediates hold at most 2^n * 16 reals for n pairs. A layout's
 value is read off its matching's patterns: a singlet pair picks the singlet, a
 complement pair the complement, and an identity pair sums both. P1..P11 and both
 sides' M1..M3 are read off the three settings' walks, which share one gather of R,
@@ -88,41 +89,6 @@ _LEG_WEIGHT = _frozen(
 def _leg_stack(state: TwoQubitState) -> np.ndarray:
     """The state's (2, 4, 8) leg stack, by one gather of R and one real product."""
     return state.R.take(_LEG_INDEX) * _LEG_WEIGHT
-
-
-def _walk_plan(pairs: tuple[PairOp, ...]) -> list[list[tuple[int, int]]]:
-    """Validated cycle order of a walk over pairs, whose kinds it ignores; not state-dependent.
-
-    Per cycle, in walk order: each pair's index and a flag, 1 where the walk crosses the
-    next copy from its b slot (the factor holds R^T), else 0 (R).
-    """
-    incident: dict[tuple[int, str], tuple[int, int]] = {}  # slot -> (pair, the pair's other copy)
-    for idx, p in enumerate(pairs):
-        for copy, other in (p.copies, p.copies[::-1]):
-            slot = (copy, p.side)
-            if slot in incident:
-                raise ValueError(f"slot {slot} appears in more than one pair")
-            incident[slot] = (idx, other)
-    for copy in {copy for p in pairs for copy in p.copies}:
-        if (copy, "a") not in incident or (copy, "b") not in incident:
-            raise ValueError(f"copy {copy} is not covered on both sides")
-
-    cycles, order = [], []
-    for start in range(len(pairs)):
-        if start in order:
-            continue
-        side, copy = pairs[start].side, pairs[start].copies[1]
-        idx, steps = start, []
-        while True:
-            # the pair, then across the copy tensor (transposed from the b slot) to the other slot
-            steps.append((idx, int(side == "b")))
-            order.append(idx)
-            side = "b" if side == "a" else "a"
-            idx, copy = incident[(copy, side)]
-            if idx == start:
-                break
-        cycles.append(steps)
-    return cycles
 
 
 def pattern_product(per_pair) -> np.ndarray:
@@ -247,24 +213,18 @@ class OutcomeDistribution:
         object.__setattr__(self, "p", _frozen(p))
 
 
-@lru_cache(maxsize=16)
 def _leg_plan(
     matching: Setting | PairingLayout,
 ) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
-    """Per cycle of a matching's walk, the leg-stack index of its first step and of the others;
-    then the axis order taking walk order to pattern order. Keyed by the setting or layout
-    object; a measurement setting's is read from _SETTING_PLANS, never planned again."""
-    if matching in _SETTING_PLANS:
-        return _SETTING_PLANS[matching]
-    cycles = _walk_plan(matching.pairs)
-    order = [i for cycle in cycles for i, _ in cycle]
+    """Per cycle of a matching (pairing's walk of its copy graph), the leg-stack index of its first
+    step and of the others; then the axis order taking walk order to pattern order."""
+    order = [i for cycle in matching.cycles for i, _ in cycle]
     # pattern order (see pattern_product): pair 0's bit lowest, so the last pair's axis first
     axes = sorted(range(len(order)), key=order.__getitem__, reverse=True)
-    return tuple((c, tuple(t for _, t in rest)) for (_, c), *rest in cycles), tuple(axes)
+    return tuple((c, tuple(t for _, t in rest)) for (_, c), *rest in matching.cycles), tuple(axes)
 
 
-_SETTING_PLANS = {}  # the three settings' plans, made here once, where no ad-hoc layout evicts them
-_SETTING_PLANS.update((s, _leg_plan.__wrapped__(s)) for s in _SETTINGS)
+_SETTING_PLANS = {s: _leg_plan(s) for s in _SETTINGS}  # the three settings' plans, made once
 
 
 def _walk_legs(matching: Setting | PairingLayout, legs: np.ndarray) -> np.ndarray:
@@ -275,7 +235,7 @@ def _walk_legs(matching: Setting | PairingLayout, legs: np.ndarray) -> np.ndarra
     it, as (4K, 4), by a leg's (4, 8) factor pair, read back as (8K, 4): k -> 2k + bit. A
     cycle closes with a trace per product.
     """
-    cycles, axes = _leg_plan(matching)
+    cycles, axes = _SETTING_PLANS.get(matching) or _leg_plan(matching)
     parts = []
     for first, steps in cycles:
         prod = legs[first]

@@ -4,14 +4,15 @@ The three measurement settings deliver the eleven outcome values c1..c11.
 Spectrum moments of the K matrix are fixed polynomials in the c's; each
 monomial corresponds to a subset of the setting's pairs, weighted by
 contraction.PAIR_WEIGHTS and factorized over connected components of the
-induced copy graph. The operative coefficient table is derived from that
+induced copy graph, read as runs of the subset's pairs along the setting's
+cycles (pairing's one walk). The operative coefficient table is derived from that
 expansion at import time. verify_moment_formulas audits a baseline
 reference table against a direct tr(K^k) oracle and, when it is off,
 validates the derived table, the paper's formula, on fresh states through
 moments_from_outcomes and reports the diff. No route evaluates the table: both
 read moment k off setting k's patterns by one product observable, the unfactorized
 form of the same expansion, the exact route off the walked probabilities and the
-sampled route off the counts. One integer matrix per side, _readoff, turns counts
+sampled route off the counts. One integer matrix per side, _READOFF, turns counts
 into c's and moments: its 0/1 hit columns and moment columns are contraction's, the
 ones that read the exact c's and moments, Kronecker products of per-pair values
 built by contraction.pattern_product, the one place that fixes the pattern order.
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -89,54 +90,30 @@ BASELINE_MOMENT_TABLE: dict[int, dict[tuple[int, ...], float]] = {
 # moment-table derivation
 
 
-def _components(edges: list[tuple[str, int, int]]) -> list[list[tuple[str, int, int]]]:
-    parent: dict[int, int] = {}
+def _component_shapes(cycles, chosen) -> list[tuple[bool, int, int]]:
+    """(is_cycle, #a pairs, #b pairs) of each connected component of the chosen pairs' copy graph.
 
-    def find(c: int) -> int:
-        parent.setdefault(c, c)
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for _, lo, hi in edges:
-        ra, rb = find(lo), find(hi)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[int, list[tuple[str, int, int]]] = {}
-    for edge in edges:
-        groups.setdefault(find(edge[1]), []).append(edge)
-    return list(groups.values())
-
-
-def _shape_key(edges: list[tuple[str, int, int]]) -> tuple[bool, int, int]:
-    """(is_cycle, #a edges, #b edges) of a connected subgraph of pair edges.
-
-    Each copy has one a slot and one b slot, so a component alternates sides
-    and is a path or a cycle; these three numbers fix its shape.
+    Each copy has one a slot and one b slot, so a component is a whole cycle of the layout's
+    walk (pairing's `cycles`, a step's flag 1 on side b) or a maximal run of chosen pairs
+    along one; its sides alternate, so these three numbers fix its shape.
     """
-    copies = {c for _, lo, hi in edges for c in (lo, hi)}
-    sides = [side for side, _, _ in edges]
-    return (len(edges) == len(copies), sides.count("a"), sides.count("b"))
+    shapes = []
+    for cycle in cycles:
+        cut = next((j for j, (i, _) in enumerate(cycle) if not chosen[i]), 0)  # no run wraps past it
+        for hit, run in groupby(cycle[cut:] + cycle[:cut], lambda step: chosen[step[0]]):
+            if hit:
+                flags = [b for _, b in run]
+                shapes.append((len(flags) == len(cycle), len(flags) - sum(flags), sum(flags)))
+    return shapes
 
 
 def _standard_shape_index() -> dict[tuple[bool, int, int], int]:
     table: dict[tuple[bool, int, int], int] = {}
     for i, layout in enumerate(standard_layouts()):
-        singlet_edges = [
-            (p.side, p.copies[0], p.copies[1])
-            for p in layout.pairs
-            if p.kind == "singlet"
-        ]
-        comps = _components(singlet_edges)
-        if len(comps) != 1:
-            raise NumericalContractError(
-                f"standard layout {layout.label} has {len(comps)} singlet components"
-            )
-        key = _shape_key(comps[0])
-        if key in table:
-            raise NumericalContractError(f"duplicate singlet shape {key}")
-        table[key] = i + 1
+        shapes = _component_shapes(layout.cycles, [p.kind == "singlet" for p in layout.pairs])
+        if len(shapes) != 1 or shapes[0] in table:
+            raise NumericalContractError(f"{layout.label}'s singlets are not one new shape: {shapes}")
+        table[shapes[0]] = i + 1
     return table
 
 
@@ -146,20 +123,19 @@ def derive_moment_table(order: int) -> dict[tuple[int, ...], float]:
     Every subset of the matching's pairs contributes the product of the
     PAIR_WEIGHTS singlet weights of its pairs and the identity weights of
     the others; the subset's expectation factorizes over the connected
-    components of the copy graph, each matching one of the eleven standard
-    outcomes by shape.
+    components of the copy graph, runs of its pairs along the setting's
+    cycles, each matching one of the eleven standard outcomes by shape.
     """
     if order not in MOMENT_ORDERS:
         raise ValueError(f"moment order must be in {MOMENT_ORDERS}, got {order}")
     shape_index = _standard_shape_index()
-    pairs = settings()[order - 1].pairs
-    n = len(pairs)
+    setting = settings()[order - 1]
+    n = len(setting.pairs)
     table: dict[tuple[int, ...], float] = {}
     for mask in range(2**n):
         bits = [(mask >> i) & 1 for i in range(n)]
-        coeff = float(math.prod(PAIR_WEIGHTS[p.side][bit] for p, bit in zip(pairs, bits)))
-        edges = [(p.side, p.copies[0], p.copies[1]) for p, bit in zip(pairs, bits) if bit]
-        mono = tuple(sorted(shape_index[_shape_key(comp)] for comp in _components(edges)))
+        coeff = float(math.prod(PAIR_WEIGHTS[p.side][bit] for p, bit in zip(setting.pairs, bits)))
+        mono = tuple(sorted(shape_index[shape] for shape in _component_shapes(setting.cycles, bits)))
         table[mono] = table.get(mono, 0.0) + coeff
     return {k: v for k, v in table.items() if v != 0.0}
 
@@ -244,20 +220,20 @@ def outcomes_exact(state: TwoQubitState, which: str = "A") -> OutcomeVector:
     return OutcomeVector(np.array([expect_layout(layouts[j], state) for j in order]), "exact")
 
 
-@lru_cache(maxsize=2)
-def _readoff(which: str) -> np.ndarray:
-    """(84, 14) integer map from the three settings' pattern counts to shots times c1..c11, M1..M3:
-    rows the patterns of settings 1, 2, 3 in turn (4 + 16 + 64), each in pattern order; columns
-    contraction's hit table (at the relabeled outcomes on side B), then the side's moment columns,
-    which read the exact c's and moments off the walks. Cached, read-only."""
-    hits = _HIT_TABLE if which == "A" else _HIT_TABLE[:, _SIDE_B_ORDER]
-    return _frozen(np.concatenate((hits, _MOMENT_COLUMNS[which]), axis=1))
+# Per side, (84, 14) integer, read-only: the map from the three settings' pattern counts to shots times
+# c1..c11, M1..M3. Rows the patterns of settings 1, 2, 3 in turn (4 + 16 + 64), each in pattern order;
+# columns contraction's hit table (at the relabeled outcomes on side B), then the side's moment
+# columns, which read the exact c's and moments off the walks.
+_READOFF = {
+    which: _frozen(np.concatenate((_HIT_TABLE[:, order], _MOMENT_COLUMNS[which]), axis=1))
+    for which, order in (("A", slice(None)), ("B", _SIDE_B_ORDER))
+}
 
 
 def _sampled(state: TwoQubitState, key: tuple, repeats: int, shots: int, which: str) -> np.ndarray:
     """c1..c11 (side `which`) and M1..M3, one row per repeat."""
     p = [joint_distribution(s, state).p for s in settings()]
-    return _draw(key, p, shots, repeats) @ _readoff(which) / shots
+    return _draw(key, p, shots, repeats) @ _READOFF[which] / shots
 
 
 def _checked_exact(m: MomentTriple) -> MomentTriple:
@@ -358,16 +334,20 @@ def estimate_gqd(
     row r of the stream keyed by (seed, k + 1), so it does not move with
     `repeats`; statekit._draw makes every draw) and reports the mean value
     with the sample standard deviation across repeats as std_err. The counts are one
-    (repeats, 84) integer array, and counts @ _readoff(which) / shots gives
+    (repeats, 84) integer array, and counts @ _READOFF[which] / shots gives
     every repeat's c's and M1..M3 in one product of exact integer sums; each
     repeat's cubic goes through the same _spectrum_roots as
     eigenvalues_from_moments, so the results equal a per-repeat loop's.
-    A side other than A or B raises StateValidationError before any work.
-    The reported `outcomes` are the mean c frequencies across repeats
-    (permuted for side B); the sampled moments do not pass through them.
+    A side other than A or B raises StateValidationError before any work, and
+    scheme-exact given `shots` or `seed` raises ValueError. The reported `outcomes`
+    are the mean c frequencies across repeats (permuted for side B); the sampled
+    moments do not pass through them.
     """
     _check_side(which)
     if mode == "scheme-exact":
+        given = [name for name, v in (("shots", shots), ("seed", seed)) if v is not None]
+        if given:
+            raise ValueError(f"scheme-exact draws no samples, so it takes no {' or '.join(given)}")
         c = outcomes_exact(state, which)
         m = _checked_exact(MomentTriple(*_standard_values(state)[1][which]))
         lam = tuple(eigenvalues_from_moments(m).tolist())

@@ -5,6 +5,9 @@ on disjoint slot pairs, one perfect matching per side, over n copies.
 The 11 standard layouts P1..P11 and the three measurement settings that
 realize them are built here, once, from one table; rendering produces a
 row-per-copy diagram. Layouts live in memory only and compare by identity.
+Each copy has one a and one b slot, so a layout's pairs link its copies into
+cycles that alternate sides; the layout walks them once, as it checks its slots,
+and keeps them (`cycles`) for contraction's products and the moment expansion.
 """
 
 from __future__ import annotations
@@ -47,12 +50,15 @@ class PairingLayout:
     """A full assignment of pair operators over n copies.
 
     The stored pair order is preserved as given and `label` is advisory. Two
-    layouts are equal only if they are the same object.
+    layouts are equal only if they are the same object. `cycles` holds per cycle, in
+    walk order, each pair's index and a flag, 1 where the walk leaves it through a b
+    slot; a cycle starts at the lowest pair not yet walked, out through its higher copy.
     """
 
     n_copies: int
     pairs: tuple[PairOp, ...]
     label: str | None = field(default=None)
+    cycles: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not _is_int(self.n_copies) or self.n_copies not in COPY_COUNTS:
@@ -60,22 +66,35 @@ class PairingLayout:
         object.__setattr__(self, "n_copies", int(self.n_copies))
         pairs = tuple(self.pairs)
         object.__setattr__(self, "pairs", pairs)
+        incident: dict[tuple[int, str], tuple[int, int]] = {}  # slot -> (pair, the pair's other copy)
         for side in SIDES:
-            side_pairs = [p for p in pairs if p.side == side]
+            side_pairs = [(i, p) for i, p in enumerate(pairs) if p.side == side]
             if len(side_pairs) != self.n_copies // 2:
                 raise ValueError(
                     f"side {side!r} needs {self.n_copies // 2} pairs, got {len(side_pairs)}"
                 )
-            seen: set[int] = set()
-            for p in side_pairs:
-                for c in p.copies:
+            for i, p in side_pairs:
+                for c, other in (p.copies, p.copies[::-1]):
                     if c > self.n_copies:
                         raise ValueError(
                             f"copy {c} outside 1..{self.n_copies} on side {side!r}"
                         )
-                    if c in seen:
+                    if (c, side) in incident:
                         raise ValueError(f"copy {c} used twice on side {side!r}")
-                    seen.add(c)
+                    incident[c, side] = (i, other)
+        # every slot of copies 1..n is now taken once, so each walk closes on its start
+        cycles, walked = [], set()
+        for start, p in enumerate(pairs):
+            if start in walked:
+                continue
+            i, side, c, cycle = start, p.side, p.copies[1], []
+            while i != start or not cycle:
+                cycle.append((i, int(side == "b")))
+                walked.add(i)
+                side = "b" if side == "a" else "a"
+                i, c = incident[c, side]
+            cycles.append(tuple(cycle))
+        object.__setattr__(self, "cycles", tuple(cycles))
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,6 +115,10 @@ class Setting:
     @property
     def pairs(self) -> tuple[PairOp, ...]:
         return self.layout.pairs
+
+    @property
+    def cycles(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return self.layout.cycles
 
 
 # The protocol, stated once: per setting, its copy count, its matching in stored

@@ -41,15 +41,18 @@ def qst_estimate(
     """Tomographic reconstruction and its closed-form discord, as gqd_exact reports it.
 
     With shots_per_setting=None the analytic outcome probabilities are used
-    (infinite-shot limit) and the reconstruction is exact. Otherwise each of
-    the nine settings draws a multinomial sample from the stream keyed by
-    (seed, 3i + j + 1), all nine drawn by one statekit._draw call from
-    the raw broadcast probabilities; x_i and y_j are averaged over the three
-    settings containing them, t_ij comes from setting (i, j). The outcome sums run
+    (infinite-shot limit), the reconstruction is exact, and a seed raises
+    ValueError. Otherwise each of the nine settings draws a multinomial sample
+    from the stream keyed by (seed, 3i + j + 1), all nine drawn by one
+    statekit._draw call from the raw broadcast probabilities; x_i and y_j are
+    averaged over the three settings containing them, t_ij comes from setting
+    (i, j). The outcome sums run
     elementwise in the order of a per-setting loop, so the results equal that
     loop's bit for bit. A side other than A or B raises StateValidationError before any work.
     """
     _check_side(which)
+    if shots_per_setting is None and seed is not None:
+        raise ValueError("exact tomography draws no samples, so it takes no seed")
     bloch = decompose(state)
     if shots_per_setting is None:
         x_hat, y_hat, t_hat = bloch.x, bloch.y, bloch.T

@@ -17,9 +17,10 @@ repeat of vector k from one stream, np.random.default_rng([*key, k + 1]) fed uin
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from numbers import Real
 
 import numpy as np
 
@@ -70,8 +71,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _is_real(x) -> bool:  # a JSON number; a bool, though an int subclass, is not one
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _is_real(x) -> bool:  # a real number, numpy's too; a bool, though an int subclass, is not one
+    return isinstance(x, Real) and not isinstance(x, bool)
 
 
 def stream_key(seed) -> tuple[int, ...]:
@@ -247,11 +248,15 @@ def make_family(name: str, params: Sequence[float]) -> TwoQubitState:
                      p1 |psi1><psi1| (x) rho1 + p2 |psi2><psi2| (x) rho2 with
                      orthonormal psi1, psi2 set by the two angles
     """
-    params = [float(v) for v in params]
     if name not in FAMILY_ARITY:
         raise StateValidationError(
             f"unknown family {name!r}; expected one of {sorted(FAMILY_ARITY)}"
         )
+    if isinstance(params, np.ndarray) and params.ndim == 1:
+        params = params.tolist()
+    if isinstance(params, (str, bytes)) or not (isinstance(params, Sequence) and all(map(_is_real, params))):
+        raise StateValidationError(f"family {name!r}: params must be a sequence of reals, got {params!r}")
+    params = [float(v) for v in params]
     if len(params) != FAMILY_ARITY[name]:
         raise StateValidationError(
             f"family {name!r} takes {FAMILY_ARITY[name]} parameters, got {len(params)}"

@@ -23,16 +23,14 @@ from gqdkit.contraction import (
     PAIR_KIND_MATRICES,
     _BLOCH_DIAGONALS,
     _dense_operator,
-    _leg_plan,
     _leg_stack,
     _standard_values,
-    _walk_plan,
     build_u,
     build_v,
     pauli_exchange_sum,
 )
 from gqdkit.errors import NumericalContractError
-from gqdkit.estimator import _readoff, outcomes_exact
+from gqdkit.estimator import _READOFF, outcomes_exact
 from gqdkit.pairing import PairingLayout, PairOp, Setting, settings, standard_layouts
 from gqdkit.statekit import MAXIMALLY_MIXED, PAULI, SINGLET, _frozen
 
@@ -279,28 +277,6 @@ def test_all_singlet_probability_vanishes_for_pure_product():
     assert dist.p[2**6 - 1] <= 1e-12  # every bit 1: all six pairs singlet
 
 
-@pytest.mark.parametrize(
-    "edges, message",
-    [
-        (
-            (("a", 1, 2), ("a", 2, 3), ("b", 1, 2)),
-            r"slot \(2, 'a'\) appears in more than one pair",
-        ),
-        (
-            (("a", 1, 2), ("b", 1, 3)),
-            "copy 2 is not covered on both sides",
-        ),
-    ],
-    ids=["slot-used-twice", "uncovered-copy"],
-)
-def test_bad_edges_raise_on_every_call(edges, message):
-    # pair tuples no PairingLayout accepts; the kind is ignored by the validator
-    pairs = tuple(PairOp(side, (lo, hi), "singlet") for side, lo, hi in edges)
-    for _ in range(2):
-        with pytest.raises(ValueError, match=message):
-            _walk_plan(pairs)
-
-
 def random_matching(rng, n_copies, kinds=("singlet", "identity")):
     pairs = []
     for side in ("a", "b"):
@@ -310,38 +286,6 @@ def random_matching(rng, n_copies, kinds=("singlet", "identity")):
             pairs.append(PairOp(side, (int(copies[j]), int(copies[j + 1])), kind))
     order = rng.permutation(len(pairs))
     return PairingLayout(n_copies, tuple(pairs[i] for i in order))
-
-
-def test_cached_walk_plans_give_bit_identical_results():
-    # each result on a cold plan cache (a miss) against the same call once the per-object
-    # cache holds the plans of every other layout or setting of its group (a hit); the ad-hoc
-    # layouts, twelve at a time, and the settings each fill a cleared cache within its 16
-    rng = np.random.default_rng(14)
-    layouts = [random_matching(rng, n) for n in (2, 4, 6) for _ in range(12)]
-    matchings = [random_matching(rng, n, ("singlet",)) for n in (2, 4, 6) for _ in range(4)]
-    setups = [Setting(lay, ()) for lay in matchings] + settings()
-    state = random_state(1500, rank=3)
-
-    def value(matching):
-        if isinstance(matching, Setting):
-            return joint_distribution(matching, state).p.tolist()
-        return expect_layout(matching, state)
-
-    misses = {}
-    for matching in layouts + setups:
-        _leg_plan.cache_clear()
-        misses[matching] = value(matching)
-    for group in (layouts[:12], layouts[12:24], layouts[24:], setups):
-        _leg_plan.cache_clear()
-        for _ in range(2):  # the first pass fills the cache, the second only hits
-            hits = _leg_plan.cache_info().hits
-            assert [value(m) for m in group] == [misses[m] for m in group]
-        assert _leg_plan.cache_info().hits - hits == len(group)
-    # a plan is keyed by the object: an equal layout built anew is a miss
-    twin = PairingLayout(layouts[0].n_copies, layouts[0].pairs)
-    before = _leg_plan.cache_info().misses
-    assert expect_layout(twin, state) == misses[layouts[0]]
-    assert _leg_plan.cache_info().misses == before + 1
 
 
 # The generic stacked walk the package's walks replaced, verbatim but for the ref_ prefix: one
@@ -460,7 +404,7 @@ def test_every_layout_is_within_rounding_of_the_generic_walk():
             pairs = random_matching(rng, n).pairs
             relabeled = tuple(StandInPair(p.side, p.copies, kinds[rng.integers(3)]) for p in pairs)
             layouts.append(PairingLayout(n, relabeled))
-    assert any(len(_walk_plan(lay.pairs)) > 1 for lay in layouts)  # multi-cycle layouts are walked
+    assert any(len(lay.cycles) > 1 for lay in layouts)  # multi-cycle layouts are walked
     assert {p.kind for lay in layouts for p in lay.pairs} == set(kinds)
     zeros = 0
     for state in BIT_STATES + ZERO_STATES:
@@ -472,6 +416,30 @@ def test_every_layout_is_within_rounding_of_the_generic_walk():
         zeros += len(at_zero)
         assert same_bits([values[i] for i in at_zero], [expected[i] for i in at_zero])
     assert zeros > 0
+
+
+def test_every_layout_keeps_the_cycles_of_the_generic_walk():
+    # a layout walks its copy graph once, at construction: per cycle, each pair's index and its
+    # b-slot flag, in the generic walk's order, for the standard layouts, the settings and
+    # random matchings, single- and multi-cycle, stand-in pairs among them
+    rng = np.random.default_rng(21)
+    kinds = ("singlet", "identity", "complement")
+    matchings = standard_layouts() + settings()
+    for n in (2, 4, 6):
+        for _ in range(12):
+            lay = random_matching(rng, n)
+            relabeled = tuple(StandInPair(p.side, p.copies, kinds[rng.integers(3)]) for p in lay.pairs)
+            matchings += [lay, PairingLayout(n, relabeled)]
+    assert sum(len(m.cycles) > 1 for m in matchings) > 10
+    for m in matchings:
+        cycles, _, axes = ref_walk_plan(tuple((p.side, *p.copies, p.kind) for p in m.pairs))
+        assert [i for cycle in m.cycles for i, _ in cycle] == np.argsort(axes).tolist()
+        flags = [[step[0] for step in (first, *rest)] for first, rest in cycles]
+        assert [[b for _, b in cycle] for cycle in m.cycles] == flags
+        assert type(m.cycles) is tuple and all(type(cycle) is tuple for cycle in m.cycles)
+    assert settings()[2].cycles is standard_layouts()[7].cycles
+    with pytest.raises(TypeError):
+        PairingLayout(2, standard_layouts()[0].pairs, cycles=())
 
 
 def test_leg_walk_is_bit_identical_to_the_generic_walk():
@@ -497,16 +465,31 @@ def counted(monkeypatch, *names):
     return calls
 
 
-def test_ad_hoc_layouts_never_evict_the_settings_plans(monkeypatch):
-    # 22 fresh copies of P1..P11 fill the plan cache with ad-hoc layouts; a new state's outcomes
-    # then walk the three settings on the plans made at import, planning nothing
-    state = random_state(1510, rank=3)
-    for lay in standard_layouts() * 2:
-        expect_layout(PairingLayout(lay.n_copies, lay.pairs), state)
-    calls = counted(monkeypatch, "_walk_plan")
-    outcomes_exact(random_state(1511, rank=2))
-    assert calls == {"_walk_plan": 0}
-    assert _leg_plan.cache_info().currsize == 16
+def test_settings_walks_plan_nothing_and_ad_hoc_walks_repeat_bit_for_bit(monkeypatch):
+    # the settings' plans are made at import, so a new state's outcomes and distributions plan
+    # nothing; an ad-hoc layout or setting is planned from its cycles on every call, and an
+    # equal layout built anew gives the same bits
+    rng = np.random.default_rng(14)
+    layouts = [random_matching(rng, n) for n in (2, 4, 6) for _ in range(4)]
+    setups = [Setting(random_matching(rng, n, ("singlet",)), ()) for n in (2, 4, 6)]
+    state = random_state(1500, rank=3)
+
+    def values():
+        return [expect_layout(lay, state) for lay in layouts] + [
+            joint_distribution(s, state).p.tolist() for s in setups]
+
+    first = values()
+    calls = counted(monkeypatch, "_leg_plan")
+    assert values() == first and values() == first
+    assert calls == {"_leg_plan": 2 * (len(layouts) + len(setups))}
+    twin = PairingLayout(layouts[0].n_copies, layouts[0].pairs)
+    assert expect_layout(twin, state) == first[0]
+    calls["_leg_plan"] = 0
+    fresh = random_state(1511, rank=2)
+    outcomes_exact(fresh)
+    for setting in settings():
+        joint_distribution(setting, fresh)
+    assert calls == {"_leg_plan": 0}
 
 
 def test_leg_stack_is_gathered_once_per_state_object(monkeypatch):
@@ -649,7 +632,7 @@ def test_outcome_leg_walks_agree_with_closed_walks():
     for state in STEP_FORM_STATES:
         p = np.concatenate([joint_distribution(s, state).p for s in settings()])
         for which in ("A", "B"):
-            read_off = p @ _readoff(which)[:, :11]
+            read_off = p @ _READOFF[which][:, :11]
             assert np.max(np.abs(read_off - outcomes_exact(state, which).c)) <= 1e-13
 
 
@@ -723,7 +706,7 @@ def test_dense_oracle_never_walks_the_cycles(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the dense oracle used the cycle walk")
 
-    for walk in ("expect_layout", "_standard_values", "_leg_stack", "_walk_legs", "_leg_plan", "_walk_plan"):
+    for walk in ("expect_layout", "_standard_values", "_leg_stack", "_walk_legs", "_leg_plan"):
         monkeypatch.setattr(contraction, walk, refuse)
     state = random_state(1700, rank=2)
     for lay in standard_layouts()[:7]:

@@ -37,7 +37,7 @@ from gqdkit.estimator import (
     MomentTriple,
     OutcomeVector,
     _SIDE_B_ORDER,
-    _readoff,
+    _READOFF,
     derive_moment_table,
 )
 from gqdkit.statekit import MAXIMALLY_MIXED, _draw, _frozen, stream_key
@@ -97,6 +97,16 @@ def test_derived_table_structure():
     assert diffs == {(3,)}
     assert MOMENT_TABLE[3][(3,)] == -48.0
     assert derive_moment_table(3) == MOMENT_TABLE[3]
+
+
+def test_derived_table_keeps_its_monomial_order():
+    # the monomials in the order the expansion meets them, pair subsets by increasing mask
+    assert [list(MOMENT_TABLE[k]) for k in MOMENT_ORDERS] == [
+        [(), (2,), (3,), (1,)],
+        [(), (2,), (2, 2), (3,), (7,), (6,), (3, 3), (5,), (4,)],
+        [(), (2,), (2, 2), (2, 2, 2), (3,), (7,), (6,), (2, 3), (2, 7), (2, 6), (3, 3), (3, 7), (5,),
+         (11,), (7, 7), (10,), (3, 3, 3), (3, 5), (9,), (8,)],
+    ]
 
 
 def test_moments_on_maximally_mixed():
@@ -400,7 +410,7 @@ def test_moment_observable_reads_trace_powers_off_one_setting():
         for which in ("A", "B"):
             k = k_matrix(decompose(state), which).entries
             for order in (1, 2, 3):
-                column = _readoff(which)[:, 10 + order]
+                column = _READOFF[which][:, 10 + order]
                 assert not column[rows != order - 1].any()
                 oracle = np.trace(np.linalg.matrix_power(k, order)).real
                 assert abs(p @ column - oracle) <= 1e-8
@@ -706,8 +716,28 @@ def test_sampled_entry_points_reject_a_non_integer_shot_count(entry, shots):
         SAMPLED_ENTRY_POINTS[entry](make_family("werner", [0.5]), shots)
 
 
+@pytest.mark.parametrize(
+    "route, kwargs, named",
+    [
+        ("scheme-exact", {"shots": 1000}, "shots"),
+        ("scheme-exact", {"seed": 0}, "seed"),
+        ("scheme-exact", {"shots": 1000, "seed": 1, "repeats": 1}, "shots or seed"),
+        ("tomography", {"seed": 3}, "seed"),
+    ],
+    ids=["exact-shots", "exact-seed", "exact-both", "tomography-seed"],
+)
+def test_exact_routes_refuse_sampling_arguments(route, kwargs, named):
+    # an exact route draws nothing, so a shot count or seed it would ignore is an error
+    state = make_family("werner", [0.5])
+    with pytest.raises(ValueError, match=f"takes no {named}$"):
+        if route == "tomography":
+            qst_estimate(state, **kwargs)
+        else:
+            estimate_gqd(state, route, **kwargs)
+
+
 def test_the_shot_bound_keeps_the_read_off_inside_int64():
-    largest = max(int(np.abs(_readoff(which)).max()) for which in ("A", "B"))
+    largest = max(int(np.abs(_READOFF[which]).max()) for which in ("A", "B"))
     assert largest == 216 and largest * statekit.MAX_SHOTS < 2**61
 
 
@@ -842,7 +872,7 @@ def ref_scheme_exact(state, which) -> GqdEstimate:
         c = ref_permute_outcomes(c)
     legs = contraction._leg_stack(state)
     walks = np.concatenate([contraction._walk_legs(s, legs) for s in settings()])
-    m = MomentTriple(*(walks @ _readoff(which)[:, N_OUTCOMES:]).tolist())
+    m = MomentTriple(*(walks @ _READOFF[which][:, N_OUTCOMES:]).tolist())
     lam = eigenvalues_from_moments(m)
     value = (lam[1] + lam[2]) / 4.0
     return GqdEstimate(float(value), 0.0, tuple(lam.tolist()), "scheme-exact", c, m)
@@ -1123,9 +1153,9 @@ def test_the_read_off_equals_its_earlier_construction(which):
     # the moment columns now come from contraction, which reads the exact moments with them:
     # the sampled read-off is unchanged in every entry and in dtype
     reference = ref_readoff(which)
-    assert _readoff(which).dtype == reference.dtype == np.int64
-    assert np.array_equal(_readoff(which), reference)
-    assert np.array_equal(_readoff(which)[:, N_OUTCOMES:], contraction._MOMENT_COLUMNS[which])
+    assert _READOFF[which].dtype == reference.dtype == np.int64
+    assert np.array_equal(_READOFF[which], reference)
+    assert np.array_equal(_READOFF[which][:, N_OUTCOMES:], contraction._MOMENT_COLUMNS[which])
 
 
 def test_the_read_off_takes_its_hit_columns_from_the_shared_hit_table():
@@ -1133,15 +1163,14 @@ def test_the_read_off_takes_its_hit_columns_from_the_shared_hit_table():
     # side A, at the relabeled outcomes on side B
     table = contraction._HIT_TABLE
     assert table.shape == (84, 11) and not table.flags.writeable
-    assert np.array_equal(_readoff("A")[:, :11], table)
-    assert np.array_equal(_readoff("B")[:, :11], table[:, _SIDE_B_ORDER])
+    assert np.array_equal(_READOFF["A"][:, :11], table)
+    assert np.array_equal(_READOFF["B"][:, :11], table[:, _SIDE_B_ORDER])
 
 
 def test_cached_hit_and_observable_arrays_are_read_only():
     # one (84, 14) integer read-off per side: 0/1 hit columns, then the moment observables
     for which in ("A", "B"):
-        readoff = _readoff(which)
-        assert _readoff(which) is readoff
+        readoff = _READOFF[which]
         assert readoff.shape == (84, 14) and readoff.dtype == np.int64
         assert set(np.unique(readoff[:, :11])) == {0, 1}
         with pytest.raises(ValueError, match="read-only"):

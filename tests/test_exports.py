@@ -3,6 +3,7 @@ acceptance criteria or the benchmark's workloads. Importing it, or running a com
 needs less, loads only what is used."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -33,6 +34,28 @@ def loaded_names(path):
 def test_every_exported_name_has_a_caller():
     loaded = set().union(*map(loaded_names, CALLERS))
     assert sorted(set(gqdkit.__all__) - loaded) == []
+
+
+def module_literal(path, name):
+    """The literal assigned to `name` at the top level of `path`, read without running the file."""
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path.name} assigns no {name}")
+
+
+def test_every_traced_and_pinned_name_is_a_gqdkit_function():
+    # the benchmark's traced run wraps TRACED's functions and pins per-op calls of EXPECTED_CALLS's:
+    # retiring or renaming one of them fails here, not only in a traced benchmark run
+    traced = module_literal(ROOT / "perfbench" / "tracing.py", "TRACED")
+    names = {f"{mod}.{fn}" for mod, fns in traced.items() for fn in fns}
+    for calls in module_literal(ROOT / "perfbench" / "worker.py", "EXPECTED_CALLS").values():
+        names |= set(calls)
+    assert len(names) >= 14
+    for name in sorted(names):
+        mod, fn = name.split(".")
+        func = getattr(importlib.import_module(f"gqdkit.{mod}"), fn, None)
+        assert callable(func) and func.__module__ == f"gqdkit.{mod}", name
 
 
 def test_a_star_import_binds_every_exported_name():

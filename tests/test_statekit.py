@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -245,6 +246,24 @@ def test_family_rejections_print_the_value_in_full(family, params, message):
     # the shortest round-trip form: a value just past its bound must not read as the bound
     with pytest.raises(StateValidationError, match=f"^{re.escape(message)}$"):
         make_family(family, params)
+
+
+@pytest.mark.parametrize(
+    "params",
+    ["1", "0.5", b"1", 0.5, None, [None], [True], [np.bool_(True)], ["0.5"], [[0.5]], np.array(0.5), {0.5: 1}],
+    ids=["text", "text-float", "bytes", "scalar", "none", "none-entry", "bool", "numpy-bool", "text-entry",
+         "nested", "numpy-scalar", "dict"],
+)
+def test_family_params_must_be_a_sequence_of_reals(params):
+    with pytest.raises(StateValidationError, match="^family 'werner': params must be a sequence of reals"):
+        make_family("werner", params)
+
+
+def test_family_params_take_any_real_entries():
+    expected = make_family("werner", [0.5]).matrix
+    for params in ((0.5,), [np.float64(0.5)], [np.float32(0.5)], np.array([0.5]), [Fraction(1, 2)]):
+        assert np.array_equal(make_family("werner", params).matrix, expected)
+    assert np.array_equal(make_family("werner", [np.int64(1)]).matrix, make_family("werner", [1.0]).matrix)
 
 
 def test_werner_endpoints():
