@@ -465,10 +465,10 @@ def counted(monkeypatch, *names):
     return calls
 
 
-def test_settings_walks_plan_nothing_and_ad_hoc_walks_repeat_bit_for_bit(monkeypatch):
-    # the settings' plans are made at import, so a new state's outcomes and distributions plan
-    # nothing; an ad-hoc layout or setting is planned from its cycles on every call, and an
-    # equal layout built anew gives the same bits
+def test_cached_walk_plans_give_bit_identical_results(monkeypatch):
+    # an ad-hoc layout or setting is planned from its cycles on every call and repeats its
+    # bits; the settings walk on the plans made at import, and a rebuilt equal layout gives the
+    # same bits
     rng = np.random.default_rng(14)
     layouts = [random_matching(rng, n) for n in (2, 4, 6) for _ in range(4)]
     setups = [Setting(random_matching(rng, n, ("singlet",)), ()) for n in (2, 4, 6)]
@@ -476,7 +476,7 @@ def test_settings_walks_plan_nothing_and_ad_hoc_walks_repeat_bit_for_bit(monkeyp
 
     def values():
         return [expect_layout(lay, state) for lay in layouts] + [
-            joint_distribution(s, state).p.tolist() for s in setups]
+            joint_distribution(s, state).p.tolist() for s in setups + settings()]
 
     first = values()
     calls = counted(monkeypatch, "_leg_plan")
@@ -484,7 +484,15 @@ def test_settings_walks_plan_nothing_and_ad_hoc_walks_repeat_bit_for_bit(monkeyp
     assert calls == {"_leg_plan": 2 * (len(layouts) + len(setups))}
     twin = PairingLayout(layouts[0].n_copies, layouts[0].pairs)
     assert expect_layout(twin, state) == first[0]
-    calls["_leg_plan"] = 0
+
+
+def test_ad_hoc_layouts_never_evict_the_settings_plans(monkeypatch):
+    # 22 fresh copies of P1..P11 are walked as ad-hoc layouts; a new state's outcomes and
+    # distributions then walk the three settings on the plans made at import, planning nothing
+    state = random_state(1510, rank=3)
+    for lay in standard_layouts() * 2:
+        expect_layout(PairingLayout(lay.n_copies, lay.pairs), state)
+    calls = counted(monkeypatch, "_leg_plan")
     fresh = random_state(1511, rank=2)
     outcomes_exact(fresh)
     for setting in settings():
