@@ -116,7 +116,7 @@ def _check_sampling(args) -> None:
         return
     if args.shots < 1:
         raise StateValidationError(f"--shots must be >= 1, got {args.shots}")
-    if args.repeats < 2:
+    if args.repeats is not None and args.repeats < 2:
         raise StateValidationError(f"--repeats must be >= 2, got {args.repeats}")
     if args.seed is None:
         raise StateValidationError("--seed is required when --shots is given")
@@ -138,6 +138,10 @@ def cmd_scheme(args) -> int:
     from .estimator import estimate_gqd
 
     state = _resolve_state(args)
+    if args.shots is None:
+        given = " or ".join(flag for flag in ("--repeats", "--seed") if getattr(args, flag[2:]) is not None)
+        if given:  # the exact scheme would ignore them, as estimate_gqd refuses to
+            raise StateValidationError(f"without --shots the scheme draws no samples, so it takes no {given}")
     _check_sampling(args)
     _emit("", args.output, mode="a")
     if args.shots is None:
@@ -295,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_args(p)
     p.add_argument("--side", choices=("A", "B"), default="A")
     p.add_argument("--shots", type=int, help="samples per setting (omit for exact)")
-    p.add_argument("--repeats", type=int, default=20)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--repeats", type=int, help="sampled repeats (default 20); needs --shots")
+    p.add_argument("--seed", type=int, help="needs --shots")
     _add_io_args(p)
     p.set_defaults(func=cmd_scheme)
 

@@ -9,22 +9,27 @@ never reads rho. There is one walk, _walk_legs, in the cycle order the matching'
 layout found when it checked its slots (PairingLayout.cycles): it puts a measured
 pair's open leg, the factors (complement, singlet), on every pair of a matching,
 so one walk yields every outcome pattern, kept as one vector in pattern order;
-its plan is made at import for a setting, per call for any other layout, and its
-intermediates hold at most 2^n * 16 reals for n pairs. A layout's
-value is read off its matching's patterns: a singlet pair picks the singlet, a
-complement pair the complement, and an identity pair sums both. P1..P11 and both
-sides' M1..M3 are read off the three settings' walks, which share one gather of R,
-by the hit table and each side's moment columns, as the sampled read-off reads its
-counts; the last state keeps them, so both sides walk each setting once. Only the
-dense oracle, capped at 4 copies, builds the 4^n operator: in the computational
-basis, real, realigned, once per layout, and traced as a bilinear form in n / 2
-factors of vec(rho^T).
+its plan is made per call for a layout or setting, and its intermediates hold at
+most 2^n * 16 reals for n pairs. A layout's value is read off its matching's
+patterns: a singlet pair picks the singlet, a complement pair the complement, and
+an identity pair sums both. The three settings are one cycle each, and setting k's
+legs are the first 2k of setting 3's, so one chained walk of setting 3's cycle,
+traced after legs 2, 4 and 6 (its plan made and checked at import), gives all 84
+patterns of a state. The last state keeps them (_walked): a setting's distribution
+is its rows, and P1..P11 and both sides' M1..M3 are read off them by the hit table
+and each side's moment columns, as the sampled read-off reads its counts, so both
+sides and every setting share one gather of R and one walk. Only the dense oracle,
+capped at 4 copies, builds the 4^n operator: in the computational basis, real,
+realigned, once per layout, and traced as a bilinear form in n / 2 factors of
+vec(rho^T).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import accumulate
+from typing import Callable
 
 import numpy as np
 
@@ -136,11 +141,17 @@ _EXACT_READOFFS = tuple(_frozen(t.astype(float)) for t in (_HIT_TABLE, *_MOMENT_
 
 
 @lru_cache(maxsize=1)
+def _walked(state: TwoQubitState) -> np.ndarray:
+    """The last state's 84 patterns, keyed by the object, read-only: the three settings' patterns in
+    turn, each in pattern order, from one gather of R and one chained walk."""
+    return _frozen(_walk_legs(_SETTINGS, _leg_stack(state)))
+
+
+@lru_cache(maxsize=1)
 def _standard_values(state: TwoQubitState) -> tuple[tuple[float, ...], dict[str, tuple[float, ...]]]:
-    """The last state's c1..c11 and each side's M1..M3, keyed by the object: one gather, the three
-    settings' leg walks and their 84 patterns' products with the hit table and moment columns."""
-    legs = _leg_stack(state)
-    patterns = np.concatenate([_walk_legs(s, legs) for s in _SETTINGS])
+    """The last state's c1..c11 and each side's M1..M3, keyed by the object: its 84 walked patterns'
+    products with the hit table and each side's moment columns, one product each."""
+    patterns = _walked(state)
     c, m_a, m_b = (tuple((patterns @ table).tolist()) for table in _EXACT_READOFFS)
     return c, {"A": m_a, "B": m_b}
 
@@ -213,45 +224,77 @@ class OutcomeDistribution:
         object.__setattr__(self, "p", _frozen(p))
 
 
-def _leg_plan(
-    matching: Setting | PairingLayout,
-) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
+def _outer(traces: list[np.ndarray]) -> np.ndarray:
+    """The product of every cycle's trace, flat in walk order."""
+    return reduce(np.multiply.outer, traces).ravel()
+
+
+def _leg_plan(matching: Setting | PairingLayout) -> tuple[tuple, Callable, np.ndarray]:
     """Per cycle of a matching (pairing's walk of its copy graph), the leg-stack index of its first
-    step and of the others; then the axis order taking walk order to pattern order."""
+    step and of the others, and its length, where its trace is taken; then how the traces combine,
+    by their product; and the gather taking walk order to pattern order."""
     order = [i for cycle in matching.cycles for i, _ in cycle]
     # pattern order (see pattern_product): pair 0's bit lowest, so the last pair's axis first
     axes = sorted(range(len(order)), key=order.__getitem__, reverse=True)
-    return tuple((c, tuple(t for _, t in rest)) for (_, c), *rest in matching.cycles), tuple(axes)
+    cycles = tuple((c, tuple(t for _, t in rest), (len(rest) + 1,)) for (_, c), *rest in matching.cycles)
+    return cycles, _outer, np.arange(2 ** len(order)).reshape((2,) * len(order)).transpose(axes).ravel()
 
 
-_SETTING_PLANS = {s: _leg_plan(s) for s in _SETTINGS}  # the three settings' plans, made once
+def _chain_plan(chain: tuple[Setting, ...]) -> tuple[tuple, Callable, np.ndarray]:
+    """One walk for settings of one cycle each whose leg sequences nest, each a proper prefix of
+    the next: the last setting's cycle, traced after each setting's legs, the traces side by side,
+    each gathered to its setting's pattern order. Settings that do not nest raise
+    NumericalContractError."""
+    legs = [tuple(t for _, t in s.cycles[0]) for s in chain]
+    if any(len(s.cycles) != 1 for s in chain) or any(
+            len(a) >= len(b) or b[:len(a)] != a for a, b in zip(legs, legs[1:])):
+        raise NumericalContractError(f"the settings' leg walks do not nest: {legs}")
+    first, *steps = legs[-1]
+    gathers = [_leg_plan(s)[2] for s in chain]
+    starts = accumulate((len(g) for g in gathers), initial=0)
+    gather = np.concatenate([g + start for g, start in zip(gathers, starts)])
+    return ((first, tuple(steps), tuple(map(len, legs))),), np.concatenate, _frozen(gather)
 
 
-def _walk_legs(matching: Setting | PairingLayout, legs: np.ndarray) -> np.ndarray:
+# The protocol's settings are one cycle each, setting k's legs the first 2k of setting 3's, so one
+# walk of setting 3's cycle, traced after legs 2, 4 and 6, gives all three; checked at import
+_CHAIN = _chain_plan(_SETTINGS)
+# Each protocol setting's rows among the chained walk's 84 patterns
+_SETTING_ROWS = {
+    s: slice(end - 2 ** len(s.pairs), end)
+    for s, end in zip(_SETTINGS, accumulate(2 ** len(s.pairs) for s in _SETTINGS))
+}
+
+
+def _walk_legs(matching: Setting | PairingLayout | tuple[Setting, ...], legs: np.ndarray) -> np.ndarray:
     """Every pattern's probability, in pattern order, from one walk with a (complement,
-    singlet) leg on every pair of a setting's or layout's matching, given the state's leg stack.
+    singlet) leg on every pair of a setting's or layout's matching, given the state's leg stack;
+    for the protocol's three settings (pairing's tuple), theirs in turn, from one chained walk.
 
     The running stack holds row i of partial product k at row (i, k); a step multiplies
     it, as (4K, 4), by a leg's (4, 8) factor pair, read back as (8K, 4): k -> 2k + bit. A
-    cycle closes with a trace per product.
+    trace per product closes a cycle, or ends a setting on the chain.
     """
-    cycles, axes = _SETTING_PLANS.get(matching) or _leg_plan(matching)
-    parts = []
-    for first, steps in cycles:
+    cycles, combine, gather = _CHAIN if matching is _SETTINGS else _leg_plan(matching)
+    traces = []
+    for first, steps, closes in cycles:
         prod = legs[first]
-        for step in steps:
+        for n, step in enumerate(steps, 2):
             prod = prod.reshape(-1, 4).dot(legs[step])
-        parts.append(prod.reshape(4, -1, 4).trace(axis1=0, axis2=2))
-    return reduce(np.multiply.outer, parts).reshape((2,) * len(axes)).transpose(axes).reshape(-1)
+            if n in closes:
+                traces.append(prod.reshape(4, -1, 4).trace(axis1=0, axis2=2))
+    return combine(traces).take(gather)
 
 
 def joint_distribution(setting: Setting, state: TwoQubitState) -> OutcomeDistribution:
     """Exact joint distribution of all pair outcomes for a setting.
 
     One walk of the matching with an outcome leg on every pair gives all patterns, not
-    renormalized; one below -NEG_PROB_TOL is an error, a smaller negative 0.
+    renormalized (a protocol setting's are its rows of the state's chained walk); one
+    below -NEG_PROB_TOL is an error, a smaller negative 0.
     """
-    flat = _walk_legs(setting, _leg_stack(state))
+    rows = _SETTING_ROWS.get(setting)
+    flat = _walk_legs(setting, _leg_stack(state)) if rows is None else _walked(state)[rows]
     if flat.min() < -NEG_PROB_TOL:
         raise NumericalContractError(f"pattern probability {flat.min():.3e} below -{NEG_PROB_TOL}")
     return OutcomeDistribution(setting, np.maximum(flat, 0.0))

@@ -45,6 +45,7 @@ POWER_MEAN_TOL = 1e-9
 COMPLEX_ROOT_TOL = 1e-7
 REPEATED_ROOT_DISC = 1e-12
 AUDIT_TOL = 1e-6
+DEFAULT_REPEATS = 20  # scheme-sampled's repeats when none are given
 
 # Reference coefficient table, kept as shipped for auditing. Keys are sorted
 # tuples of 1-based outcome indices; () is the constant term.
@@ -178,15 +179,17 @@ class OutcomeVector:
         c = np.asarray(self.c, dtype=float)
         if c.shape != (N_OUTCOMES,):
             raise ValueError(f"outcome vector must have shape (11,), got {c.shape}")
-        # each range check is written so that NaN fails it
+        values = c.tolist()
+        inside = all(0.0 <= v <= 1.0 for v in values)  # NaN fails it
         if self.provenance == "exact":
-            if not (c.min() >= -EXACT_OUTCOME_TOL and c.max() <= 1.0 + EXACT_OUTCOME_TOL):
-                raise NumericalContractError(
-                    f"exact outcome outside [0, 1]: range [{c.min():.3e}, {c.max():.3e}]"
-                )
-            c = c.clip(0.0, 1.0)
+            if not inside:
+                if not all(-EXACT_OUTCOME_TOL <= v <= 1.0 + EXACT_OUTCOME_TOL for v in values):
+                    raise NumericalContractError(
+                        f"exact outcome outside [0, 1]: range [{c.min():.3e}, {c.max():.3e}]"
+                    )
+                c = [min(1.0, max(v, 0.0)) for v in values]  # as c.clip(0.0, 1.0), which keeps -0.0
         elif self.provenance == "sampled":
-            if not (c.min() >= 0.0 and c.max() <= 1.0):
+            if not inside:
                 raise ValueError("sampled outcomes must lie in [0, 1]")
         else:
             raise ValueError(f"provenance must be 'exact' or 'sampled', got {self.provenance!r}")
@@ -315,7 +318,8 @@ def eigenvalues_from_moments(m: MomentTriple) -> np.ndarray:
         raise NumericalContractError(
             f"moment cubic has complex residue {worst_imag:.3e} on the exact route"
         )
-    return np.sort(np.maximum(roots, 0.0))[::-1]
+    # as np.sort(np.maximum(roots, 0.0))[::-1]: a negative root or -0.0 reads 0.0, NaN stays NaN
+    return np.array(sorted(0.0 if r <= 0.0 else r for r in roots)[::-1])
 
 
 def estimate_gqd(
@@ -323,14 +327,14 @@ def estimate_gqd(
     mode: str = "scheme-exact",
     which: str = "A",
     shots: int | None = None,
-    repeats: int = 20,
+    repeats: int | None = None,
     seed=None,
 ) -> GqdEstimate:
     """Discord estimate through the outcome -> moment -> spectrum pipeline.
 
     scheme-exact reads side `which`'s exact outcomes and its M1..M3, which contraction
-    reads off the same walks with the sampled read-off's moment columns. scheme-sampled
-    repeats the sampled pipeline `repeats` times (repeat r of setting k is
+    reads off the same walk with the sampled read-off's moment columns. scheme-sampled
+    repeats the sampled pipeline `repeats` times, DEFAULT_REPEATS if None (repeat r of setting k is
     row r of the stream keyed by (seed, k + 1), so it does not move with
     `repeats`; statekit._draw makes every draw) and reports the mean value
     with the sample standard deviation across repeats as std_err. The counts are one
@@ -339,15 +343,16 @@ def estimate_gqd(
     repeat's cubic goes through the same _spectrum_roots as
     eigenvalues_from_moments, so the results equal a per-repeat loop's.
     A side other than A or B raises StateValidationError before any work, and
-    scheme-exact given `shots` or `seed` raises ValueError. The reported `outcomes`
+    scheme-exact given `shots`, `repeats` or `seed` raises ValueError. The reported `outcomes`
     are the mean c frequencies across repeats (permuted for side B); the sampled
     moments do not pass through them.
     """
     _check_side(which)
     if mode == "scheme-exact":
-        given = [name for name, v in (("shots", shots), ("seed", seed)) if v is not None]
+        given = " or ".join(name for name, v in zip(("shots", "repeats", "seed"), (shots, repeats, seed))
+                            if v is not None)
         if given:
-            raise ValueError(f"scheme-exact draws no samples, so it takes no {' or '.join(given)}")
+            raise ValueError(f"scheme-exact draws no samples, so it takes no {given}")
         c = outcomes_exact(state, which)
         m = _checked_exact(MomentTriple(*_standard_values(state)[1][which]))
         lam = tuple(eigenvalues_from_moments(m).tolist())
@@ -356,6 +361,7 @@ def estimate_gqd(
     if mode != "scheme-sampled":
         raise ValueError(f"mode must be 'scheme-exact' or 'scheme-sampled', got {mode!r}")
     shots, base = _sampling_inputs(shots, seed, "scheme-sampled")
+    repeats = DEFAULT_REPEATS if repeats is None else repeats
     if not _is_int(repeats):
         raise ValueError(f"scheme-sampled repeats must be an integer, got {repeats!r}")
     if repeats < 2:

@@ -2,7 +2,11 @@
 
 The discord of a two-qubit state is (lambda_2 + lambda_3) / 4 where the
 lambdas are the descending eigenvalues of K = x x^t + T T^t (side A) or
-K' = y y^t + T^t T (side B). The minimization oracle checks that value
+K' = y y^t + T^t T (side B). gqd_exact keeps both sides' spectra for the last
+state (keyed by the object, as decompose keeps its Bloch form): K and K' are
+stacked, checked by the one spectrum check KMatrix also runs, and solved by one
+eigvalsh, so the second side reads the first side's work; gqd_from_k clamps and
+checks a spectrum with the same code. The minimization oracle checks that value
 against its definition, the squared distance to the nearest zero-discord
 state, independently of the closed form: it searches the measurement axis n
 on side A, dephasing rho in that basis as (rho + S rho S) / 2, S = n.sigma (x) I,
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -51,6 +56,24 @@ def _check_side(which: str) -> str:
     return which
 
 
+def _checked_spectra(k: np.ndarray) -> np.ndarray:
+    """The descending spectra of an (n, 3, 3) stack of K matrices, each checked finite, symmetric
+    and positive semidefinite, from one eigvalsh of the symmetrized stack."""
+    flat = k.ravel().tolist()
+    if not all(map(math.isfinite, flat)):
+        raise StateValidationError("K entries must be finite: the matrix holds NaN or infinity")
+    # each matrix's entries (0, 1), (0, 2), (1, 2), flat at 1, 2, 5, against (1, 0), (2, 0), (2, 1)
+    asym = max(abs(flat[m + i] - flat[m + j]) for m in range(0, len(flat), 9)
+               for i, j in ((1, 3), (2, 6), (5, 7)))
+    if asym > K_SYMMETRY_TOL:
+        raise StateValidationError(f"K not symmetric: asymmetry {asym:.3e}")
+    spectra = np.linalg.eigvalsh((k + k.swapaxes(1, 2)) / 2.0)[:, ::-1]
+    lowest = min(spectra[:, -1].tolist())
+    if lowest < -K_POSITIVITY_TOL:
+        raise StateValidationError(f"K not positive semidefinite: smallest eigenvalue {lowest:.3e}")
+    return spectra
+
+
 @dataclass(frozen=True, eq=False)
 class KMatrix:
     """Symmetric PSD 3x3 matrix whose `spectrum` (descending) carries the discord."""
@@ -64,18 +87,8 @@ class KMatrix:
         k = np.asarray(self.entries, dtype=float)
         if k.shape != (3, 3):
             raise StateValidationError(f"K must be 3x3, got shape {k.shape}")
-        if not np.isfinite(k).all():
-            raise StateValidationError("K entries must be finite: the matrix holds NaN or infinity")
-        asym = abs(k - k.T).max()
-        if asym > K_SYMMETRY_TOL:
-            raise StateValidationError(f"K not symmetric: asymmetry {asym:.3e}")
-        spectrum = np.linalg.eigvalsh((k + k.T) / 2.0)[::-1]
-        if spectrum[-1] < -K_POSITIVITY_TOL:
-            raise StateValidationError(
-                f"K not positive semidefinite: smallest eigenvalue {spectrum[-1]:.3e}"
-            )
+        object.__setattr__(self, "spectrum", _frozen(_checked_spectra(k[None])[0]))
         object.__setattr__(self, "entries", _frozen(k))
-        object.__setattr__(self, "spectrum", _frozen(spectrum))
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,25 +129,43 @@ class GqdEstimate:
         }
 
 
+def _k_entries(bloch: BlochForm, which: str) -> np.ndarray:
+    """K = x x^t + T T^t for side A, K' = y y^t + T^t T for side B, unchecked."""
+    if which == "A":
+        return bloch.x[:, None] * bloch.x + bloch.T @ bloch.T.T  # x[:, None] * x is np.outer's product
+    return bloch.y[:, None] * bloch.y + bloch.T.T @ bloch.T
+
+
 def k_matrix(bloch: BlochForm, which: str = "A") -> KMatrix:
     """K = x x^t + T T^t for side A, K' = y y^t + T^t T for side B."""
-    _check_side(which)
-    if which == "A":
-        k = bloch.x[:, None] * bloch.x + bloch.T @ bloch.T.T  # x[:, None] * x is np.outer's product
-    else:
-        k = bloch.y[:, None] * bloch.y + bloch.T.T @ bloch.T
-    return KMatrix(k, which)  # KMatrix symmetrizes it for eigvalsh
+    return KMatrix(_k_entries(bloch, _check_side(which)), which)  # KMatrix symmetrizes it for eigvalsh
+
+
+@lru_cache(maxsize=1)
+def _spectra(state: TwoQubitState) -> dict[str, list[float]]:
+    """Both sides' checked descending K spectra for the last state, keyed by the object as
+    decompose is: K and K' stacked, checked and solved by one eigvalsh."""
+    bloch = decompose(state)
+    spectra = _checked_spectra(np.array([_k_entries(bloch, which) for which in SIDES]))
+    return dict(zip(SIDES, spectra.tolist()))
 
 
 def gqd_exact(state: TwoQubitState, which: str = "A") -> GqdEstimate:
-    """Closed-form geometric discord of a state for the chosen side (route "bloch-exact")."""
-    return gqd_from_k(k_matrix(decompose(state), which))
+    """Closed-form geometric discord of a state for the chosen side (route "bloch-exact"); a side
+    other than A or B raises StateValidationError before any work."""
+    _check_side(which)
+    return _estimate(_spectra(state)[which])
 
 
 def gqd_from_k(k: KMatrix) -> GqdEstimate:
     """(lambda_2 + lambda_3) / 4 of K's spectrum, clamped and checked as gqd_exact reports it."""
-    # KMatrix refused any below -K_POSITIVITY_TOL; max(0.0, v) also reads -0.0 as 0.0
-    lam = tuple(max(0.0, v) for v in k.spectrum.tolist())
+    return _estimate(k.spectrum.tolist())
+
+
+def _estimate(spectrum: list[float]) -> GqdEstimate:
+    """The bloch-exact estimate of a checked descending spectrum."""
+    # the spectrum check refused any below -K_POSITIVITY_TOL; max(0.0, v) also reads -0.0 as 0.0
+    lam = tuple(max(0.0, v) for v in spectrum)
     value = (lam[1] + lam[2]) / 4.0
     if not 0.0 <= value <= 0.5 + 1e-12:
         raise StateValidationError(f"discord value {value:.12g} outside [0, 1/2]")

@@ -189,9 +189,9 @@ class BlochForm:
                 f"Bloch data must be two 3-vectors and a 3x3 matrix, got "
                 f"{x.shape}, {y.shape}, {T.shape}"
             )
-        entries, bound = np.concatenate((x, y, T.ravel())), 1.0 + BLOCH_ENTRY_TOL
-        if not (-bound <= entries.min() and entries.max() <= bound):  # NaN fails too
-            worst = float(abs(entries).max())  # printed in full: 1 + 2e-12 must not read as 1
+        entries, bound = [*x.tolist(), *y.tolist(), *T.ravel().tolist()], 1.0 + BLOCH_ENTRY_TOL
+        if not all(-bound <= v <= bound for v in entries):  # NaN fails too
+            worst = float(np.abs(entries).max())  # printed in full: 1 + 2e-12 must not read as 1
             raise StateValidationError(f"Bloch entries must lie in [-1, 1]; largest magnitude is {worst}")
         object.__setattr__(self, "x", _frozen(x))
         object.__setattr__(self, "y", _frozen(y))

@@ -591,3 +591,32 @@ def test_shots_above_the_bound_leave_no_output_file(tmp_path, capsys, monkeypatc
 
 def test_unknown_command_exits_two(capsys):
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (("--repeats", "1"), "--repeats"),
+        (("--seed", "3"), "--seed"),
+        (("--repeats", "20", "--seed", "3"), "--repeats or --seed"),
+    ],
+    ids=["repeats", "seed", "both"],
+)
+def test_the_exact_scheme_refuses_sampling_flags_without_shots(capsys, monkeypatch, flags, named):
+    # without --shots the scheme is exact and would ignore them, as estimate_gqd refuses to
+    def refuse(*args, **kwargs):
+        raise AssertionError("an estimate started on bad input")
+
+    monkeypatch.setattr(estimator, "estimate_gqd", refuse)
+    code, out, err = run_cli(capsys, "scheme", *WERNER, *flags)
+    assert code == 2 and out == ""
+    assert f"takes no {named}\n" in err
+
+
+def test_sweep_and_compare_keep_twenty_repeats_by_default(capsys):
+    code, out, _ = run_cli(capsys, "compare", *WERNER, "--shots", "100", "--seed", "1")
+    assert code == 0 and json.loads(out)["repeats"] == 20
+    # sweep's default, and scheme's unset --repeats, which the library reads as its 20
+    for argv in (("sweep", *SWEEP), ("scheme", *WERNER)):
+        runs = [run_cli(capsys, *argv, "--shots", "100", "--seed", "1", *more) for more in ((), ("--repeats", "20"))]
+        assert runs[0] == runs[1] and runs[0][0] == 0

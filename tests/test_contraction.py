@@ -25,6 +25,7 @@ from gqdkit.contraction import (
     _dense_operator,
     _leg_stack,
     _standard_values,
+    _walked,
     build_u,
     build_v,
     pauli_exchange_sum,
@@ -200,10 +201,16 @@ def test_outcome_distribution_rejects_a_bad_vector(p, message):
 
 
 def test_joint_distribution_rejects_a_nan_walk(monkeypatch):
-    # a NaN pattern survives the clamp; OutcomeDistribution's own check catches it
-    monkeypatch.setattr(contraction, "_walk_legs", lambda setting, r: np.full(4, np.nan))
-    with pytest.raises(NumericalContractError, match="finite and nonnegative"):
-        joint_distribution(settings()[0], random_state(1150))
+    # a NaN pattern survives the clamp; OutcomeDistribution's own check catches it, on a protocol
+    # setting's rows of the chained walk and on an ad-hoc setting's own walk
+    def nan_walk(matching, legs):
+        return np.full(84 if matching is contraction._SETTINGS else 4, np.nan)
+
+    monkeypatch.setattr(contraction, "_walk_legs", nan_walk)
+    ad_hoc = Setting(PairingLayout(2, settings()[0].pairs), ())
+    for setting in (settings()[0], ad_hoc):
+        with pytest.raises(NumericalContractError, match="finite and nonnegative"):
+            joint_distribution(setting, random_state(1150))
 
 
 def test_outcome_distribution_holds_one_read_only_vector():
@@ -501,12 +508,13 @@ def test_ad_hoc_layouts_never_evict_the_settings_plans(monkeypatch):
 
 
 def test_leg_stack_is_gathered_once_per_state_object(monkeypatch):
-    # a state's eleven standard values share one gather of R and the three settings' walks; the
-    # next state, or an equal-matrix copy of it (a state compares by identity), gathers and walks
-    # anew, and the cache keeps only the last state
+    # a state's eleven standard values and three distributions share one gather of R and one
+    # chained walk; the next state, or an equal-matrix copy of it (a state compares by identity),
+    # gathers and walks anew, and each cache keeps only the last state
     a, b = BIT_STATES[1], BIT_STATES[6]
     twin = TwoQubitState(a.matrix.copy())
     _standard_values.cache_clear()
+    _walked.cache_clear()
     calls = counted(monkeypatch, "_leg_stack", "_walk_legs")
     for state in (a, b, a, twin):
         before = dict(calls)
@@ -514,13 +522,16 @@ def test_leg_stack_is_gathered_once_per_state_object(monkeypatch):
             for lay in standard_layouts():
                 edges = tuple((p.side, *p.copies, p.kind) for p in lay.pairs)
                 assert abs(expect_layout(lay, state) - ref_contract(edges, state.R).item()) <= 1e-15
-                assert _standard_values.cache_info().currsize == 1
-        assert {name: calls[name] - before[name] for name in calls} == {"_leg_stack": 1, "_walk_legs": 3}
+            for setting in settings():
+                joint_distribution(setting, state)
+            assert _standard_values.cache_info().currsize == _walked.cache_info().currsize == 1
+        assert {name: calls[name] - before[name] for name in calls} == {"_leg_stack": 1, "_walk_legs": 1}
 
 
 def test_walked_values_are_kept_for_the_last_state_only(monkeypatch):
-    # states A, B, A: each visit walks the three settings once and reads the second pass back,
-    # and the cache holds the visited state's eleven values only; an equal-matrix copy walks anew
+    # states A, B, A: each visit makes one chained walk of the three settings and reads the second
+    # pass back, and the caches hold the visited state's 84 patterns and eleven values only; an
+    # equal-matrix copy walks anew
     walked, walk = [], contraction._walk_legs
 
     def recording(matching, legs):
@@ -530,14 +541,46 @@ def test_walked_values_are_kept_for_the_last_state_only(monkeypatch):
     monkeypatch.setattr(contraction, "_walk_legs", recording)
     a, b = BIT_STATES[2], BIT_STATES[9]
     _standard_values.cache_clear()
+    _walked.cache_clear()
     for state in (a, b, a, TwoQubitState(a.matrix.copy())):
         walked.clear()
         passes = [[expect_layout(lay, state) for lay in standard_layouts()] for _ in range(2)]
-        assert walked == settings()
+        assert walked == [contraction._SETTINGS]
         assert passes[0] == passes[1] == list(_standard_values(state)[0])
-        assert _standard_values.cache_info().currsize == 1
+        assert _walked(state).shape == (84,) and not _walked(state).flags.writeable
+        assert _standard_values.cache_info().currsize == _walked.cache_info().currsize == 1
         for lay, value in zip(standard_layouts(), passes[0]):
             assert abs(value - einsum_reference(lay, state.matrix).real) <= 1e-12
+
+
+CHAIN_STATES = [random_state([35, t], rank=1 + t % 4) for t in range(200)]
+
+
+def test_the_chained_walk_is_bit_identical_to_three_setting_walks():
+    # one walk of setting 3's cycle, traced after legs 2, 4 and 6, against each setting walked on
+    # its own plan; and a protocol setting's distribution is its rows of the chained walk
+    for state in CHAIN_STATES:
+        legs = _leg_stack(state)
+        chained = contraction._walk_legs(contraction._SETTINGS, legs)
+        apart = np.concatenate([contraction._walk_legs(s, legs) for s in settings()])
+        assert chained.shape == (84,) and np.array_equal(chained.view(np.int64), apart.view(np.int64))
+    state = CHAIN_STATES[-1]
+    for setting, rows in zip(settings(), np.split(_walked(state), [4, 20])):
+        assert np.array_equal(joint_distribution(setting, state).p, np.maximum(rows, 0.0))
+
+
+def test_the_settings_must_nest_to_share_one_walk():
+    # the protocol's settings nest, each a proper prefix of the next; a reordered triple, a repeated
+    # setting, one walked from its b side and one of two cycles do not
+    s1, s2, s3 = settings()
+    assert contraction._chain_plan((s1, s2, s3))[0] == (((0, (1, 0, 1, 0, 1), (2, 4, 6))),)
+    b_first = Setting(PairingLayout(2, s1.pairs[::-1]), ())
+    two_cycles = Setting(PairingLayout(4, tuple(
+        PairOp(side, copies, "singlet") for side in "ab" for copies in ((1, 2), (3, 4)))), ())
+    assert len(two_cycles.cycles) == 2
+    for chain in ((s1, s3, s2), (s2, s1), (s1, s1, s3), (b_first, s2, s3), (two_cycles, s3)):
+        with pytest.raises(NumericalContractError, match="do not nest"):
+            contraction._chain_plan(chain)
 
 
 def test_an_ad_hoc_layout_walks_its_own_matching_uncached(monkeypatch):

@@ -721,13 +721,21 @@ def test_sampled_entry_points_reject_a_non_integer_shot_count(entry, shots):
     [
         ("scheme-exact", {"shots": 1000}, "shots"),
         ("scheme-exact", {"seed": 0}, "seed"),
-        ("scheme-exact", {"shots": 1000, "seed": 1, "repeats": 1}, "shots or seed"),
+        ("scheme-exact", {"shots": 1000, "seed": 1, "repeats": 1}, "shots or repeats or seed"),
+        ("scheme-exact", {"repeats": 1}, "repeats"),
+        ("scheme-exact", {"repeats": 20}, "repeats"),
+        ("scheme-exact", {"repeats": "x"}, "repeats"),
+        ("scheme-exact", {"shots": 1000, "seed": 1}, "shots or seed"),
         ("tomography", {"seed": 3}, "seed"),
     ],
-    ids=["exact-shots", "exact-seed", "exact-both", "tomography-seed"],
+    ids=[
+        "exact-shots", "exact-seed", "exact-both", "exact-repeats", "exact-default-repeats",
+        "exact-text-repeats", "exact-shots-and-seed", "tomography-seed",
+    ],
 )
 def test_exact_routes_refuse_sampling_arguments(route, kwargs, named):
-    # an exact route draws nothing, so a shot count or seed it would ignore is an error
+    # an exact route draws nothing, so a shot count, repeat count or seed it would ignore is an
+    # error, even one equal to the sampled route's default
     state = make_family("werner", [0.5])
     with pytest.raises(ValueError, match=f"takes no {named}$"):
         if route == "tomography":
@@ -946,8 +954,9 @@ def _count_calls(monkeypatch, calls, name, original):
 
 def test_an_exact_panel_op_makes_the_pinned_calls_and_walks_each_layout_once(monkeypatch):
     # the per-op counts the benchmark pins for exact-panel (22 expect_layout, 2 outcomes_exact,
-    # 0 joint_distribution) hold, while side A's outcomes walk the three settings once and side
-    # B's walk none, and the two decompose calls build one Bloch form
+    # 0 joint_distribution) hold, while side A's outcomes make one chained walk of the three
+    # settings and side B's walk none, and side A's gqd_exact builds the one Bloch form and runs
+    # the one eigvalsh that side B's reads
     state = random_state(2750, rank=3)  # a new object: no cache holds it
     originals = {
         "expect_layout": contraction.expect_layout,
@@ -959,23 +968,28 @@ def test_an_exact_panel_op_makes_the_pinned_calls_and_walks_each_layout_once(mon
     calls = dict.fromkeys(originals, 0)
     for name, original in originals.items():
         _count_calls(monkeypatch, calls, name, original)
-    walks = []
-    walk = contraction._walk_legs
+    walks, eigvalsh_shapes = [], []
+    walk, eigvalsh = contraction._walk_legs, np.linalg.eigvalsh
 
     def walking(matching, legs):
         walks.append(matching)
         return walk(matching, legs)
 
+    def solving(a):
+        eigvalsh_shapes.append(a.shape)
+        return eigvalsh(a)
+
     monkeypatch.setattr(contraction, "_walk_legs", walking)
+    monkeypatch.setattr(np.linalg, "eigvalsh", solving)
     values = [gqd_exact(state, "A").value, estimate_gqd(state, "scheme-exact", which="A").value]
-    assert walks == settings()
+    assert walks == [contraction._SETTINGS] and eigvalsh_shapes == [(2, 3, 3)]
     values += [gqd_exact(state, "B").value, estimate_gqd(state, "scheme-exact", which="B").value]
-    assert walks == settings()
+    assert walks == [contraction._SETTINGS] and eigvalsh_shapes == [(2, 3, 3)]
     assert calls == {
         "expect_layout": 22,
         "outcomes_exact": 2,
         "joint_distribution": 0,
-        "decompose": 2,
+        "decompose": 1,
         "bloch_forms": 1,
     }
     assert abs(values[1] - values[0]) <= 1e-8 and abs(values[3] - values[2]) <= 1e-8
@@ -1131,6 +1145,21 @@ def test_outcome_vector_validation():
             OutcomeVector(c, "exact")
         with pytest.raises(ValueError, match="must lie in"):
             OutcomeVector(c, "sampled")
+
+
+def test_outcome_vector_checks_and_clips_as_numpy_did():
+    # the plain-float check and clip against ref_OutcomeVector's numpy, bit for bit: entries just
+    # outside [0, 1] read 0.0 and 1.0 and entries inside keep their bits; -0.0 stays -0.0, as
+    # np.clip leaves it, whether or not another entry is clipped
+    edges = [-1e-12, -1e-13, -5e-324, 0.0, 5e-324, 0.5, 1 - 2**-53, 1.0, 1 + 2**-52, 1 + 1e-12, 0.25]
+    for c in (np.array(edges), np.array(edges[::-1]), np.linspace(0.0, 1.0, 11)):
+        got, want = OutcomeVector(c, "exact").c, ref_OutcomeVector(c, "exact").c
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)) and not got.flags.writeable
+    for c, signs in (([-0.0] * 11, [True] * 11), ([-0.0] * 10 + [-1e-13], [True] * 10 + [False])):
+        assert np.signbit(OutcomeVector(np.array(c), "exact").c).tolist() == signs
+    for c in ([-1e-12 - 1e-15] + [0.5] * 10, [0.5] * 10 + [1.0 + 2e-12]):
+        with pytest.raises(NumericalContractError, match="exact outcome outside"):
+            OutcomeVector(np.array(c), "exact")
 
 
 def ref_readoff(which):

@@ -620,6 +620,8 @@ def test_import_loads_numpy_random_only_where_numpy_does():
 
 
 def test_gqd_exact_reads_the_spectrum_of_the_psd_check(monkeypatch):
+    # one eigvalsh of K and K' stacked serves both sides of a state, each side reading the
+    # spectrum its own KMatrix checks
     state = random_state(5300, rank=3)
     eigvalsh = np.linalg.eigvalsh
     calls = []
@@ -629,11 +631,60 @@ def test_gqd_exact_reads_the_spectrum_of_the_psd_check(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    for side in ("A", "B"):
-        calls.clear()
-        value = gqd_exact(state, side)
-        assert len(calls) == 1
+    values = {side: gqd_exact(state, side) for side in ("A", "B", "A")}
+    assert len(calls) == 1 and calls[0].shape == (2, 3, 3)
+    for side, value in values.items():
         assert value.eigenvalues == tuple(k_matrix(decompose(state), side).spectrum)
     k = k_matrix(decompose(state))
     assert np.array_equal(k.spectrum, eigvalsh(k.entries)[::-1])
     assert not k.spectrum.flags.writeable
+
+
+RECORD_STATES = [
+    make_family("product", [0.1, 0.2, 0.3, 0.0, 0.0, 1.0]),
+    make_family("product", [0, 0, 1, 0, 0, 1]),
+    make_family("pure", [0.6, 0.1, 0.2, -0.3, 0.0, 0.5, 0.3, 0.4]),
+    make_family("pure", [1, 0, 0, 0, 0, 0, 0, 0]),
+    TwoQubitState(MAXIMALLY_MIXED),
+] + [random_state([36, t], rank=1 + t % 4) for t in range(64)]
+
+
+@pytest.mark.parametrize("which", ["A", "B"])
+def test_the_stacked_record_is_bit_identical_to_one_k_matrix_per_side(which):
+    # gqd_exact reads both sides off one stacked check and eigvalsh; each side equals its own
+    # KMatrix's 3x3 check and eigvalsh through gqd_from_k, to the JSON text's sign of zero
+    for state in RECORD_STATES:
+        gqd_core._spectra.cache_clear()
+        got = gqd_exact(state, which)
+        expected = gqd_core.gqd_from_k(k_matrix(decompose(state), which))
+        assert (got.value, got.eigenvalues) == (expected.value, expected.eigenvalues)
+        assert json.dumps(got.to_dict()) == json.dumps(expected.to_dict())
+        assert np.array_equal(np.signbit(got.eigenvalues), np.signbit(expected.eigenvalues))
+
+
+def test_gqd_exact_checks_the_side_before_decompose(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("decomposed before the side check")
+
+    monkeypatch.setattr(gqd_core, "decompose", refuse)
+    for side in ("C", "a", None):
+        with pytest.raises(StateValidationError, match="side marker"):
+            gqd_exact(random_state(5310, rank=2), side)
+
+
+def test_one_spectrum_check_serves_a_stack_and_a_single_k():
+    # the stacked check refuses what KMatrix refuses, with its message, whichever matrix holds it
+    good = k_matrix(decompose(random_state(5320, rank=3))).entries
+    cases = [
+        (np.array([[1, 2, 0], [0, 1, 0], [0, 0, 1.0]]), "K not symmetric: asymmetry 2.000e\\+00"),
+        (-np.eye(3), "K not positive semidefinite: smallest eigenvalue -1.000e\\+00"),
+        (np.diag([1.0, np.nan, 0.0]), "K entries must be finite"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(StateValidationError, match=message):
+            KMatrix(bad, "A")
+        for stack in (np.array([good, bad]), np.array([bad, good])):
+            with pytest.raises(StateValidationError, match=message):
+                gqd_core._checked_spectra(stack)
+    spectra = gqd_core._checked_spectra(np.array([good, good.copy()]))
+    assert np.array_equal(spectra[0], KMatrix(good, "A").spectrum) and np.array_equal(spectra[0], spectra[1])
