@@ -109,10 +109,14 @@ def cmd_exact(args) -> int:
 
 
 def _check_sampling(args) -> None:
-    """Reject sampling flags the sampled route cannot run with."""
+    """Reject sampling flags the sampled route cannot run with, and, without --shots, any
+    --repeats or --seed: no samples are drawn, so they would be ignored."""
     from .statekit import _sampling_inputs
 
     if args.shots is None:
+        given = " or ".join(flag for flag in ("--repeats", "--seed") if getattr(args, flag[2:]) is not None)
+        if given:
+            raise StateValidationError(f"without --shots no samples are drawn, so it takes no {given}")
         return
     if args.shots < 1:
         raise StateValidationError(f"--shots must be >= 1, got {args.shots}")
@@ -138,10 +142,6 @@ def cmd_scheme(args) -> int:
     from .estimator import estimate_gqd
 
     state = _resolve_state(args)
-    if args.shots is None:
-        given = " or ".join(flag for flag in ("--repeats", "--seed") if getattr(args, flag[2:]) is not None)
-        if given:  # the exact scheme would ignore them, as estimate_gqd refuses to
-            raise StateValidationError(f"without --shots the scheme draws no samples, so it takes no {given}")
     _check_sampling(args)
     _emit("", args.output, mode="a")
     if args.shots is None:
@@ -312,9 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--num", type=int, required=True)
     p.add_argument("--side", choices=("A", "B"), default="A")
-    p.add_argument("--shots", type=int)
-    p.add_argument("--repeats", type=int, default=20)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--shots", type=int, help="samples per setting (omit for no sampled columns)")
+    p.add_argument("--repeats", type=int, help="sampled repeats (default 20); needs --shots")
+    p.add_argument("--seed", type=int, help="needs --shots")
     _add_io_args(p, formats=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_sweep)
 

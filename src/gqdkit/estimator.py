@@ -367,13 +367,14 @@ def estimate_gqd(
     if repeats < 2:
         raise ValueError("scheme-sampled requires repeats >= 2")
 
-    cs, ms = np.split(_sampled(state, base, int(repeats), shots, which), [N_OUTCOMES], axis=1)
-    roots = [_spectrum_roots(*m)[0] for m in ms.tolist()]
+    rows = _sampled(state, base, int(repeats), shots, which)  # C-contiguous (repeats, 14)
+    roots = [_spectrum_roots(*m)[0] for m in rows[:, N_OUTCOMES:].tolist()]
     lams = np.sort(np.maximum(roots, 0.0), axis=1)[:, ::-1]
     values = (lams[:, 1] + lams[:, 2]) / 4.0
 
-    mean_c = OutcomeVector(cs.mean(axis=0), "sampled", shots=shots, seed=base)
-    mean_m = MomentTriple(*ms.mean(axis=0))
+    means = rows.mean(axis=0)  # adds the repeats row by row, as a per-repeat loop's mean does
+    mean_c = OutcomeVector(means[:N_OUTCOMES], "sampled", shots=shots, seed=base)
+    mean_m = MomentTriple(*means[N_OUTCOMES:])
     mean_lam = tuple(lams.mean(axis=0).tolist())
     return GqdEstimate(
         float(values.mean()), float(values.std(ddof=1)), mean_lam, "scheme-sampled", mean_c, mean_m

@@ -2,14 +2,18 @@
 
 Simulates the nine local Pauli settings sigma^i (x) sigma^j (four outcomes
 each), reconstructs all fifteen Bloch parameters by linear inversion,
-projects onto the density-matrix cone, and evaluates the closed-form
-discord of the reconstruction. The resource report contrasts this with the
-pair-measurement scheme.
+repairs the reconstruction into a density matrix by clipping its negative
+eigenvalues and renormalizing, and evaluates the closed-form discord of the
+repaired state. The outcome signs s, t and their weights s*t, s, t are built
+once, at import; the sampled route forms <st>, <s> and <t> of all nine
+settings in one broadcast over the (3, 3, 4) frequencies. The resource report,
+built once, contrasts this with the pair-measurement scheme.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,15 +21,24 @@ from .gqd_core import GqdEstimate, _check_side, gqd_exact
 from .pairing import settings, standard_layouts
 from .statekit import TwoQubitState, _bloch_matrix, _draw, _sampling_inputs, decompose
 
-# outcome sign pairs (s, t) for the four results of one Pauli x Pauli setting
-_OUTCOME_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+# outcome signs (s, t) of the four results of one Pauli x Pauli setting, and the weights
+# (s*t, s, t) that read <st>, <s> and <t> off its frequencies, shaped to broadcast over [i, j, o]
+_SIGN_S, _SIGN_T = np.array(((1, 1), (1, -1), (-1, 1), (-1, -1))).T
+_SIGN_ST = _SIGN_S * _SIGN_T
+_SIGN_WEIGHTS = np.stack((_SIGN_ST, _SIGN_S, _SIGN_T))[:, None, None, :]
 
 
 def _project_to_state(m: np.ndarray) -> TwoQubitState:
-    """Nearest density matrix by eigenvalue clipping and renormalization."""
+    """A density matrix from a Hermitian-ized reconstruction: negative eigenvalues clipped
+    to zero, the rest renormalized to unit trace.
+
+    This is a repair, not the Frobenius-nearest state: that projection (Smolin, Gambetta and
+    Smith, PRL 108, 070502 (2012)) lowers the kept eigenvalues by one common shift in place
+    of rescaling them.
+    """
     h = (m + m.conj().T) / 2.0
     w, v = np.linalg.eigh(h)
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)  # as np.clip(w, 0.0, None), bit for bit
     total = float(w.sum())
     if total <= 0.0:
         raise ValueError("reconstruction collapsed to the zero matrix")
@@ -46,9 +59,11 @@ def qst_estimate(
     from the stream keyed by (seed, 3i + j + 1), all nine drawn by one
     statekit._draw call from the raw broadcast probabilities; x_i and y_j are
     averaged over the three settings containing them, t_ij comes from setting
-    (i, j). The outcome sums run
-    elementwise in the order of a per-setting loop, so the results equal that
-    loop's bit for bit. A side other than A or B raises StateValidationError before any work.
+    (i, j). One broadcast weighs every setting's frequencies by s*t, s and t, and
+    the four outcomes are added in order as Python's sum adds them, so the results
+    equal a per-setting loop's bit for bit. The reconstruction is repaired by
+    _project_to_state, which clips negative eigenvalues. A side other than A or B
+    raises StateValidationError before any work.
     """
     _check_side(which)
     if shots_per_setting is None and seed is not None:
@@ -58,13 +73,13 @@ def qst_estimate(
         x_hat, y_hat, t_hat = bloch.x, bloch.y, bloch.T
     else:
         shots, key = _sampling_inputs(shots_per_setting, seed, "sampled tomography")
-        s, t = np.array(_OUTCOME_SIGNS).T
         # probs[i, j, o]: outcome o of setting (i, j), handed to _draw as computed
         x, y, T = bloch.x[:, None, None], bloch.y[None, :, None], bloch.T[:, :, None]
-        probs = (1.0 + s * x + t * y + s * t * T) / 4.0
+        probs = (1.0 + _SIGN_S * x + _SIGN_T * y + _SIGN_ST * T) / 4.0
         freq = _draw(key, probs.reshape(9, 4), shots).reshape(3, 3, 4) / shots
-        # [i, j]: <st>, <s>, <t> in setting (i, j), outcomes added in order as Python's sum does
-        t_hat, marg_a, marg_b = (sum(w[o] * freq[..., o] for o in range(4)) for w in (s * t, s, t))
+        # [w, i, j]: <st>, <s>, <t> in setting (i, j), outcomes added in order as Python's sum does
+        wf = _SIGN_WEIGHTS * freq
+        t_hat, marg_a, marg_b = sum(wf[..., o] for o in range(4))
         x_hat = marg_a.mean(axis=1)
         y_hat = marg_b.mean(axis=0)
 
@@ -109,8 +124,10 @@ class ResourceReport:
         }
 
 
+@lru_cache(maxsize=1)
 def resource_report() -> ResourceReport:
-    """The quoted comparison constants plus independently computed tallies."""
+    """The quoted comparison constants plus independently computed tallies, built once:
+    the report is frozen and its inputs are the protocol's fixed layouts."""
     layouts = standard_layouts()
     return ResourceReport(
         projector_count_scheme=len(layouts),

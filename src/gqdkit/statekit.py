@@ -20,6 +20,7 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from numbers import Real
 
 import numpy as np
@@ -120,7 +121,7 @@ def _draw(key: tuple[int, ...], pvecs, shots: int, repeats: int | None = None) -
     q = np.rint(np.concatenate(pvecs, dtype=float) * DRAW_GRID) + 0.0  # no -0.0
     if not q.min() >= 0.0:  # NaN fails too
         raise NumericalContractError("a draw probability is NaN or below -2**-33, half a step")
-    starts = [0, *np.cumsum(sizes).tolist()]
+    starts = [0, *accumulate(sizes)]
     p = q / np.repeat(np.add.reduceat(q, starts[:-1]), sizes)
     # k + 1, never 0: numpy pads keys of up to 4 words with zeros, so [*key, 0] is [*key]'s stream
     return np.concatenate(
@@ -146,7 +147,7 @@ class TwoQubitState:
             raise StateValidationError(f"expected a 4x4 matrix, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise StateValidationError("entries must be finite: the matrix holds NaN or infinity")
-        herm = float(np.max(np.abs(m - m.conj().T)))
+        herm = float(np.abs(m - m.conj().T).max())
         if herm > HERMITICITY_TOL:
             raise StateValidationError(
                 f"not Hermitian: max |rho - rho^dag| = {herm:.3e} exceeds {HERMITICITY_TOL}"
@@ -163,7 +164,7 @@ class TwoQubitState:
                 f"below -{POSITIVITY_TOL}"
             )
         r = np.einsum("mnab,ba->mn", SIGMA, m)
-        residue = float(np.max(np.abs(r.imag)))
+        residue = float(np.abs(r.imag).max())
         if residue > IMAG_TRACE_TOL:
             raise StateValidationError(
                 f"Pauli expectation values have imaginary residue {residue:.3e} above {IMAG_TRACE_TOL}"

@@ -613,6 +613,28 @@ def test_the_exact_scheme_refuses_sampling_flags_without_shots(capsys, monkeypat
     assert f"takes no {named}\n" in err
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (("--repeats", "1"), "--repeats"),
+        (("--repeats", "20"), "--repeats"),
+        (("--seed", "3"), "--seed"),
+        (("--seed", "3", "--repeats", "1"), "--repeats or --seed"),
+    ],
+    ids=["repeats", "valid-repeats", "seed", "both"],
+)
+def test_sweep_refuses_sampling_flags_without_shots(capsys, monkeypatch, flags, named):
+    # without --shots the sweep fills no sampled columns, so the flags would be ignored
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid point started on bad input")
+
+    for module, name in REFUSED:
+        monkeypatch.setattr(module, name, refuse)
+    code, out, err = run_cli(capsys, "sweep", *SWEEP, *flags)
+    assert code == 2 and out == ""
+    assert f"takes no {named}\n" in err
+
+
 def test_sweep_and_compare_keep_twenty_repeats_by_default(capsys):
     code, out, _ = run_cli(capsys, "compare", *WERNER, "--shots", "100", "--seed", "1")
     assert code == 0 and json.loads(out)["repeats"] == 20

@@ -1,4 +1,5 @@
 import json
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -466,10 +467,10 @@ def test_scheme_sampled_follows_streams_and_pattern_loop_reference():
     layouts = {lay.label: lay for lay in standard_layouts()}
     values = {"A": {"a": (-3.0, 1.0), "b": (-2.0, 2.0)}}
     values["B"] = {"a": values["A"]["b"], "b": values["A"]["a"]}
-    # nine repeats: the mean over repeats adds eight or more rows pairwise
-    # when they are not contiguous, so a column-strided c array would show
-    shots, seed, repeats = 5000, 41, 9
-    for which in ("A", "B"):
+    # repeats 2, 9 and 20: the mean over repeats adds eight or more rows pairwise when
+    # they are not contiguous, so a column-strided c or M array would show at 9 and 20
+    shots, seed = 5000, 41
+    for which, repeats in itertools.product(("A", "B"), (2, 9, 20)):
         cs, ms = [], []
         rngs = [np.random.default_rng([seed, k + 1]) for k in range(3)]
         for rep in range(repeats):

@@ -9,8 +9,8 @@ from gqdkit import (
     random_state,
     resource_report,
 )
-from gqdkit.qst_baseline import _project_to_state
-from gqdkit.statekit import PAULI
+from gqdkit import qst_baseline
+from gqdkit.statekit import PAULI, TwoQubitState
 
 # the tensor-product Pauli tables indexed [i] resp. [i, j], built here from PAULI
 SIGMA_A = np.stack([np.kron(p, np.eye(2)) for p in PAULI])
@@ -65,15 +65,26 @@ def test_qst_determinism():
     assert a[1].value == b[1].value
 
 
-def test_sampled_tomography_follows_the_setting_loop_reference():
+def test_sampled_tomography_follows_the_setting_loop_reference(monkeypatch):
     # setting (i, j) draws from stream (seed, 3i + j + 1); t_ij, <s> and <t> are
-    # Python sums over the four outcomes; x_i, y_j average three settings
+    # Python sums over the four outcomes; x_i and y_j average three settings. The
+    # product state |00> holds zero counts, whose -1-weighted terms are -0.0, so
+    # the Bloch estimates are compared bit for bit, sign of zero included
     signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-    for trial, shots in enumerate((1, 100, 100_000)):
-        state = random_state(1000 + trial, rank=1 + trial)
+    cases = [(random_state(1000 + trial, rank=1 + trial), shots) for trial, shots in enumerate((1, 100, 100_000))]
+    cases.append((make_family("product", [0, 0, 1, 0, 0, 1]), 1000))
+    seen, bloch_matrix = [], qst_baseline._bloch_matrix
+
+    def recording_bloch_matrix(x, y, T):
+        seen.append((x, y, T))
+        return bloch_matrix(x, y, T)
+
+    monkeypatch.setattr(qst_baseline, "_bloch_matrix", recording_bloch_matrix)
+    for trial, (state, shots) in enumerate(cases):
         bloch = decompose(state)
         seed = (trial, 1)
         t_hat, marg_a, marg_b = np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3))
+        zero_counts = 0
         for i in range(3):
             for j in range(3):
                 probs = np.array(
@@ -84,7 +95,9 @@ def test_sampled_tomography_follows_the_setting_loop_reference():
                 )
                 rng = np.random.default_rng([*seed, 3 * i + j + 1])
                 q = np.rint(probs * 2**32)  # the draw rule: p on the grid 2**-32, q / q.sum()
-                freq = rng.multinomial(shots, q / q.sum()) / shots
+                counts = rng.multinomial(shots, q / q.sum())
+                zero_counts += int(np.sum(counts == 0))
+                freq = counts / shots
                 t_hat[i, j] = sum(s * t * f for (s, t), f in zip(signs, freq))
                 marg_a[i, j] = sum(s * f for (s, t), f in zip(signs, freq))
                 marg_b[i, j] = sum(t * f for (s, t), f in zip(signs, freq))
@@ -95,11 +108,19 @@ def test_sampled_tomography_follows_the_setting_loop_reference():
             + np.einsum("i,iab->ab", y_hat, SIGMA_B)
             + np.einsum("ij,ijab->ab", t_hat, SIGMA_AB)
         ) / 4.0
+        # the repair: Hermitian part, negative eigenvalues clipped by np.clip, renormalized
+        w, v = np.linalg.eigh((raw + raw.conj().T) / 2.0)
+        w = np.clip(w, 0.0, None)
+        reference = TwoQubitState((v * (w / float(w.sum()))) @ v.conj().T)
         for which in ("A", "B"):
+            seen.clear()
             recon, est = qst_estimate(state, shots_per_setting=shots, seed=seed, which=which)
-            reference = _project_to_state(raw)
-            assert np.array_equal(recon.matrix, reference.matrix)
+            [got] = seen
+            for a, b in zip(got, (x_hat, y_hat, t_hat)):
+                assert np.array_equal(np.asarray(a).view(np.int64), b.view(np.int64))
+            assert np.array_equal(recon.matrix.view(np.int64), reference.matrix.view(np.int64))
             assert est.value == gqd_exact(reference, which).value
+    assert zero_counts > 0  # the product state's draws
 
 
 def test_sampled_tomography_draws_a_rounding_level_negative_as_zero():
@@ -148,3 +169,28 @@ def test_resource_report_serialization():
     report = resource_report()
     d = report.to_dict()
     assert d["r_scheme"] == 132 and d["r_qst"] == 225
+
+
+def test_the_eigenvalue_clip_is_np_clip_bit_for_bit():
+    # _project_to_state clips with np.maximum(w, 0.0): the same bits as np.clip(w, 0.0, None)
+    w = np.array([-0.0, -1e-17, np.nan, 0.0, 0.25, -0.5, 1.0])
+    assert np.array_equal(np.maximum(w, 0.0).view(np.int64), np.clip(w, 0.0, None).view(np.int64))
+
+
+def test_resource_report_is_built_once():
+    report = resource_report()
+    assert resource_report() is report
+    with pytest.raises(AttributeError):
+        report.projector_count_scheme = 12
+    assert report.to_dict() == {
+        "r_p_scheme": 3,
+        "r_p_qst": 15,
+        "r_c_scheme": 44,
+        "r_c_qst": 15,
+        "r_scheme": 132,
+        "r_qst": 225,
+        "projector_count_scheme": 11,
+        "setting_count_scheme": 3,
+        "copies_tally_per_projector": 46,
+        "copies_tally_per_setting": 12,
+    }
