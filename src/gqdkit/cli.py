@@ -184,13 +184,16 @@ def cmd_sweep(args) -> int:
     params = _parse_params(args.params) or [0.0] * max(1, args.sweep_index + 1)
     if not -len(params) <= args.sweep_index < len(params):
         raise StateValidationError(f"--sweep-index {args.sweep_index} outside the parameter list")
+    grid = np.linspace(args.start, args.stop, args.num).tolist()
+    states = []
+    for value in grid:  # every grid point is checked before --output is opened
+        params[args.sweep_index] = value
+        states.append(make_family(args.family, params))
     _emit("", args.output, mode="a")
 
     rows = []
-    for i, value in enumerate(np.linspace(args.start, args.stop, args.num)):
-        params[args.sweep_index] = float(value)
-        state = make_family(args.family, params)
-        row = [float(value), gqd_exact(state, args.side).value]
+    for i, (value, state) in enumerate(zip(grid, states)):
+        row = [value, gqd_exact(state, args.side).value]
         row.append(estimate_gqd(state, "scheme-exact", which=args.side).value)
         if args.shots is None:
             row += [None, None]

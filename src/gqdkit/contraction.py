@@ -1,27 +1,22 @@
-"""Exact expectation values of pair-operator layouts on identical copies.
+"""Exact expectation values of the standard layouts and joint distributions of the settings.
 
 Every copy has one a-side and one b-side pair attached, so copies and pairs
-form disjoint cycles that alternate sides. In the Bloch basis sigma_mu (x)
-sigma_nu (sigma_0 = I) a copy is its state's real Bloch matrix R = [[1, y^T],
-[x, T]], TwoQubitState.R, and a pair operator is diagonal, so a cycle is the
-trace of a product of real 4x4 factors diag(d) R and diag(d) R^T; the walk
-never reads rho. There is one walk, _walk_legs, in the cycle order the matching's
-layout found when it checked its slots (PairingLayout.cycles): it puts a measured
-pair's open leg, the factors (complement, singlet), on every pair of a matching,
-so one walk yields every outcome pattern, kept as one vector in pattern order;
-its plan is made per call for a layout or setting, and its intermediates hold at
-most 2^n * 16 reals for n pairs. A layout's value is read off its matching's
-patterns: a singlet pair picks the singlet, a complement pair the complement, and
-an identity pair sums both. The three settings are one cycle each, and setting k's
-legs are the first 2k of setting 3's, so one chained walk of setting 3's cycle,
-traced after legs 2, 4 and 6 (its plan made and checked at import), gives all 84
-patterns of a state. The last state keeps them (_walked): a setting's distribution
-is its rows, and P1..P11 and both sides' M1..M3 are read off them by the hit table
-and each side's moment columns, as the sampled read-off reads its counts, so both
-sides and every setting share one gather of R and one walk. Only the dense oracle,
-capped at 4 copies, builds the 4^n operator: in the computational basis, real,
-realigned, once per layout, and traced as a bilinear form in n / 2 factors of
-vec(rho^T).
+form cycles that alternate sides. In the Bloch basis sigma_mu (x) sigma_nu
+(sigma_0 = I) a copy is its state's real Bloch matrix R = [[1, y^T], [x, T]],
+TwoQubitState.R, and a pair operator is diagonal, so a cycle is the trace of a
+product of real 4x4 factors diag(d) R and diag(d) R^T; the walk never reads rho.
+The three settings are one cycle each, setting k's legs the first 2k of setting
+3's, so there is one walk, _walk_legs: setting 3's cycle with a measured pair's
+open leg, the factors (complement, singlet), on every pair, traced after legs 2,
+4 and 6 (its plan made and checked at import). It gives a state's 84 outcome
+patterns, the settings' in turn, and the last state keeps them (_walked): a
+setting's distribution is its rows, and P1..P11 and both sides' M1..M3 are read
+off them by the hit table (a singlet pair picks the singlet, an identity pair sums
+both) and each side's moment columns, as the sampled read-off reads its counts.
+expect_layout takes only P1..P11 and joint_distribution only the three settings,
+each by identity. Only the dense oracle, which takes any matching of at most 4
+copies, builds the 4^n operator: in the computational basis, real, realigned, once
+per layout, and traced as a bilinear form in n / 2 factors of vec(rho^T).
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate
-from typing import Callable
 
 import numpy as np
 
@@ -107,8 +101,8 @@ def pattern_product(per_pair) -> np.ndarray:
     return reduce(np.multiply.outer, per_pair, np.ones(1, dtype=int)).reshape(-1)
 
 
-# A closed pair read off its measured outcomes (complement, singlet): the pick or the sum
-_HIT_WEIGHTS = {"complement": (1, 0), "singlet": (0, 1), "identity": (1, 1)}
+# A closed pair read off its measured outcomes (complement, singlet): a singlet picks, an identity sums
+_HIT_WEIGHTS = {"singlet": (0, 1), "identity": (1, 1)}
 
 
 def _hits(layout: PairingLayout) -> np.ndarray:
@@ -144,7 +138,7 @@ _EXACT_READOFFS = tuple(_frozen(t.astype(float)) for t in (_HIT_TABLE, *_MOMENT_
 def _walked(state: TwoQubitState) -> np.ndarray:
     """The last state's 84 patterns, keyed by the object, read-only: the three settings' patterns in
     turn, each in pattern order, from one gather of R and one chained walk."""
-    return _frozen(_walk_legs(_SETTINGS, _leg_stack(state)))
+    return _frozen(_walk_legs(_leg_stack(state)))
 
 
 @lru_cache(maxsize=1)
@@ -157,12 +151,14 @@ def _standard_values(state: TwoQubitState) -> tuple[tuple[float, ...], dict[str,
 
 
 def expect_layout(layout: PairingLayout, state: TwoQubitState) -> float:
-    """tr[(pair operators of the layout)(state^(x) n_copies)], read off the leg walk of its
-    matching: a standard layout from the state's eleven values, any other from its own walk."""
-    j = _STANDARD.get(layout)
-    if j is not None:
-        return _standard_values(state)[0][j]
-    return float(_walk_legs(layout, _leg_stack(state)) @ _hits(layout))
+    """tr[(pair operators of the layout)(state^(x) n_copies)] for one of P1..P11, one of the
+    state's eleven values read off its chained walk. Any other layout, a rebuilt copy of a
+    standard one included (layouts compare by identity), raises ValueError before any walk."""
+    try:
+        j = _STANDARD[layout]
+    except (KeyError, TypeError):
+        raise ValueError(f"{getattr(layout, 'label', None) or 'layout'} is not one of P1..P11") from None
+    return _standard_values(state)[0][j]
 
 
 @lru_cache(maxsize=16)
@@ -224,36 +220,23 @@ class OutcomeDistribution:
         object.__setattr__(self, "p", _frozen(p))
 
 
-def _outer(traces: list[np.ndarray]) -> np.ndarray:
-    """The product of every cycle's trace, flat in walk order."""
-    return reduce(np.multiply.outer, traces).ravel()
-
-
-def _leg_plan(matching: Setting | PairingLayout) -> tuple[tuple, Callable, np.ndarray]:
-    """Per cycle of a matching (pairing's walk of its copy graph), the leg-stack index of its first
-    step and of the others, and its length, where its trace is taken; then how the traces combine,
-    by their product; and the gather taking walk order to pattern order."""
-    order = [i for cycle in matching.cycles for i, _ in cycle]
-    # pattern order (see pattern_product): pair 0's bit lowest, so the last pair's axis first
-    axes = sorted(range(len(order)), key=order.__getitem__, reverse=True)
-    cycles = tuple((c, tuple(t for _, t in rest), (len(rest) + 1,)) for (_, c), *rest in matching.cycles)
-    return cycles, _outer, np.arange(2 ** len(order)).reshape((2,) * len(order)).transpose(axes).ravel()
-
-
-def _chain_plan(chain: tuple[Setting, ...]) -> tuple[tuple, Callable, np.ndarray]:
+def _chain_plan(chain: tuple[Setting, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...], np.ndarray]:
     """One walk for settings of one cycle each whose leg sequences nest, each a proper prefix of
-    the next: the last setting's cycle, traced after each setting's legs, the traces side by side,
-    each gathered to its setting's pattern order. Settings that do not nest raise
-    NumericalContractError."""
+    the next: the leg-stack index of the last setting's first step and of the others, the lengths
+    after which a trace ends each setting, and the gather taking the traces, side by side, to
+    each setting's pattern order in turn. Settings that do not nest raise NumericalContractError."""
     legs = [tuple(t for _, t in s.cycles[0]) for s in chain]
     if any(len(s.cycles) != 1 for s in chain) or any(
             len(a) >= len(b) or b[:len(a)] != a for a, b in zip(legs, legs[1:])):
         raise NumericalContractError(f"the settings' leg walks do not nest: {legs}")
     first, *steps = legs[-1]
-    gathers = [_leg_plan(s)[2] for s in chain]
-    starts = accumulate((len(g) for g in gathers), initial=0)
+    # bit i of a pattern's index is pair i's outcome (see pattern_product); a trace's index holds the
+    # outcome of the k-th of the n pairs walked at bit n - 1 - k
+    gathers = [sum(((np.arange(2 ** len(c)) >> i) & 1) << (len(c) - 1 - k) for k, (i, _) in enumerate(c))
+               for c in (s.cycles[0] for s in chain)]
+    starts = accumulate(map(len, gathers), initial=0)
     gather = np.concatenate([g + start for g, start in zip(gathers, starts)])
-    return ((first, tuple(steps), tuple(map(len, legs))),), np.concatenate, _frozen(gather)
+    return first, tuple(steps), tuple(map(len, legs)), _frozen(gather)
 
 
 # The protocol's settings are one cycle each, setting k's legs the first 2k of setting 3's, so one
@@ -266,35 +249,37 @@ _SETTING_ROWS = {
 }
 
 
-def _walk_legs(matching: Setting | PairingLayout | tuple[Setting, ...], legs: np.ndarray) -> np.ndarray:
-    """Every pattern's probability, in pattern order, from one walk with a (complement,
-    singlet) leg on every pair of a setting's or layout's matching, given the state's leg stack;
-    for the protocol's three settings (pairing's tuple), theirs in turn, from one chained walk.
+def _walk_legs(legs: np.ndarray) -> np.ndarray:
+    """The three settings' 84 pattern probabilities, in turn, each in pattern order, from one
+    chained walk (_CHAIN) of setting 3's cycle with a (complement, singlet) leg on every pair,
+    given the state's leg stack.
 
     The running stack holds row i of partial product k at row (i, k); a step multiplies
     it, as (4K, 4), by a leg's (4, 8) factor pair, read back as (8K, 4): k -> 2k + bit. A
-    trace per product closes a cycle, or ends a setting on the chain.
+    trace per product ends a setting after its legs.
     """
-    cycles, combine, gather = _CHAIN if matching is _SETTINGS else _leg_plan(matching)
-    traces = []
-    for first, steps, closes in cycles:
-        prod = legs[first]
-        for n, step in enumerate(steps, 2):
-            prod = prod.reshape(-1, 4).dot(legs[step])
-            if n in closes:
-                traces.append(prod.reshape(4, -1, 4).trace(axis1=0, axis2=2))
-    return combine(traces).take(gather)
+    first, steps, closes, gather = _CHAIN
+    prod, traces = legs[first], []
+    for n, step in enumerate(steps, 2):
+        prod = prod.reshape(-1, 4).dot(legs[step])
+        if n in closes:
+            traces.append(prod.reshape(4, -1, 4).trace(axis1=0, axis2=2))
+    return np.concatenate(traces).take(gather)
 
 
 def joint_distribution(setting: Setting, state: TwoQubitState) -> OutcomeDistribution:
-    """Exact joint distribution of all pair outcomes for a setting.
+    """Exact joint distribution of all pair outcomes for one of the three protocol settings.
 
-    One walk of the matching with an outcome leg on every pair gives all patterns, not
-    renormalized (a protocol setting's are its rows of the state's chained walk); one
-    below -NEG_PROB_TOL is an error, a smaller negative 0.
+    Its patterns are its rows of the state's chained walk, not renormalized; one below
+    -NEG_PROB_TOL is an error, a smaller negative 0. Any other setting, even one rebuilt on
+    a protocol setting's pairs, raises ValueError before any walk.
     """
-    rows = _SETTING_ROWS.get(setting)
-    flat = _walk_legs(setting, _leg_stack(state)) if rows is None else _walked(state)[rows]
+    try:
+        rows = _SETTING_ROWS[setting]
+    except (KeyError, TypeError):
+        name = getattr(getattr(setting, "layout", None), "label", None) or "setting"
+        raise ValueError(f"{name} is not one of the three protocol settings") from None
+    flat = _walked(state)[rows]
     if flat.min() < -NEG_PROB_TOL:
         raise NumericalContractError(f"pattern probability {flat.min():.3e} below -{NEG_PROB_TOL}")
     return OutcomeDistribution(setting, np.maximum(flat, 0.0))

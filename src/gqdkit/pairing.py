@@ -50,7 +50,9 @@ class PairingLayout:
     """A full assignment of pair operators over n copies.
 
     The stored pair order is preserved as given and `label` is advisory. Two
-    layouts are equal only if they are the same object. `cycles` holds per cycle, in
+    layouts are equal only if they are the same object, so identity decides whether
+    contraction.expect_layout takes one: P1..P11 themselves, never a rebuilt copy
+    (the dense oracle takes any layout). `cycles` holds per cycle, in
     walk order, each pair's index and a flag, 1 where the walk leaves it through a b
     slot; a cycle starts at the lowest pair not yet walked, out through its higher copy.
     """
@@ -102,7 +104,8 @@ class Setting:
     """A fixed pair matching measured in the {singlet, complement} basis.
 
     `layout` is the fully-singlet member; `covered` lists the labels of the
-    standard layouts obtainable from this matching by marginalizing pairs.
+    standard layouts obtainable from this matching by marginalizing pairs. Settings
+    compare by identity, and contraction.joint_distribution takes only the three built here.
     """
 
     layout: PairingLayout

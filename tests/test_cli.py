@@ -589,6 +589,30 @@ def test_shots_above_the_bound_leave_no_output_file(tmp_path, capsys, monkeypatc
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--family", "werner", "--start", "0", "--stop", "2", "--num", "3"), "werner: p = 2.0 outside [0, 1]"),
+        (("--family", "bell_diagonal", "--params", "0,0", "--start", "0", "--stop", "1", "--num", "2"),
+         "family 'bell_diagonal' takes 3 parameters, got 2"),
+    ],
+    ids=["out-of-domain", "arity"],
+)
+def test_a_bad_grid_point_leaves_no_sweep_output_file(tmp_path, capsys, monkeypatch, argv, message):
+    # every grid point's state is built before --output is opened, as scheme, exact and compare
+    # check their input first
+    def refuse(*args, **kwargs):
+        raise AssertionError("an estimate was computed before every grid point was checked")
+
+    for module, name in REFUSED:
+        monkeypatch.setattr(module, name, refuse)
+    target = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, "sweep", *argv, "--output", str(target))
+    assert (code, out) == (2, "")
+    assert message in err
+    assert not target.exists()
+
+
 def test_unknown_command_exits_two(capsys):
     assert main(["frobnicate"]) == 2
 

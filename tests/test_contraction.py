@@ -85,27 +85,6 @@ def test_fast_contraction_matches_dense_oracle():
             assert abs(fast - dense) <= 1e-10
 
 
-def random_four_copy_layout(rng):
-    a_copies = rng.permutation([1, 2, 3, 4])
-    b_copies = rng.permutation([1, 2, 3, 4])
-    kinds = ["singlet", "identity"]
-    pairs = (
-        PairOp("a", (int(a_copies[0]), int(a_copies[1])), kinds[rng.integers(2)]),
-        PairOp("a", (int(a_copies[2]), int(a_copies[3])), kinds[rng.integers(2)]),
-        PairOp("b", (int(b_copies[0]), int(b_copies[1])), kinds[rng.integers(2)]),
-        PairOp("b", (int(b_copies[2]), int(b_copies[3])), kinds[rng.integers(2)]),
-    )
-    return PairingLayout(4, pairs)
-
-
-def test_random_matchings_match_dense_oracle():
-    rng = np.random.default_rng(8)
-    for trial in range(15):
-        lay = random_four_copy_layout(rng)
-        state = random_state(300 + trial, rank=1 + trial % 4)
-        assert abs(expect_layout(lay, state) - expect_layout_dense_oracle(lay, state)) <= 1e-10
-
-
 def test_dense_oracle_refuses_six_copies():
     with pytest.raises(ValueError, match="n_copies"):
         expect_layout_dense_oracle(standard_layouts()[7], random_state(0))
@@ -145,13 +124,6 @@ def test_first_moment_identity_against_k_matrix():
         )
         rhs = float(np.trace(k_matrix(decompose(state)).entries))
         assert abs(lhs - rhs) <= 1e-9
-
-
-def test_expectation_is_pair_order_insensitive():
-    state = random_state(901, rank=3)
-    for lay in standard_layouts():
-        shuffled = PairingLayout(lay.n_copies, tuple(reversed(lay.pairs)))
-        assert abs(expect_layout(lay, state) - expect_layout(shuffled, state)) <= 1e-12
 
 
 def test_joint_distribution_on_maximally_mixed():
@@ -201,16 +173,14 @@ def test_outcome_distribution_rejects_a_bad_vector(p, message):
 
 
 def test_joint_distribution_rejects_a_nan_walk(monkeypatch):
-    # a NaN pattern survives the clamp; OutcomeDistribution's own check catches it, on a protocol
-    # setting's rows of the chained walk and on an ad-hoc setting's own walk
-    def nan_walk(matching, legs):
-        return np.full(84 if matching is contraction._SETTINGS else 4, np.nan)
+    # a NaN pattern survives the clamp; OutcomeDistribution's own check catches it on a protocol
+    # setting's rows of the chained walk
+    def nan_walk(legs):
+        return np.full(84, np.nan)
 
     monkeypatch.setattr(contraction, "_walk_legs", nan_walk)
-    ad_hoc = Setting(PairingLayout(2, settings()[0].pairs), ())
-    for setting in (settings()[0], ad_hoc):
-        with pytest.raises(NumericalContractError, match="finite and nonnegative"):
-            joint_distribution(setting, random_state(1150))
+    with pytest.raises(NumericalContractError, match="finite and nonnegative"):
+        joint_distribution(settings()[0], random_state(1150))
 
 
 def test_outcome_distribution_holds_one_read_only_vector():
@@ -232,7 +202,7 @@ def test_marginals_match_single_singlet_layouts():
         n = len(setting.pairs)
         for k in range(n):
             kinds = ["singlet" if i == k else "identity" for i in range(n)]
-            single = expect_layout(_relabel(setting, kinds), state)
+            single = ref_expect(_relabel(setting, kinds), state)
             # bit k of pattern j is pair k's outcome, 1 for the singlet (see pattern_product)
             marginal = dist.p[(np.arange(2**n) >> k) & 1 == 1].sum()
             assert abs(marginal - single) <= 1e-10
@@ -267,7 +237,7 @@ REFERENCE_STATES = [random_state(1300 + t, rank=1 + t % 4) for t in range(12)] +
 def test_joint_distribution_matches_inclusion_exclusion(index):
     setting = settings()[index]
     n = len(setting.pairs)
-    oracles = [expect_layout] + ([expect_layout_dense_oracle] if setting.n_copies <= 4 else [])
+    oracles = [ref_expect] + ([expect_layout_dense_oracle] if setting.n_copies <= 4 else [])
     for state in REFERENCE_STATES:
         dist = joint_distribution(setting, state)
         assert dist.p.shape == (2**n,)
@@ -378,8 +348,19 @@ def ref_contract(edges: tuple[tuple[str, int, int, str], ...], r: np.ndarray) ->
     return reduce(np.multiply.outer, parts).reshape(shape).transpose(axes)
 
 
-# PairOp admits only singlet and identity; a layout's read-off also picks the complement
-# outcome, which a stand-in pair reaches (a layout reads a pair's side, copies and kind)
+def ref_expect(layout, state):
+    """The layout's expectation by the generic closed walk: any matching, any kind."""
+    return ref_contract(tuple((p.side, *p.copies, p.kind) for p in layout.pairs), state.R).item()
+
+
+def ref_patterns(setting, state):
+    """The setting's patterns by the generic walk with an outcome leg on every pair, in pattern
+    order (see pattern_product): pair 0's bit lowest, so the last pair's axis first."""
+    return ref_contract(tuple((p.side, *p.copies, "outcome") for p in setting.pairs), state.R).T.reshape(-1)
+
+
+# PairOp admits only singlet and identity; the generic walk's plan also takes the complement
+# kind, which a stand-in pair reaches (a layout reads a pair's side, copies and kind)
 StandInPair = namedtuple("StandInPair", "side copies kind")
 
 BIT_STATES = [random_state(1960 + t, rank=1 + t % 4) for t in range(16)] + [
@@ -400,24 +381,14 @@ ZERO_STATES = [make_family("product", [0, 0, 1, 0, 0, 1]), make_family("product"
 
 
 def test_every_layout_is_within_rounding_of_the_generic_walk():
-    # the eleven standard layouts and relabelings of random matchings, single- and multi-cycle,
-    # every kind drawn: each value within 1e-15 of the generic closed walk, and where both read
-    # an exact zero, a zero of the same sign
-    rng = np.random.default_rng(19)
-    kinds = ("singlet", "identity", "complement")
+    # P1..P11, read off the chained walk: each value within 1e-15 of the generic closed walk, and
+    # where both read an exact zero, a zero of the same sign
     layouts = standard_layouts()
-    for n in (2, 4, 6):
-        for _ in range(12):
-            pairs = random_matching(rng, n).pairs
-            relabeled = tuple(StandInPair(p.side, p.copies, kinds[rng.integers(3)]) for p in pairs)
-            layouts.append(PairingLayout(n, relabeled))
-    assert any(len(lay.cycles) > 1 for lay in layouts)  # multi-cycle layouts are walked
-    assert {p.kind for lay in layouts for p in lay.pairs} == set(kinds)
     zeros = 0
     for state in BIT_STATES + ZERO_STATES:
         values = [expect_layout(lay, state) for lay in layouts]
         assert all(type(v) is float for v in values)
-        expected = [ref_contract(tuple((p.side, *p.copies, p.kind) for p in lay.pairs), state.R).item() for lay in layouts]
+        expected = [ref_expect(lay, state) for lay in layouts]
         assert np.max(np.abs(np.subtract(values, expected))) <= 1e-15
         at_zero = [i for i, (v, e) in enumerate(zip(values, expected)) if v == 0.0 == e]
         zeros += len(at_zero)
@@ -450,13 +421,9 @@ def test_every_layout_keeps_the_cycles_of_the_generic_walk():
 
 
 def test_leg_walk_is_bit_identical_to_the_generic_walk():
-    rng = np.random.default_rng(20)
-    matchings = [random_matching(rng, n, ("singlet",)) for n in (2, 4, 6) for _ in range(4)]
-    setups = settings() + [Setting(lay, ()) for lay in matchings]
     for state in BIT_STATES:
-        for setting in setups:
-            edges = tuple((p.side, *p.copies, "outcome") for p in setting.pairs)
-            expected = np.maximum(ref_contract(edges, state.R).T.reshape(-1), 0.0)
+        for setting in settings():
+            expected = np.maximum(ref_patterns(setting, state), 0.0)
             assert joint_distribution(setting, state).p.tolist() == expected.tolist()
 
 
@@ -472,41 +439,6 @@ def counted(monkeypatch, *names):
     return calls
 
 
-def test_cached_walk_plans_give_bit_identical_results(monkeypatch):
-    # an ad-hoc layout or setting is planned from its cycles on every call and repeats its
-    # bits; the settings walk on the plans made at import, and a rebuilt equal layout gives the
-    # same bits
-    rng = np.random.default_rng(14)
-    layouts = [random_matching(rng, n) for n in (2, 4, 6) for _ in range(4)]
-    setups = [Setting(random_matching(rng, n, ("singlet",)), ()) for n in (2, 4, 6)]
-    state = random_state(1500, rank=3)
-
-    def values():
-        return [expect_layout(lay, state) for lay in layouts] + [
-            joint_distribution(s, state).p.tolist() for s in setups + settings()]
-
-    first = values()
-    calls = counted(monkeypatch, "_leg_plan")
-    assert values() == first and values() == first
-    assert calls == {"_leg_plan": 2 * (len(layouts) + len(setups))}
-    twin = PairingLayout(layouts[0].n_copies, layouts[0].pairs)
-    assert expect_layout(twin, state) == first[0]
-
-
-def test_ad_hoc_layouts_never_evict_the_settings_plans(monkeypatch):
-    # 22 fresh copies of P1..P11 are walked as ad-hoc layouts; a new state's outcomes and
-    # distributions then walk the three settings on the plans made at import, planning nothing
-    state = random_state(1510, rank=3)
-    for lay in standard_layouts() * 2:
-        expect_layout(PairingLayout(lay.n_copies, lay.pairs), state)
-    calls = counted(monkeypatch, "_leg_plan")
-    fresh = random_state(1511, rank=2)
-    outcomes_exact(fresh)
-    for setting in settings():
-        joint_distribution(setting, fresh)
-    assert calls == {"_leg_plan": 0}
-
-
 def test_leg_stack_is_gathered_once_per_state_object(monkeypatch):
     # a state's eleven standard values and three distributions share one gather of R and one
     # chained walk; the next state, or an equal-matrix copy of it (a state compares by identity),
@@ -520,8 +452,7 @@ def test_leg_stack_is_gathered_once_per_state_object(monkeypatch):
         before = dict(calls)
         for _ in range(2):
             for lay in standard_layouts():
-                edges = tuple((p.side, *p.copies, p.kind) for p in lay.pairs)
-                assert abs(expect_layout(lay, state) - ref_contract(edges, state.R).item()) <= 1e-15
+                assert abs(expect_layout(lay, state) - ref_expect(lay, state)) <= 1e-15
             for setting in settings():
                 joint_distribution(setting, state)
             assert _standard_values.cache_info().currsize == _walked.cache_info().currsize == 1
@@ -534,9 +465,9 @@ def test_walked_values_are_kept_for_the_last_state_only(monkeypatch):
     # equal-matrix copy walks anew
     walked, walk = [], contraction._walk_legs
 
-    def recording(matching, legs):
-        walked.append(matching)
-        return walk(matching, legs)
+    def recording(legs):
+        walked.append(legs.shape)
+        return walk(legs)
 
     monkeypatch.setattr(contraction, "_walk_legs", recording)
     a, b = BIT_STATES[2], BIT_STATES[9]
@@ -545,7 +476,7 @@ def test_walked_values_are_kept_for_the_last_state_only(monkeypatch):
     for state in (a, b, a, TwoQubitState(a.matrix.copy())):
         walked.clear()
         passes = [[expect_layout(lay, state) for lay in standard_layouts()] for _ in range(2)]
-        assert walked == [contraction._SETTINGS]
+        assert walked == [(2, 4, 8)]
         assert passes[0] == passes[1] == list(_standard_values(state)[0])
         assert _walked(state).shape == (84,) and not _walked(state).flags.writeable
         assert _standard_values.cache_info().currsize == _walked.cache_info().currsize == 1
@@ -556,13 +487,13 @@ def test_walked_values_are_kept_for_the_last_state_only(monkeypatch):
 CHAIN_STATES = [random_state([35, t], rank=1 + t % 4) for t in range(200)]
 
 
-def test_the_chained_walk_is_bit_identical_to_three_setting_walks():
-    # one walk of setting 3's cycle, traced after legs 2, 4 and 6, against each setting walked on
-    # its own plan; and a protocol setting's distribution is its rows of the chained walk
-    for state in CHAIN_STATES:
-        legs = _leg_stack(state)
-        chained = contraction._walk_legs(contraction._SETTINGS, legs)
-        apart = np.concatenate([contraction._walk_legs(s, legs) for s in settings()])
+def test_the_chained_walk_is_bit_identical_to_the_generic_walk():
+    # one walk of setting 3's cycle, traced after legs 2, 4 and 6, against each setting walked
+    # apart by the generic walk, signs of zero included; and a protocol setting's distribution
+    # is its rows of the chained walk
+    for state in CHAIN_STATES + BIT_STATES + ZERO_STATES:
+        chained = contraction._walk_legs(_leg_stack(state))
+        apart = np.concatenate([ref_patterns(s, state) for s in settings()])
         assert chained.shape == (84,) and np.array_equal(chained.view(np.int64), apart.view(np.int64))
     state = CHAIN_STATES[-1]
     for setting, rows in zip(settings(), np.split(_walked(state), [4, 20])):
@@ -573,7 +504,9 @@ def test_the_settings_must_nest_to_share_one_walk():
     # the protocol's settings nest, each a proper prefix of the next; a reordered triple, a repeated
     # setting, one walked from its b side and one of two cycles do not
     s1, s2, s3 = settings()
-    assert contraction._chain_plan((s1, s2, s3))[0] == (((0, (1, 0, 1, 0, 1), (2, 4, 6))),)
+    first, steps, closes, gather = contraction._chain_plan((s1, s2, s3))
+    assert (first, steps, closes) == (0, (1, 0, 1, 0, 1), (2, 4, 6))
+    assert gather.shape == (84,) and sorted(gather) == list(range(84)) and not gather.flags.writeable
     b_first = Setting(PairingLayout(2, s1.pairs[::-1]), ())
     two_cycles = Setting(PairingLayout(4, tuple(
         PairOp(side, copies, "singlet") for side in "ab" for copies in ((1, 2), (3, 4)))), ())
@@ -583,29 +516,32 @@ def test_the_settings_must_nest_to_share_one_walk():
             contraction._chain_plan(chain)
 
 
-def test_an_ad_hoc_layout_walks_its_own_matching_uncached(monkeypatch):
-    # a layout outside P1..P11, even one with P1's pairs, makes one walk of its own matching per
-    # call, and the state's cached standard values stay as they were: the same tuple, no new walk
-    rng = np.random.default_rng(31)
+def test_layouts_and_settings_outside_the_protocol_are_refused(monkeypatch):
+    # layouts and settings compare by identity: a fresh layout with P1's pairs, a reversed-pair
+    # copy of each of P1..P11 and a setting rebuilt on a protocol setting's pairs each raise a
+    # ValueError naming it, as does an unhashable stand-in, before any walk, and the state's
+    # cached values stay as they were
     state = BIT_STATES[4]
     values = _standard_values(state)
-    ad_hoc = [PairingLayout(2, standard_layouts()[0].pairs)] + [random_matching(rng, n) for n in (2, 4, 6)]
-    walked, walk = [], contraction._walk_legs
 
-    def recording(matching, legs):
-        walked.append(matching)
-        return walk(matching, legs)
+    def refuse(*args):
+        raise AssertionError("walked a layout or setting outside the protocol")
 
-    monkeypatch.setattr(contraction, "_walk_legs", recording)
-    for lay in ad_hoc:
-        for _ in range(2):
-            walked.clear()
-            edges = tuple((p.side, *p.copies, p.kind) for p in lay.pairs)
-            assert abs(expect_layout(lay, state) - ref_contract(edges, state.R).item()) <= 1e-15
-            assert walked == [lay]
+    monkeypatch.setattr(contraction, "_walk_legs", refuse)
+    p1 = standard_layouts()[0]
+    layouts = [(PairingLayout(2, p1.pairs), "layout"), (list(p1.pairs), "layout")] + [
+        (PairingLayout(lay.n_copies, lay.pairs[::-1], f"{lay.label} reversed"), f"{lay.label} reversed")
+        for lay in standard_layouts()]
+    for lay, name in layouts:
+        with pytest.raises(ValueError, match=f"^{name} is not one of P1..P11$"):
+            expect_layout(lay, state)
+    for s in settings():
+        for rebuilt, name in ((Setting(PairingLayout(s.n_copies, s.pairs), s.covered), "setting"),
+                              (Setting(s.layout, s.covered), s.layout.label)):
+            with pytest.raises(ValueError, match=f"^{name} is not one of the three protocol settings$"):
+                joint_distribution(rebuilt, state)
     assert _standard_values(state) is values and _standard_values.cache_info().currsize == 1
-    walked.clear()
-    assert [expect_layout(lay, state) for lay in standard_layouts()] == list(values[0]) and walked == []
+    assert [expect_layout(lay, state) for lay in standard_layouts()] == list(values[0])
 
 
 @pytest.mark.parametrize("which", ["A", "B"])
@@ -652,9 +588,7 @@ ORACLE_STATES = [random_state(1550 + trial, rank=1 + trial % 4) for trial in ran
 
 
 def test_walk_matches_an_einsum_reference_up_to_six_copies():
-    rng = np.random.default_rng(15)
-    layouts = standard_layouts() + [random_matching(rng, 6) for _ in range(12)]
-    for lay in layouts:
+    for lay in standard_layouts():
         for state in ORACLE_STATES:
             reference = einsum_reference(lay, state.matrix)
             assert abs(reference.imag) <= 1e-12
@@ -701,7 +635,7 @@ def test_closed_walk_is_a_pick_or_sum_of_the_leg_walk():
                 singlet = rng.integers(2, size=n).astype(bool)
                 lay = _relabel(setting, ["singlet" if s else "identity" for s in singlet])
                 keep = (bits[:, singlet] == 1).all(axis=1)
-                assert abs(expect_layout(lay, state) - p[keep].sum()) <= 1e-13
+                assert abs(ref_expect(lay, state) - p[keep].sum()) <= 1e-13
 
 
 def random_unitary(rng):
@@ -757,7 +691,7 @@ def test_dense_oracle_never_walks_the_cycles(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the dense oracle used the cycle walk")
 
-    for walk in ("expect_layout", "_standard_values", "_leg_stack", "_walk_legs", "_leg_plan"):
+    for walk in ("expect_layout", "_standard_values", "_leg_stack", "_walk_legs"):
         monkeypatch.setattr(contraction, walk, refuse)
     state = random_state(1700, rank=2)
     for lay in standard_layouts()[:7]:

@@ -42,7 +42,7 @@ from gqdkit.estimator import (
     derive_moment_table,
 )
 from gqdkit.statekit import MAXIMALLY_MIXED, _draw, _frozen, stream_key
-from test_contraction import einsum_reference
+from test_contraction import einsum_reference, ref_patterns
 
 MM_OUTCOMES = np.array(
     [
@@ -879,8 +879,7 @@ def ref_scheme_exact(state, which) -> GqdEstimate:
     c = ref_outcomes_exact(state)
     if which == "B":
         c = ref_permute_outcomes(c)
-    legs = contraction._leg_stack(state)
-    walks = np.concatenate([contraction._walk_legs(s, legs) for s in settings()])
+    walks = np.concatenate([ref_patterns(s, state) for s in settings()])
     m = MomentTriple(*(walks @ _READOFF[which][:, N_OUTCOMES:]).tolist())
     lam = eigenvalues_from_moments(m)
     value = (lam[1] + lam[2]) / 4.0
@@ -972,9 +971,9 @@ def test_an_exact_panel_op_makes_the_pinned_calls_and_walks_each_layout_once(mon
     walks, eigvalsh_shapes = [], []
     walk, eigvalsh = contraction._walk_legs, np.linalg.eigvalsh
 
-    def walking(matching, legs):
-        walks.append(matching)
-        return walk(matching, legs)
+    def walking(legs):
+        walks.append(legs.shape)
+        return walk(legs)
 
     def solving(a):
         eigvalsh_shapes.append(a.shape)
@@ -983,9 +982,9 @@ def test_an_exact_panel_op_makes_the_pinned_calls_and_walks_each_layout_once(mon
     monkeypatch.setattr(contraction, "_walk_legs", walking)
     monkeypatch.setattr(np.linalg, "eigvalsh", solving)
     values = [gqd_exact(state, "A").value, estimate_gqd(state, "scheme-exact", which="A").value]
-    assert walks == [contraction._SETTINGS] and eigvalsh_shapes == [(2, 3, 3)]
+    assert walks == [(2, 4, 8)] and eigvalsh_shapes == [(2, 3, 3)]
     values += [gqd_exact(state, "B").value, estimate_gqd(state, "scheme-exact", which="B").value]
-    assert walks == [contraction._SETTINGS] and eigvalsh_shapes == [(2, 3, 3)]
+    assert walks == [(2, 4, 8)] and eigvalsh_shapes == [(2, 3, 3)]
     assert calls == {
         "expect_layout": 22,
         "outcomes_exact": 2,

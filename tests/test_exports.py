@@ -5,6 +5,7 @@ needs less, loads only what is used."""
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -56,6 +57,16 @@ def test_every_traced_and_pinned_name_is_a_gqdkit_function():
         mod, fn = name.split(".")
         func = getattr(importlib.import_module(f"gqdkit.{mod}"), fn, None)
         assert callable(func) and func.__module__ == f"gqdkit.{mod}", name
+
+
+def test_every_test_the_workflow_names_is_defined():
+    # the CI workflow's comments name the tests a job exists to run: renaming or retiring one of
+    # them fails here, not only when someone reads the workflow
+    cited = set(re.findall(r"\btest_\w+", (ROOT / ".github" / "workflows" / "tier1.yml").read_text()))
+    defined = {node.name for path in (ROOT / "tests").glob("test_*.py")
+               for node in ast.walk(ast.parse(path.read_text(), str(path))) if isinstance(node, ast.FunctionDef)}
+    assert len(cited) >= 4
+    assert sorted(cited - defined) == []
 
 
 def test_a_star_import_binds_every_exported_name():
